@@ -14,8 +14,18 @@ A1.csv, A2.csv, A3.csv, B1.csv and B2.csv (time in fs, differential
 reflectivity; `#` comments allowed); molecule and photon numbers for these
 labels are built in.
 
-Expect roughly 15-30 minutes per lifetime on one core with the default
-9-point grid; --threads spreads the grid evaluations over workers.
+Expect about 40 minutes per lifetime on one core with the default 9-point
+grid; --threads spreads the grid evaluations over workers.  That figure is
+extrapolated from a timed sample, not from a whole run: on a 2-core
+machine, the five labels' traces (samples from -500 to 1500 fs, the default
++-400 fs shift range) cost 239 s over all 81 (g, gamma0z) pairs at the
+middle gamma_minus, and the costliest g row took the same at both
+gamma_minus ends, so the coarse pass takes about 36 minutes; the refined
+pass around a minimum near the bundled best fit adds about 6 minutes.
+83% of the coarse pass goes to the rows with g >= 330 neV, and most of that
+to g = 5000 neV with gamma0z below 100 meV, where the five traces of one
+grid point take up to 35 s: those corners oscillate at the collective Rabi
+frequency, so every integrator's step stays bound to its period.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from scipy.special import erfc
 
 from .cumulant import (
     IntegrationError,
-    SolverConfig,
     integrate,
     simulate_energy,
     solver_config_from_config,
@@ -47,6 +46,7 @@ from .fit import (
     load_dataset,
     make_synthetic_dataset,
     residuals,
+    trace_window,
     write_map_csv,
 )
 from .lindblad import (
@@ -438,13 +438,8 @@ def cmd_fit(cfg: dict[str, str], out_dir: Path, args) -> int:
     )
     for ds in datasets:
         ds_params = best.with_molecule_count(ds.n_dye)
-        lo = ds.times_fs[0] * 1e-3 + t0_pair[0] * 1e-3
-        hi = ds.times_fs[-1] * 1e-3 + t0_pair[1] * 1e-3
-        pad = 5.0 * lifetime_ps + 0.05
-        ds_solver = SolverConfig(
-            t_start_ps=min(lo - pad, -8.0 * sigma_fs * 1e-3),
-            t_end_ps=hi + pad,
-        )
+        t_start, t_end = trace_window([ds], lifetime_ps, sigma_fs * 1e-3, t0_pair)
+        ds_solver = replace(solver, t_start_ps=t_start, t_end_ps=t_end)
         ds_pulse = PulseParams(
             amplitude=drive_amplitude_from_photon_ratio(ds.photon_ratio, ds.n_dye),
             center_ps=0.0,

@@ -423,6 +423,25 @@ class FitResult:
     coarse: "FitResult | None" = None
 
 
+def trace_window(
+    datasets: list[ExperimentDataset],
+    lifetime_ps: float,
+    pulse_sigma_ps: float,
+    t0_range_fs: tuple[float, float],
+) -> tuple[float, float]:
+    """Simulation window (t_start_ps, t_end_ps) a fit of ``datasets`` needs.
+
+    It covers every sample over the whole shift range, padded by five
+    cavity lifetimes (the default detector width) plus 50 fs so the edges
+    of the response convolution stay outside it, and starts no later than
+    the pulse's leading edge.
+    """
+    lo_ps = min(ds.times_fs[0] for ds in datasets) * 1e-3 + t0_range_fs[0] * 1e-3
+    hi_ps = max(ds.times_fs[-1] for ds in datasets) * 1e-3 + t0_range_fs[1] * 1e-3
+    pad = 5.0 * lifetime_ps + 0.05
+    return min(lo_ps - pad, -8.0 * pulse_sigma_ps), hi_ps + pad
+
+
 def _fit_trace_task(args) -> EnergyTrace:
     params, pulse, solver, response_ps = args
     trace = simulate_energy(params, pulse, solver)
@@ -443,20 +462,14 @@ def model_traces(
 
     This is the expensive half of a global fit; computing it once and
     passing it to ``global_fit`` lets many noise realisations reuse the same
-    table.  Keys are (i_g, i_z, i_m, dataset_index).
+    table.  Keys are (i_g, i_z, i_m, dataset_index).  The traces span
+    ``trace_window``; ``solver`` supplies the closure, tolerances and output
+    step, and its own window is ignored.
     """
     lifetime_ps = lifetime_fs * 1e-3
     kappa = HBAR_MEV_PS / lifetime_ps
-
-    lo_ps = min(ds.times_fs[0] for ds in datasets) * 1e-3 + t0_range_fs[0] * 1e-3
-    hi_ps = max(ds.times_fs[-1] for ds in datasets) * 1e-3 + t0_range_fs[1] * 1e-3
-    pad = 5.0 * lifetime_ps + 0.05
-    t_start = min(lo_ps - pad, -8.0 * pulse_sigma_ps)
-    t_end = hi_ps + pad
-    if solver is None:
-        solver = SolverConfig(t_start_ps=t_start, t_end_ps=t_end)
-    else:
-        solver = replace(solver, t_start_ps=min(solver.t_start_ps, t_start), t_end_ps=max(solver.t_end_ps, t_end))
+    t_start, t_end = trace_window(datasets, lifetime_ps, pulse_sigma_ps, t0_range_fs)
+    solver = replace(solver or SolverConfig(), t_start_ps=t_start, t_end_ps=t_end)
 
     tasks = []
     keys = []

@@ -251,7 +251,8 @@ def evolve_exact(
 
     rho0 = ops.ground_state(oracle.initial_photons).ravel()
     times = output_grid(config)
-    data = _segmented_solve(rhs, rho0, times, pulse, oracle.rel_tol, oracle.abs_tol)
+    # the density matrix is complex, which scipy's LSODA does not accept
+    data = _segmented_solve(rhs, rho0, times, pulse, oracle.rel_tol, oracle.abs_tol, "RK45")
     return _reduce(data, times, ops, oracle)
 
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from dickesim import cli
 from dickesim.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -267,6 +268,45 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         capsys.readouterr()
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
+
+    def test_residuals_use_the_configured_solver(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, """\
+model.N = 8.08e10
+model.g_neV = 10.6
+model.lifetime_fs = 120
+model.gamma0z_meV = 1.68
+model.gamma_minus_meV = 0.0141
+pulse.sigma_fs = 20
+pulse.photon_ratio = 0.121287128712871
+pulse.response_fs = 120
+solver.closure = meanfield
+solver.rel_tol = 1e-6
+fit.synthetic = true
+fit.times_fs = -500, 1500, 8
+fit.noise_rms = 0.02
+fit.grid_points = 1
+fit.g_bounds_neV = 10.6, 11.0
+fit.gamma0z_bounds_meV = 1.68, 2.0
+fit.gammaminus_bounds_meV = 0.0141, 0.02
+""")
+        results = []
+        global_fit = cli.global_fit
+
+        def recording_global_fit(*args, **kwargs):
+            results.append(global_fit(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "global_fit", recording_global_fit)
+        out = tmp_path / "fit_out"
+        with pytest.warns(UserWarning, match="boundary"):
+            assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        (result,) = results
+        header = (out / "residuals_synthetic.csv").read_text().splitlines()[0]
+        chi2 = float(header.rsplit("chi2=", 1)[1])
+        # the header prints nine significant digits; compare at that precision
+        expected = float(f"{result.chi2_reduced_min * result.k_eff:.8e}")
+        assert chi2 == pytest.approx(expected, rel=1e-12)
 
 
 class TestSpectrum:

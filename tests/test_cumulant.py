@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from dickesim import cumulant
 from dickesim.cumulant import (
     CumulantState,
+    IntegrationError,
+    MomentTrace,
     STATE_SIZE,
     SolverConfig,
     integrate,
@@ -19,7 +22,13 @@ from dickesim.cumulant import (
     simulate_energy,
     solver_config_from_config,
 )
-from dickesim.model import ConfigError, HBAR_MEV_PS, ModelParams, PulseParams
+from dickesim.model import (
+    ConfigError,
+    HBAR_MEV_PS,
+    ModelParams,
+    PulseParams,
+    drive_amplitude_from_photon_ratio,
+)
 
 SMALL_N = ModelParams(
     n_molecules=2.0,
@@ -173,3 +182,62 @@ def test_integration_is_deterministic():
     a = integrate(SMALL_N, pulse, config)
     b = integrate(SMALL_N, pulse, config)
     assert np.array_equal(a.data, b.data)
+
+
+def test_stiff_dephasing_corner_is_cheap_and_accurate(monkeypatch):
+    # the B2 label (0.81e10 molecules, 1.60e10 photons) at gamma0z = 300 meV:
+    # dephasing scales as N_ref/N, so gamma_tot is about 1000 kappa and an
+    # explicit integrator is held to steps of ~1/gamma_tot
+    n = 0.81e10
+    params = ModelParams(
+        n_molecules=n, g_mev=10.6e-6, kappa_mev=HBAR_MEV_PS / 0.120,
+        gamma0z_mev=300.0, n_ref=8.08e10, gamma_minus_mev=0.0141,
+    )
+    pulse = PulseParams(
+        amplitude=drive_amplitude_from_photon_ratio(1.60e10 / n, n),
+        center_ps=0.0, sigma_ps=0.020,
+    )
+    config = SolverConfig(t_start_ps=-1.15, t_end_ps=1.9)
+
+    calls = 0
+    make_rhs = cumulant._make_rhs
+
+    def counting_make_rhs(*args, **kwargs):
+        rhs = make_rhs(*args, **kwargs)
+
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            return rhs(t, y)
+
+        return counted
+
+    monkeypatch.setattr(cumulant, "_make_rhs", counting_make_rhs)
+    energy = simulate_energy(params, pulse, config).energy_mev
+    assert calls < 10_000, calls  # RK45 needs about 79,000 here
+
+    times = output_grid(config)
+    reference = MomentTrace(times, cumulant._segmented_solve(
+        make_rhs(params, pulse, "cumulant"),
+        cumulant._initial_array("cumulant"),
+        times,
+        pulse,
+        1e-10,
+        config.abs_tol,
+        "RK45",
+    ))
+    ref_energy = 0.5 * params.omega_a_mev * (reference.c_z + 1.0)
+    assert np.max(np.abs(energy - ref_energy)) <= 1e-6 * np.max(ref_energy)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("method", ["LSODA", "RK45"])
+def test_finite_time_blow_up_raises(method):
+    # y' = y^2 from y(0) = 1 diverges at t = 1; LSODA alone would never return
+    pulse = PulseParams(amplitude=0.0, center_ps=5.0, sigma_ps=0.020)
+    with pytest.raises(IntegrationError) as info:
+        cumulant._segmented_solve(
+            lambda t, y: y * y, np.array([1.0]), np.linspace(0.0, 2.0, 201),
+            pulse, 1e-8, 1e-10, method,
+        )
+    assert 0.99 < info.value.last_good_time_ps <= 1.0

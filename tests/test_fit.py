@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dickesim.cumulant import SolverConfig
 from dickesim.fit import (
     DataError,
     ExperimentDataset,
@@ -377,6 +378,24 @@ class TestGlobalFit:
         b = global_fit([ds], grid, lifetime_fs=120.0, traces=table)
         assert a.argmin == b.argmin == (1, 1, 1)
         np.testing.assert_array_equal(a.chi2_reduced_map, b.chi2_reduced_map)
+
+    def test_traces_span_the_data_window_not_the_solver_window(self):
+        ds, grid = synthetic_problem()
+        point = FitGrid(grid.g_nev[1:2], grid.gamma0z_mev[1:2], grid.gamma_minus_mev[1:2])
+        plain = model_traces([ds], point, lifetime_fs=120.0)[(0, 0, 0, 0)]
+        # the data plus shift range and padding end near 2.54 ps
+        wide = model_traces(
+            [ds], point, lifetime_fs=120.0, solver=SolverConfig(t_end_ps=3.5)
+        )[(0, 0, 0, 0)]
+        assert plain.times_ps[-1] < 3.0
+        np.testing.assert_array_equal(wide.times_ps, plain.times_ps)
+        np.testing.assert_array_equal(wide.energy_mev, plain.energy_mev)
+        # the closure still comes from the solver
+        meanfield = model_traces(
+            [ds], point, lifetime_fs=120.0, solver=SolverConfig(closure="meanfield")
+        )[(0, 0, 0, 0)]
+        np.testing.assert_array_equal(meanfield.times_ps, plain.times_ps)
+        assert not np.array_equal(meanfield.energy_mev, plain.energy_mev)
 
     def test_datasets_must_carry_noise(self):
         ds, grid = synthetic_problem()
