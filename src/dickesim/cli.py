@@ -356,8 +356,25 @@ def _fit_datasets(cfg: dict[str, str], params, pulse, solver, seed: int):
     return datasets
 
 
+# model keys the fit's table does not take: it is built at the ModelParams
+# defaults (resonant, omega_a = 2357 meV)
+_FIT_FIXED_MODEL_KEYS = {
+    "model.delta_c_meV": "delta_c_mev",
+    "model.delta_a_meV": "delta_a_mev",
+    "model.omega_a_meV": "omega_a_mev",
+    "model.wavelength_nm": "omega_a_mev",
+}
+
+
 def cmd_fit(cfg: dict[str, str], out_dir: Path, args) -> int:
     params, pulse, solver = _build_common(cfg)
+    table = ModelParams()
+    for key, attr in _FIT_FIXED_MODEL_KEYS.items():
+        if key in cfg and getattr(params, attr) != getattr(table, attr):
+            raise ConfigError(
+                f"{key} = {cfg[key]} is not supported by fit, whose model table is resonant "
+                f"with omega_a = {table.omega_a_mev:g} meV; remove the key"
+            )
     datasets = _fit_datasets(cfg, params, pulse, solver, args.seed)
 
     points = _get(cfg, "fit.grid_points", _FIT_KEYS, default=9)

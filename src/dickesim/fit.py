@@ -390,11 +390,17 @@ class FitGrid:
         """Zoom each axis to one coarse cell either side of (i, j, k).
 
         For a geometric axis this narrows the span to two coarse steps, so
-        the same point count resolves it about four times finer.
+        the same point count resolves it about four times finer.  A node
+        within 1e-12 relative of a coarse node is placed exactly on it, so
+        ``global_fit`` can take that member's trace from the coarse table.
         """
         def zoom(axis, idx, n):
             step = axis[1] / axis[0] if axis.size > 1 else 2.0
-            return np.geomspace(axis[idx] / step, axis[idx] * step, n)
+            fine = np.geomspace(axis[idx] / step, axis[idx] * step, n)
+            near = np.abs(fine[:, None] / axis[None, :] - 1.0) <= 1e-12
+            hit = near.any(axis=1)
+            fine[hit] = axis[near.argmax(axis=1)[hit]]
+            return fine
 
         n_g = points or self.g_nev.size
         n_z = points or self.gamma0z_mev.size
@@ -448,31 +454,22 @@ def _fit_trace_task(args) -> EnergyTrace:
     return convolve_response(trace, response_ps)
 
 
-def model_traces(
+def _member_tasks(
     datasets: list[ExperimentDataset],
     grid: FitGrid,
     lifetime_fs: float,
-    pulse_sigma_ps: float = 0.020,
-    n_ref: float = N_REF_DEFAULT,
-    solver: SolverConfig | None = None,
-    t0_range_fs: tuple[float, float] = (-400.0, 400.0),
-    workers: int = 1,
+    pulse_sigma_ps: float,
+    n_ref: float,
+    solver: SolverConfig | None,
+    t0_range_fs: tuple[float, float],
 ) -> dict:
-    """Convolved model traces for every (grid point, dataset) pair.
-
-    This is the expensive half of a global fit; computing it once and
-    passing it to ``global_fit`` lets many noise realisations reuse the same
-    table.  Keys are (i_g, i_z, i_m, dataset_index).  The traces span
-    ``trace_window``; ``solver`` supplies the closure, tolerances and output
-    step, and its own window is ignored.
-    """
+    """One hashable integration task per (i_g, i_z, i_m, dataset_index) key."""
     lifetime_ps = lifetime_fs * 1e-3
     kappa = HBAR_MEV_PS / lifetime_ps
     t_start, t_end = trace_window(datasets, lifetime_ps, pulse_sigma_ps, t0_range_fs)
     solver = replace(solver or SolverConfig(), t_start_ps=t_start, t_end_ps=t_end)
 
-    tasks = []
-    keys = []
+    tasks = {}
     for i, g in enumerate(grid.g_nev):
         for j, gz in enumerate(grid.gamma0z_mev):
             for k, gm in enumerate(grid.gamma_minus_mev):
@@ -491,14 +488,39 @@ def model_traces(
                         sigma_ps=pulse_sigma_ps,
                         response_ps=ds.response_ps if ds.response_ps is not None else lifetime_ps,
                     )
-                    tasks.append((params, pulse, solver, pulse.response_ps))
-                    keys.append((i, j, k, di))
-    if workers > 1:
+                    tasks[(i, j, k, di)] = (params, pulse, solver, pulse.response_ps)
+    return tasks
+
+
+def _integrate(tasks: dict, workers: int) -> dict:
+    if workers > 1 and tasks:
         with Pool(processes=workers) as pool:
-            traces = pool.map(_fit_trace_task, tasks)
+            traces = pool.map(_fit_trace_task, tasks.values())
     else:
-        traces = [_fit_trace_task(t) for t in tasks]
-    return dict(zip(keys, traces))
+        traces = [_fit_trace_task(t) for t in tasks.values()]
+    return dict(zip(tasks, traces))
+
+
+def model_traces(
+    datasets: list[ExperimentDataset],
+    grid: FitGrid,
+    lifetime_fs: float,
+    pulse_sigma_ps: float = 0.020,
+    n_ref: float = N_REF_DEFAULT,
+    solver: SolverConfig | None = None,
+    t0_range_fs: tuple[float, float] = (-400.0, 400.0),
+    workers: int = 1,
+) -> dict:
+    """Convolved model traces for every (grid point, dataset) pair.
+
+    This is the expensive half of a global fit; computing it once and
+    passing it to ``global_fit`` lets many noise realisations reuse the same
+    table.  Keys are (i_g, i_z, i_m, dataset_index).  The traces span
+    ``trace_window``; ``solver`` supplies the closure, tolerances and output
+    step, and its own window is ignored.
+    """
+    tasks = _member_tasks(datasets, grid, lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs)
+    return _integrate(tasks, workers)
 
 
 def global_fit(
@@ -515,17 +537,23 @@ def global_fit(
 ) -> FitResult:
     """Scan the rate grid, minimise chi^2 jointly over all datasets.
 
-    Every dataset must already carry a noise estimate.  ``refine`` runs one
-    extra pass on a four-times-finer grid around the coarse minimum.  The
+    Every dataset must already carry a noise estimate and a label of its
+    own.  ``refine`` runs one extra pass on a four-times-finer grid around
+    the coarse minimum; its members on coarse nodes reuse the coarse
+    traces instead of integrating them again.  The
     reduced chi^2 uses k_eff = (total samples) - 3: only the shared rates
     count as parameters, matching how the per-dataset scale and shift are
     treated as nuisances.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
+    labels = [ds.label for ds in datasets]
     for ds in datasets:
         if ds.sigma is None:
             raise DataError(f"dataset {ds.label!r} has no noise estimate; run estimate_noise")
+        if labels.count(ds.label) > 1:
+            # labels key the scales, the shifts and the residual files
+            raise DataError(f"dataset label {ds.label!r} is used by {labels.count(ds.label)} datasets")
     k_total = sum(ds.n_points for ds in datasets)
     k_eff = k_total - 3
     if k_eff <= 0:
@@ -595,16 +623,27 @@ def global_fit(
     if not refine:
         return result
 
+    # a fine member whose task equals a coarse one reuses the coarse trace
+    fine_grid = grid.refined_around(i, j, k)
+    setup = (lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs)
+    coarse_keys = {task: key for key, task in _member_tasks(datasets, grid, *setup).items()}
+    fine_tasks = _member_tasks(datasets, fine_grid, *setup)
+    fine_traces = {
+        key: traces[coarse_keys[task]] for key, task in fine_tasks.items() if task in coarse_keys
+    }
+    fine_traces.update(_integrate(
+        {key: task for key, task in fine_tasks.items() if key not in fine_traces}, workers
+    ))
     fine = global_fit(
         datasets,
-        grid.refined_around(i, j, k),
+        fine_grid,
         lifetime_fs=lifetime_fs,
         pulse_sigma_ps=pulse_sigma_ps,
         n_ref=n_ref,
         solver=solver,
         t0_range_fs=t0_range_fs,
-        workers=workers,
         refine=False,
+        traces=fine_traces,
     )
     return replace(fine, coarse=result)
 

@@ -1,10 +1,19 @@
 """Exact Lindblad propagation for few-molecule sanity checks.
 
-Dense density-matrix evolution of the same driven, lossy model the cumulant
+Density-matrix evolution of the same driven, lossy model the cumulant
 solver approximates, restricted to ensembles small enough (up to three
 molecules, Hilbert dimension at most 64) that nothing needs truncating except
 the Fock ladder.  Used to validate the moment equations, never for
 production-size ensembles.
+
+The master equation acts on the row-major vec(rho) through two sparse
+superoperators built once per call from vec(A rho B) = kron(A, B^T) vec(rho):
+the drift from the Hamiltonian and the jumps, and the drive [V, rho] that the
+pulse envelope multiplies.  At three molecules and n_max = 7 they hold about
+46,000 nonzeros against 4096^2 for a dense superoperator.  The states are
+complex and scipy's LSODA accepts only real ones, so the oracle stays on
+RK45.  Moments come from one contraction of all samples against vec(O^T),
+since tr(O rho) = vec(O^T) . vec(rho).
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .cumulant import MomentTrace, SolverConfig, _segmented_solve, output_grid
 from .model import (
@@ -28,6 +38,8 @@ logger = logging.getLogger(__name__)
 
 MAX_DIM = 64
 MAX_MOLECULES = 3
+# samples per Hermiticity/eigenvalue batch: a (32, 64, 64) complex block is 2 MB
+_BLOCK = 32
 
 # moment columns produced by evolve_exact; pair moments are NaN for one molecule
 MOMENT_NAMES = (
@@ -66,36 +78,6 @@ class OracleConfig:
         for name in ("rel_tol", "abs_tol", "top_level_tol", "trace_tol", "herm_tol", "positivity_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A density matrix on (C^2)^n_molecules tensor Fock(n_max + 1)."""
-
-    rho: np.ndarray
-    n_molecules: int
-    n_max: int
-
-    def __post_init__(self) -> None:
-        dim = (2 ** self.n_molecules) * (self.n_max + 1)
-        if self.rho.shape != (dim, dim):
-            raise ValueError(f"expected shape ({dim}, {dim}), got {self.rho.shape}")
-
-    def trace_error(self) -> float:
-        return abs(np.trace(self.rho) - 1.0)
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
-
-    def top_fock_population(self) -> float:
-        ops = _operators(self.n_molecules, self.n_max)
-        return float(np.real(np.trace(ops.top_proj @ self.rho)))
-
-    def expect(self, op: np.ndarray) -> complex:
-        return complex(np.trace(op @ self.rho))
 
 
 class _Operators:
@@ -188,6 +170,41 @@ def _molecule_count(params: ModelParams) -> int:
     return n_int
 
 
+def _hamiltonian_and_jumps(params: ModelParams, ops: _Operators) -> tuple[np.ndarray, list]:
+    """Undriven Hamiltonian H0 in 1/ps and the (rate, L) jumps with nonzero rate."""
+    gz = effective_dephasing(params) / HBAR_MEV_PS
+    gm = params.gamma_minus_mev / HBAR_MEV_PS
+    kap = params.kappa_mev / HBAR_MEV_PS
+    dc = params.delta_c_mev / HBAR_MEV_PS
+    da = params.delta_a_mev / HBAR_MEV_PS
+    g = params.g_mev / HBAR_MEV_PS
+
+    h0 = dc * ops.n_op
+    collapse = [(kap, ops.a)]
+    for j in range(ops.n_molecules):
+        h0 = h0 + 0.5 * da * ops.sz[j] + g * (ops.ad @ ops.sm[j] + ops.a @ ops.sp[j])
+        collapse += [(gz, ops.sz[j]), (gm, ops.sm[j])]
+    return h0, [(rate, op) for rate, op in collapse if rate > 0]
+
+
+def _superoperators(h0: np.ndarray, collapse: list, v: np.ndarray):
+    """CSR (drift, drive) on the row-major vec(rho).
+
+    With K = -iH - (1/2) sum rate L'L the master equation reads
+    drho/dt = K rho + rho K' + sum rate L rho L' + eta [V, rho], and
+    vec(A rho B) = kron(A, B^T) vec(rho) turns each term into one kron.
+    """
+    ident = sparse.identity(h0.shape[0], dtype=complex, format="csr")
+    k_eff = -1j * h0
+    for rate, op in collapse:
+        k_eff = k_eff - 0.5 * rate * (op.conj().T @ op)
+    drift = sparse.kron(k_eff, ident) + sparse.kron(ident, k_eff.conj())
+    for rate, op in collapse:
+        drift = drift + rate * sparse.kron(op, op.conj())
+    drive = sparse.kron(v, ident) - sparse.kron(ident, v.T)
+    return drift.tocsr(), drive.tocsr()
+
+
 def evolve_exact(
     params: ModelParams,
     pulse: PulseParams,
@@ -203,51 +220,20 @@ def evolve_exact(
     """
     if oracle is None:
         oracle = OracleConfig()
-    n_mol = _molecule_count(params)
-    ops = _operators(n_mol, oracle.n_max)
+    ops = _operators(_molecule_count(params), oracle.n_max)
 
-    gz = effective_dephasing(params) / HBAR_MEV_PS
-    gm = params.gamma_minus_mev / HBAR_MEV_PS
-    kap = params.kappa_mev / HBAR_MEV_PS
-    dc = params.delta_c_mev / HBAR_MEV_PS
-    da = params.delta_a_mev / HBAR_MEV_PS
-    g = params.g_mev / HBAR_MEV_PS
-
-    h0 = dc * ops.n_op
-    for j in range(n_mol):
-        h0 = h0 + 0.5 * da * ops.sz[j] + g * (ops.ad @ ops.sm[j] + ops.a @ ops.sp[j])
-
-    collapse = [(kap, ops.a)]
-    for j in range(n_mol):
-        if gz > 0:
-            collapse.append((gz, ops.sz[j]))
-        if gm > 0:
-            collapse.append((gm, ops.sm[j]))
-    collapse = [(rate, op) for rate, op in collapse if rate > 0]
-
-    # effective non-Hermitian generator K = -iH - (1/2) sum rate L'L;
-    # then drho/dt = K rho + rho K' + sum rate L rho L' + eta [V, rho]
-    k_eff = -1j * h0
-    for rate, op in collapse:
-        k_eff = k_eff - 0.5 * rate * (op.conj().T @ op)
-    jumps = [(rate, op, op.conj().T) for rate, op in collapse]
-    v = ops.ad - ops.a
-
+    drift, drive = _superoperators(*_hamiltonian_and_jumps(params, ops), ops.ad - ops.a)
     amp = pulse.amplitude / (pulse.sigma_ps * math.sqrt(2.0 * math.pi))
     t0 = pulse.center_ps
     inv_sig = 1.0 / pulse.sigma_ps
-    dim = ops.dim
 
-    def rhs(t: float, rho_flat: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
         arg = (t - t0) * inv_sig
         eta = amp * math.exp(-0.5 * arg * arg)
-        rho = rho_flat.reshape(dim, dim)
-        out = k_eff @ rho + rho @ k_eff.conj().T
-        for rate, l_op, ld_op in jumps:
-            out += rate * (l_op @ rho @ ld_op)
+        out = drift @ y
         if eta != 0.0:
-            out += eta * (v @ rho - rho @ v)
-        return out.ravel()
+            out += eta * (drive @ y)
+        return out
 
     rho0 = ops.ground_state(oracle.initial_photons).ravel()
     times = output_grid(config)
@@ -256,62 +242,50 @@ def evolve_exact(
     return _reduce(data, times, ops, oracle)
 
 
-def _reduce(data: np.ndarray, times: np.ndarray, ops: _Operators, oracle: OracleConfig) -> OracleResult:
+def _moment_operators(ops: _Operators) -> dict:
+    """Operator O_m for every reported moment, so that moment m = tr(O_m rho)."""
     n_mol = ops.n_molecules
-    dim = ops.dim
-    n_t = times.size
-    moments = {name: np.full(n_t, np.nan, dtype=complex) for name in MOMENT_NAMES}
-    top_pop = np.empty(n_t)
-    trace_err = np.empty(n_t)
-    min_eig = np.empty(n_t)
-
-    sx_sum = sum(ops.sx)
-    sy_sum = sum(ops.sy)
-    sz_sum = sum(ops.sz)
-    pair_ops = None
+    sx_sum, sy_sum, sz_sum = (sum(s) / n_mol for s in (ops.sx, ops.sy, ops.sz))
+    named = {
+        "c_a": ops.a, "c_x": sx_sum, "c_y": sy_sum, "c_z": sz_sum, "c_n": ops.n_op,
+        "c_aa": ops.a @ ops.a,
+        "c_ax": ops.a @ sx_sum, "c_ay": ops.a @ sy_sum, "c_az": ops.a @ sz_sum,
+    }
     if n_mol >= 2:
         # symmetrised distinct-molecule pair operators, averaged over pairs
-        npairs = n_mol * (n_mol - 1)
-        def pair_avg(ops_a, ops_b):
-            tot = np.zeros((dim, dim), dtype=complex)
-            for i in range(n_mol):
-                for j in range(n_mol):
-                    if i != j:
-                        tot += ops_a[i] @ ops_b[j]
-            return tot / npairs
-        pair_ops = {
-            "c_xx": pair_avg(ops.sx, ops.sx),
-            "c_yy": pair_avg(ops.sy, ops.sy),
-            "c_zz": pair_avg(ops.sz, ops.sz),
-            "c_xy": pair_avg(ops.sx, ops.sy),
-            "c_xz": pair_avg(ops.sx, ops.sz),
-            "c_yz": pair_avg(ops.sy, ops.sz),
-        }
+        pairs = [(i, j) for i in range(n_mol) for j in range(n_mol) if i != j]
+        for name, left, right in (
+            ("c_xx", ops.sx, ops.sx), ("c_yy", ops.sy, ops.sy), ("c_zz", ops.sz, ops.sz),
+            ("c_xy", ops.sx, ops.sy), ("c_xz", ops.sx, ops.sz), ("c_yz", ops.sy, ops.sz),
+        ):
+            named[name] = sum(left[i] @ right[j] for i, j in pairs) / len(pairs)
+    return named
 
-    aa = ops.a @ ops.a
-    for i in range(n_t):
-        rho = data[i].reshape(dim, dim)
-        dm = DensityMatrix(rho=rho, n_molecules=n_mol, n_max=ops.n_max)
-        top_pop[i] = dm.top_fock_population()
-        trace_err[i] = dm.trace_error()
-        min_eig[i] = dm.min_eigenvalue()
-        if dm.hermiticity_error() > oracle.herm_tol:
+
+def _reduce(data: np.ndarray, times: np.ndarray, ops: _Operators, oracle: OracleConfig) -> OracleResult:
+    dim = ops.dim
+    n_t = times.size
+    min_eig = np.empty(n_t)
+    for lo in range(0, n_t, _BLOCK):
+        rho = data[lo:lo + _BLOCK].reshape(-1, dim, dim)
+        rho_h = rho.conj().transpose(0, 2, 1)
+        herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
+        bad = np.flatnonzero(herm > oracle.herm_tol)
+        if bad.size:
             raise OracleInvariantError(
-                f"Hermiticity violated by {dm.hermiticity_error():.2e} at t = {times[i]:g} ps"
+                f"Hermiticity violated by {herm[bad[0]]:.2e} at t = {times[lo + bad[0]]:g} ps"
             )
+        min_eig[lo:lo + _BLOCK] = np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1)
 
-        moments["c_a"][i] = np.trace(ops.a @ rho)
-        moments["c_x"][i] = np.trace(sx_sum @ rho) / n_mol
-        moments["c_y"][i] = np.trace(sy_sum @ rho) / n_mol
-        moments["c_z"][i] = np.trace(sz_sum @ rho) / n_mol
-        moments["c_n"][i] = np.trace(ops.n_op @ rho)
-        moments["c_aa"][i] = np.trace(aa @ rho)
-        moments["c_ax"][i] = np.trace(ops.a @ sx_sum @ rho) / n_mol
-        moments["c_ay"][i] = np.trace(ops.a @ sy_sum @ rho) / n_mol
-        moments["c_az"][i] = np.trace(ops.a @ sz_sum @ rho) / n_mol
-        if pair_ops is not None:
-            for name, op in pair_ops.items():
-                moments[name][i] = np.trace(op @ rho)
+    diag = data[:, :: dim + 1]
+    trace_err = np.abs(diag.sum(axis=1) - 1.0)
+    top_pop = diag[:, ops.n_max :: ops.n_max + 1].real.sum(axis=1)
+
+    named = _moment_operators(ops)
+    # tr(O rho) = vec(O^T) . vec(rho) on the row-major vec
+    columns = np.stack([op.T.ravel() for op in named.values()], axis=1)
+    moments = {name: np.full(n_t, np.nan, dtype=complex) for name in MOMENT_NAMES}
+    moments.update(zip(named, columns.T @ data.T))
 
     if np.max(top_pop) >= oracle.top_level_tol:
         raise OracleTruncationError(
@@ -329,7 +303,7 @@ def _reduce(data: np.ndarray, times: np.ndarray, ops: _Operators, oracle: Oracle
         top_fock_pop=top_pop,
         trace_error=trace_err,
         min_eigenvalue=min_eig,
-        n_molecules=n_mol,
+        n_molecules=ops.n_molecules,
         n_max=ops.n_max,
     )
 

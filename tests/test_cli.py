@@ -160,6 +160,33 @@ fit.labels = A2
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DATA
         assert "cannot read" in capsys.readouterr().err
 
+    def test_duplicate_dataset_labels_exit_4(self, tmp_path, capsys):
+        times = np.arange(-500.0, 1500.0, 8.0)
+        signal = np.random.default_rng(5).normal(scale=0.01, size=times.size) + np.exp(
+            -(((times - 200.0) / 300.0) ** 2)
+        )
+        paths = []
+        for run in ("run1", "run2"):
+            (tmp_path / run).mkdir()
+            path = tmp_path / run / "A1.csv"
+            np.savetxt(path, np.column_stack([times, signal]), delimiter=",")
+            paths.append(str(path))
+        cfg = write_cfg(tmp_path, "fit.datasets = " + ", ".join(paths) + "\n")
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "label 'A1' is used by 2 datasets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["model.delta_a_meV = 20", "model.delta_c_meV = -3", "model.omega_a_meV = 2000",
+         "model.wavelength_nm = 600"],
+    )
+    def test_fit_rejects_model_keys_its_table_ignores(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + line + "\n")
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert line.split(" = ")[0] in err and "not supported by fit" in err
+        assert not (tmp_path / "out" / "fit_report.txt").exists()
+
 
 class TestSweep:
     def test_two_point_molecule_sweep(self, tmp_path, capsys):
@@ -209,7 +236,40 @@ sweep.points = 2
         assert "mutually exclusive" in capsys.readouterr().err
 
 
+SYNTHETIC_FIT_CFG = """\
+model.N = 8.08e10
+model.g_neV = 10.6
+model.lifetime_fs = 120
+model.gamma0z_meV = 1.68
+model.gamma_minus_meV = 0.0141
+pulse.sigma_fs = 20
+pulse.photon_ratio = 0.121287128712871
+pulse.response_fs = 120
+fit.synthetic = true
+fit.times_fs = -500, 1500, 8
+fit.noise_rms = 0.02
+"""
+
+
 class TestFit:
+    def test_threads_give_byte_identical_outputs(self, tmp_path, capsys):
+        # a three-point refine: the fine pass takes every trace from the coarse table
+        cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
+fit.grid_points = 3
+fit.g_bounds_neV = 8.153846153846153, 13.78
+fit.gamma0z_bounds_meV = 1.2923076923076922, 2.184
+fit.gammaminus_bounds_meV = 0.010846153846153846, 0.01833
+fit.refine = true
+""")
+        outs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["fit", "--config", cfg, "--out", str(out), "--threads", threads]) == EXIT_OK
+            outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        capsys.readouterr()
+        assert "chi2_map_coarse.csv" in outs["1"] and "residuals_synthetic.csv" in outs["1"]
+        assert outs["1"] == outs["2"]
+
     def test_synthetic_single_point_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """\
 model.N = 8.08e10

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dickesim.fit as fit_module
 from dickesim.cumulant import SolverConfig
 from dickesim.fit import (
     DataError,
@@ -292,6 +293,21 @@ class TestFitGrid:
         assert fine.g_nev[-1] == pytest.approx(grid.g_nev[2] * step)
         assert fine.g_nev.size == 5
 
+    def test_refined_nodes_on_coarse_nodes_are_exact(self):
+        grid = FitGrid.logspace(points=9)
+        fine = grid.refined_around(4, 0, 7)
+        for coarse_axis, fine_axis, idx in (
+            (grid.g_nev, fine.g_nev, 4),
+            (grid.gamma0z_mev, fine.gamma0z_mev, 0),
+            (grid.gamma_minus_mev, fine.gamma_minus_mev, 7),
+        ):
+            shared = np.flatnonzero(np.isin(fine_axis, coarse_axis))
+            # every fourth fine node is a coarse node, bit for bit
+            expected = [n for n in (0, 4, 8) if 0 <= idx + n // 4 - 1 < coarse_axis.size]
+            assert shared.tolist() == expected
+            for n in shared:
+                assert fine_axis[n] == coarse_axis[idx + n // 4 - 1]
+
 
 def synthetic_problem(noise_rms=0.02, seed=11, true_scale=1.0, true_shift_fs=30.0,
                       known_sigma=False):
@@ -396,6 +412,31 @@ class TestGlobalFit:
         )[(0, 0, 0, 0)]
         np.testing.assert_array_equal(meanfield.times_ps, plain.times_ps)
         assert not np.array_equal(meanfield.energy_mev, plain.energy_mev)
+
+    @pytest.mark.parametrize("g_points, fine_calls", [(3, 0), (5, 18)])
+    def test_refined_pass_reuses_coarse_traces(self, monkeypatch, g_points, fine_calls):
+        ds, grid = synthetic_problem(known_sigma=True)
+        grid = replace(grid, g_nev=10.6 * 1.3 ** np.linspace(-1, 1, g_points))
+        calls = []
+        simulate = fit_module.simulate_energy
+
+        def counting(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(fit_module, "simulate_energy", counting)
+        result = global_fit([ds], grid, lifetime_fs=120.0, refine=True)
+        assert result.coarse.argmin == (g_points // 2, 1, 1)
+        assert len(calls) == g_points * 9 + fine_calls
+        fresh = global_fit([ds], result.grid, lifetime_fs=120.0)
+        np.testing.assert_allclose(result.chi2_reduced_map, fresh.chi2_reduced_map, rtol=1e-9)
+        assert result.argmin == fresh.argmin
+
+    def test_duplicate_labels_are_rejected(self):
+        ds, grid = synthetic_problem(known_sigma=True)
+        twin = replace(ds, signal=2.0 * ds.signal)
+        with pytest.raises(DataError, match="label 'A2' is used by 2 datasets"):
+            global_fit([ds, twin], grid, lifetime_fs=120.0)
 
     def test_datasets_must_carry_noise(self):
         ds, grid = synthetic_problem()

@@ -9,8 +9,12 @@ from dickesim.cumulant import SolverConfig, integrate
 from dickesim.lindblad import (
     MAX_MOLECULES,
     OracleConfig,
+    OracleInvariantError,
     OracleTruncationError,
+    _hamiltonian_and_jumps,
     _operators,
+    _reduce,
+    _superoperators,
     compare_cumulant,
     evolve_exact,
 )
@@ -118,3 +122,88 @@ def test_oracle_is_deterministic():
     a = evolve_exact(params, pulse, WINDOW)
     b = evolve_exact(params, pulse, WINDOW)
     assert np.array_equal(a.moments["c_z"], b.moments["c_z"])
+
+
+def random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Random density matrices, one row-major vec(rho) per row."""
+    g = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    rho = g @ g.conj().transpose(0, 2, 1)
+    rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    return rho.reshape(count, dim * dim)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sparse_generator_matches_dense_master_equation(n):
+    n_max = 7 if n == 3 else 4
+    ops = _operators(n, n_max)
+    params = params_for(float(n), g_mev=20.0)
+    h0, collapse = _hamiltonian_and_jumps(params, ops)
+    v = ops.ad - ops.a
+    drift, drive = _superoperators(h0, collapse, v)
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(ops.dim, ops.dim)) + 1j * rng.normal(size=(ops.dim, ops.dim))
+    rho = 0.5 * (g + g.conj().T)
+    eta = 3.7
+    # dense reference: K rho + rho K' + sum rate L rho L' + eta [V, rho]
+    k_eff = -1j * h0 - 0.5 * sum(rate * (op.conj().T @ op) for rate, op in collapse)
+    dense = k_eff @ rho + rho @ k_eff.conj().T + eta * (v @ rho - rho @ v)
+    for rate, op in collapse:
+        dense += rate * (op @ rho @ op.conj().T)
+    sparse_out = (drift @ rho.ravel() + eta * (drive @ rho.ravel())).reshape(ops.dim, ops.dim)
+    assert np.max(np.abs(sparse_out - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_moments_match_per_sample_traces(n):
+    n_max = 7 if n == 3 else 4
+    ops = _operators(n, n_max)
+    # more samples than one reduction block, so the block edges are crossed
+    count = 70
+    data = random_states(ops.dim, count, np.random.default_rng(10 + n))
+    result = _reduce(data, np.arange(count) * 0.01, ops, OracleConfig(top_level_tol=2.0))
+    pair = lambda left, right: sum(
+        left[i] @ right[j] for i in range(n) for j in range(n) if i != j
+    ) / (n * (n - 1))
+    sx, sy, sz = (sum(s) for s in (ops.sx, ops.sy, ops.sz))
+    expected = {
+        "c_a": ops.a, "c_x": sx / n, "c_y": sy / n, "c_z": sz / n, "c_n": ops.n_op,
+        "c_aa": ops.a @ ops.a, "c_ax": ops.a @ sx / n, "c_ay": ops.a @ sy / n,
+        "c_az": ops.a @ sz / n,
+    }
+    if n >= 2:
+        expected.update({
+            "c_xx": pair(ops.sx, ops.sx), "c_yy": pair(ops.sy, ops.sy),
+            "c_zz": pair(ops.sz, ops.sz), "c_xy": pair(ops.sx, ops.sy),
+            "c_xz": pair(ops.sx, ops.sz), "c_yz": pair(ops.sy, ops.sz),
+        })
+    else:
+        assert np.all(np.isnan(result.moments["c_xx"]))
+    for name, op in expected.items():
+        reference = np.array([np.trace(op @ row.reshape(ops.dim, ops.dim)) for row in data])
+        np.testing.assert_allclose(result.moments[name], reference, rtol=0, atol=1e-13)
+    rhos = data.reshape(count, ops.dim, ops.dim)
+    np.testing.assert_allclose(
+        result.top_fock_pop, [np.real(np.trace(ops.top_proj @ r)) for r in rhos], atol=1e-15
+    )
+    np.testing.assert_allclose(
+        result.min_eigenvalue, [np.linalg.eigvalsh(r).min() for r in rhos], atol=1e-13
+    )
+    assert np.max(result.trace_error) < 1e-13
+
+
+def test_hermiticity_guard_names_the_sample():
+    ops = _operators(2, 4)
+    times = np.arange(40) * 0.5
+    data = random_states(ops.dim, times.size, np.random.default_rng(3))
+    data[35, 1] += 1e-6  # rho[0, 1] without its conjugate partner
+    with pytest.raises(OracleInvariantError, match=r"Hermiticity violated by 1\.00e-06 at t = 17\.5 ps"):
+        _reduce(data, times, ops, OracleConfig(top_level_tol=2.0))
+
+
+def test_positivity_guard_fires_on_negative_eigenvalue():
+    ops = _operators(1, 3)
+    rho = np.zeros((ops.dim, ops.dim), dtype=complex)
+    rho[0, 0], rho[1, 1] = 1.1, -0.1  # unit trace, nothing in the top Fock level
+    data = np.tile(rho.ravel(), (3, 1))
+    with pytest.raises(OracleInvariantError, match="negative eigenvalue -1.00e-01"):
+        _reduce(data, np.arange(3.0), ops, OracleConfig())
