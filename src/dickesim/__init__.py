@@ -9,7 +9,6 @@ validation oracle throughout.
 """
 
 from .cumulant import (
-    CumulantState,
     IntegrationError,
     MomentTrace,
     SolverConfig,
@@ -41,7 +40,6 @@ from .model import (
     HBAR_MEV_PS,
     ModelParams,
     PulseParams,
-    UNITS,
     drive_amplitude_from_photon_ratio,
     effective_dephasing,
     gamma_total,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChargingMetrics",
     "ConfigError",
-    "CumulantState",
     "DataError",
     "EnergyTrace",
     "ExperimentDataset",
@@ -84,7 +81,6 @@ __all__ = [
     "RegimeReport",
     "SolverConfig",
     "SpectrumResult",
-    "UNITS",
     "UndefinedMetricError",
     "absorption_spectrum",
     "charging_metrics",

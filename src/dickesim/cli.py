@@ -42,11 +42,9 @@ from .fit import (
     FitGrid,
     estimate_noise,
     global_fit,
-    inner_fit,
     load_dataset,
     make_synthetic_dataset,
     residuals,
-    trace_window,
     write_map_csv,
 )
 from .lindblad import (
@@ -61,9 +59,7 @@ from .model import (
     ConfigError,
     HBAR_MEV_PS,
     ModelParams,
-    PulseParams,
-    UNITS,
-    drive_amplitude_from_photon_ratio,
+    energy_density_from_inversion,
     known_config_keys,
     model_params_from_config,
     pulse_params_from_config,
@@ -432,9 +428,9 @@ def cmd_fit(cfg: dict[str, str], out_dir: Path, args) -> int:
         f"k_eff = {result.k_eff}",
         f"lifetime_fs = {_fmt(result.lifetime_fs)}",
     ]
-    for label in sorted(result.scales):
-        lines.append(f"scale[{label}] = {_fmt(result.scales[label])}")
-        lines.append(f"shift_fs[{label}] = {_fmt(result.shifts_fs[label])}")
+    for label in sorted(result.inner):
+        lines.append(f"scale[{label}] = {_fmt(result.inner[label].scale)}")
+        lines.append(f"shift_fs[{label}] = {_fmt(result.inner[label].t0_fs)}")
     if result.confidence is None:
         lines.append("confidence = unavailable (minimum on grid boundary)")
     else:
@@ -444,30 +440,9 @@ def cmd_fit(cfg: dict[str, str], out_dir: Path, args) -> int:
     (out_dir / "fit_report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
 
-    lifetime_ps = lifetime_fs * 1e-3
-    best = ModelParams(
-        n_molecules=datasets[0].n_dye,
-        g_mev=UNITS.nev_to_mev(result.g_nev),
-        kappa_mev=UNITS.lifetime_ps_to_mev(lifetime_ps),
-        gamma0z_mev=result.gamma0z_mev,
-        gamma_minus_mev=result.gamma_minus_mev,
-        n_ref=params.n_ref,
-    )
     for ds in datasets:
-        ds_params = best.with_molecule_count(ds.n_dye)
-        t_start, t_end = trace_window([ds], lifetime_ps, sigma_fs * 1e-3, t0_pair)
-        ds_solver = replace(solver, t_start_ps=t_start, t_end_ps=t_end)
-        ds_pulse = PulseParams(
-            amplitude=drive_amplitude_from_photon_ratio(ds.photon_ratio, ds.n_dye),
-            center_ps=0.0,
-            sigma_ps=sigma_fs * 1e-3,
-            response_ps=ds.response_ps if ds.response_ps is not None else lifetime_ps,
-        )
-        model = convolve_response(
-            simulate_energy(ds_params, ds_pulse, ds_solver), ds_pulse.response_ps
-        )
-        f = inner_fit(model, ds, t0_range_fs=(t0_pair[0], t0_pair[1]))
-        res = residuals(model, ds, f)
+        f = result.inner[ds.label]
+        res = residuals(result.traces[ds.label], ds, f)
         with open(out_dir / f"residuals_{ds.label}.csv", "w", newline="") as fh:
             fh.write(f"# scale={f.scale:.8e} t0_fs={f.t0_fs:.4f} chi2={f.chi2:.8e}\n")
             fh.write("t_fs,residual_sigma\n")
@@ -531,8 +506,8 @@ def cmd_oracle_check(cfg: dict[str, str], out_dir: Path, args) -> int:
     for closure in ("cumulant", "meanfield"):
         cl_solver = replace(solver, closure=closure)
         trace = integrate(params, pulse, cl_solver)
-        e_model = 0.5 * params.omega_a_mev * (
-            np.interp(exact.times_ps, trace.times_ps, trace.c_z) + 1.0
+        e_model = energy_density_from_inversion(
+            np.interp(exact.times_ps, trace.times_ps, trace.c_z), params.omega_a_mev
         )
         errors[closure] = float(np.max(np.abs(e_model - e_exact))) / peak
     passed = errors["cumulant"] <= 0.02

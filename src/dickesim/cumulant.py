@@ -36,22 +36,48 @@ from .model import (
     ConfigError,
     ModelParams,
     PulseParams,
+    energy_density_from_inversion,
     gamma_total,
 )
 
 logger = logging.getLogger(__name__)
 
-# state vector layout (20 reals): complex moments stored as (re, im) pairs
-_I_A = 0        # <a>
-_I_X = 2        # <sx>, <sy>, <sz>
-_I_N = 5        # <a'a>
-_I_AA = 6       # <aa>
-_I_AX = 8       # <a sx>
-_I_AY = 10      # <a sy>
-_I_AZ = 12      # <a sz>
-_I_XX = 14      # <sx sx>, <sy sy>, <sz sz> (distinct molecules)
-_I_XY = 17      # <sx sy>, <sx sz>, <sy sz>
-STATE_SIZE = 20
+# state vector layout in storage order: (name, offset, is_complex); a
+# complex moment is stored as its (re, im) pair.  Pair moments are between
+# distinct molecules.
+_LAYOUT = (
+    ("c_a", 0, True),       # <a>
+    ("c_x", 2, False),      # <sx>, <sy>, <sz>
+    ("c_y", 3, False),
+    ("c_z", 4, False),
+    ("c_n", 5, False),      # <a'a>
+    ("c_aa", 6, True),      # <aa>
+    ("c_ax", 8, True),      # <a sx>, <a sy>, <a sz>
+    ("c_ay", 10, True),
+    ("c_az", 12, True),
+    ("c_xx", 14, False),    # <sx sx>, <sy sy>, <sz sz>
+    ("c_yy", 15, False),
+    ("c_zz", 16, False),
+    ("c_xy", 17, False),    # <sx sy>, <sx sz>, <sy sz>
+    ("c_xz", 18, False),
+    ("c_yz", 19, False),
+)
+MOMENT_NAMES = tuple(name for name, _, _ in _LAYOUT)
+STATE_SIZE = sum(2 if is_complex else 1 for _, _, is_complex in _LAYOUT)
+_SLOTS = {name: (offset, is_complex) for name, offset, is_complex in _LAYOUT}
+
+
+def moment(y: np.ndarray, name: str) -> np.ndarray:
+    """Moment ``name`` from states of shape (..., STATE_SIZE).
+
+    A complex moment comes back as re + i*im; a real one as a view of its
+    column.
+    """
+    offset, is_complex = _SLOTS[name]
+    if is_complex:
+        return y[..., offset] + 1j * y[..., offset + 1]
+    return y[..., offset]
+
 
 CLOSURES = ("cumulant", "meanfield")
 
@@ -62,79 +88,6 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, last_good_time_ps: float):
         super().__init__(message)
         self.last_good_time_ps = last_good_time_ps
-
-
-@dataclass(frozen=True)
-class CumulantState:
-    """One snapshot of the moment hierarchy."""
-
-    c_a: complex = 0.0
-    c_x: float = 0.0
-    c_y: float = 0.0
-    c_z: float = -1.0
-    c_n: float = 0.0
-    c_aa: complex = 0.0
-    c_ax: complex = 0.0
-    c_ay: complex = 0.0
-    c_az: complex = 0.0
-    c_xx: float = 0.0
-    c_yy: float = 0.0
-    c_zz: float = 1.0
-    c_xy: float = 0.0
-    c_xz: float = 0.0
-    c_yz: float = 0.0
-
-    @classmethod
-    def ground(cls) -> "CumulantState":
-        """All molecules down, empty cavity: <sz> = -1 and <sz sz> = +1."""
-        return cls()
-
-    def to_array(self) -> np.ndarray:
-        y = np.empty(STATE_SIZE)
-        y[_I_A] = self.c_a.real
-        y[_I_A + 1] = self.c_a.imag
-        y[_I_X] = self.c_x
-        y[_I_X + 1] = self.c_y
-        y[_I_X + 2] = self.c_z
-        y[_I_N] = self.c_n
-        y[_I_AA] = self.c_aa.real
-        y[_I_AA + 1] = self.c_aa.imag
-        y[_I_AX] = self.c_ax.real
-        y[_I_AX + 1] = self.c_ax.imag
-        y[_I_AY] = self.c_ay.real
-        y[_I_AY + 1] = self.c_ay.imag
-        y[_I_AZ] = self.c_az.real
-        y[_I_AZ + 1] = self.c_az.imag
-        y[_I_XX] = self.c_xx
-        y[_I_XX + 1] = self.c_yy
-        y[_I_XX + 2] = self.c_zz
-        y[_I_XY] = self.c_xy
-        y[_I_XY + 1] = self.c_xz
-        y[_I_XY + 2] = self.c_yz
-        return y
-
-    @classmethod
-    def from_array(cls, y: np.ndarray) -> "CumulantState":
-        y = np.asarray(y, dtype=float)
-        if y.shape != (STATE_SIZE,):
-            raise ValueError(f"state vector must have shape ({STATE_SIZE},), got {y.shape}")
-        return cls(
-            c_a=complex(y[_I_A], y[_I_A + 1]),
-            c_x=y[_I_X],
-            c_y=y[_I_X + 1],
-            c_z=y[_I_X + 2],
-            c_n=y[_I_N],
-            c_aa=complex(y[_I_AA], y[_I_AA + 1]),
-            c_ax=complex(y[_I_AX], y[_I_AX + 1]),
-            c_ay=complex(y[_I_AY], y[_I_AY + 1]),
-            c_az=complex(y[_I_AZ], y[_I_AZ + 1]),
-            c_xx=y[_I_XX],
-            c_yy=y[_I_XX + 1],
-            c_zz=y[_I_XX + 2],
-            c_xy=y[_I_XY],
-            c_xz=y[_I_XY + 1],
-            c_yz=y[_I_XY + 2],
-        )
 
 
 @dataclass(frozen=True)
@@ -203,7 +156,11 @@ def solver_config_keys() -> set[str]:
 
 @dataclass(frozen=True)
 class MomentTrace:
-    """Moments on the uniform output grid; ``data`` has one state per row."""
+    """Moments on the uniform output grid; ``data`` has one state per row.
+
+    Every name of ``MOMENT_NAMES`` reads as an attribute through ``moment``:
+    ``trace.c_z``, ``trace.c_a`` and so on.
+    """
 
     times_ps: np.ndarray
     data: np.ndarray
@@ -212,68 +169,10 @@ class MomentTrace:
         if self.data.shape != (self.times_ps.size, STATE_SIZE):
             raise ValueError("data shape does not match times")
 
-    def state(self, i: int) -> CumulantState:
-        return CumulantState.from_array(self.data[i])
-
-    @property
-    def c_a(self) -> np.ndarray:
-        return self.data[:, _I_A] + 1j * self.data[:, _I_A + 1]
-
-    @property
-    def c_x(self) -> np.ndarray:
-        return self.data[:, _I_X]
-
-    @property
-    def c_y(self) -> np.ndarray:
-        return self.data[:, _I_X + 1]
-
-    @property
-    def c_z(self) -> np.ndarray:
-        return self.data[:, _I_X + 2]
-
-    @property
-    def c_n(self) -> np.ndarray:
-        return self.data[:, _I_N]
-
-    @property
-    def c_aa(self) -> np.ndarray:
-        return self.data[:, _I_AA] + 1j * self.data[:, _I_AA + 1]
-
-    @property
-    def c_ax(self) -> np.ndarray:
-        return self.data[:, _I_AX] + 1j * self.data[:, _I_AX + 1]
-
-    @property
-    def c_ay(self) -> np.ndarray:
-        return self.data[:, _I_AY] + 1j * self.data[:, _I_AY + 1]
-
-    @property
-    def c_az(self) -> np.ndarray:
-        return self.data[:, _I_AZ] + 1j * self.data[:, _I_AZ + 1]
-
-    @property
-    def c_xx(self) -> np.ndarray:
-        return self.data[:, _I_XX]
-
-    @property
-    def c_yy(self) -> np.ndarray:
-        return self.data[:, _I_XX + 1]
-
-    @property
-    def c_zz(self) -> np.ndarray:
-        return self.data[:, _I_XX + 2]
-
-    @property
-    def c_xy(self) -> np.ndarray:
-        return self.data[:, _I_XY]
-
-    @property
-    def c_xz(self) -> np.ndarray:
-        return self.data[:, _I_XY + 1]
-
-    @property
-    def c_yz(self) -> np.ndarray:
-        return self.data[:, _I_XY + 2]
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name in _SLOTS:
+            return moment(self.data, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 def _make_rhs(
@@ -442,35 +341,14 @@ def _make_rhs(
     return rhs_meanfield if closure == "meanfield" else rhs_cumulant
 
 
-def rhs_cumulant(
-    state: CumulantState,
-    params: ModelParams,
-    pulse: PulseParams,
-    t_ps: float,
-    ax_bracket: str = "consistent",
-) -> CumulantState:
-    """Time derivative of the full moment hierarchy at time ``t_ps``."""
-    f = _make_rhs(params, pulse, "cumulant", ax_bracket=ax_bracket)
-    return CumulantState.from_array(f(t_ps, state.to_array()))
-
-
-def rhs_meanfield(
-    state: CumulantState,
-    params: ModelParams,
-    pulse: PulseParams,
-    t_ps: float,
-) -> CumulantState:
-    """Mean-field derivative: second cumulants frozen to factorised values."""
-    f = _make_rhs(params, pulse, "meanfield")
-    return CumulantState.from_array(f(t_ps, state.to_array()))
-
-
 def _initial_array(closure: str) -> np.ndarray:
-    y0 = CumulantState.ground().to_array()
-    if closure == "meanfield":
-        # mean field carries only first moments; <sz sz> factorises to <sz>^2
-        # implicitly and must not be propagated
-        y0[_I_N:] = 0.0
+    """All molecules down, empty cavity: <sz> = -1 and, pairwise, <sz sz> = +1."""
+    y0 = np.zeros(STATE_SIZE)
+    y0[_SLOTS["c_z"][0]] = -1.0
+    if closure != "meanfield":
+        # mean field carries only first moments: its <sz sz> factorises to
+        # <sz>^2 implicitly, so that slot stays zero and is not propagated
+        y0[_SLOTS["c_zz"][0]] = 1.0
     return y0
 
 
@@ -575,15 +453,11 @@ def integrate(
     params: ModelParams,
     pulse: PulseParams,
     config: SolverConfig,
-    initial: CumulantState | None = None,
     ax_bracket: str = "consistent",
 ) -> MomentTrace:
     """Integrate the moment equations over the configured window."""
     rhs = _make_rhs(params, pulse, config.closure, ax_bracket=ax_bracket)
-    if initial is None:
-        y0 = _initial_array(config.closure)
-    else:
-        y0 = initial.to_array()
+    y0 = _initial_array(config.closure)
     times = output_grid(config)
     data = _segmented_solve(
         rhs, y0, times, pulse, config.rel_tol, config.abs_tol, "LSODA", config.max_step_ps
@@ -604,12 +478,10 @@ def simulate_energy(
     from .observables import EnergyTrace
 
     trace = integrate(params, pulse, config)
-    energy = 0.5 * params.omega_a_mev * (trace.c_z + 1.0)
-    photons = trace.c_n
     return EnergyTrace(
         times_ps=trace.times_ps,
-        energy_mev=energy,
-        photons=photons,
+        energy_mev=energy_density_from_inversion(trace.c_z, params.omega_a_mev),
+        photons=trace.c_n,
         n_molecules=params.n_molecules,
     )
 
@@ -623,7 +495,7 @@ def write_trace_csv(
 ) -> None:
     """Write the standard trace table with a parameter-echo comment header."""
     header = _param_comment(params, pulse, config)
-    energy = 0.5 * params.omega_a_mev * (trace.c_z + 1.0)
+    energy = energy_density_from_inversion(trace.c_z, params.omega_a_mev)
     with open(path, "w", newline="") as fh:
         fh.write(header)
         fh.write("t_ps,E_meV,Cz,n_photons,n_over_N\n")

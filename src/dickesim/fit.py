@@ -414,13 +414,20 @@ class FitGrid:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Best grid point of a global fit.
+
+    ``inner`` maps each dataset label to its scale and shift at the best
+    point, and ``traces`` to the convolved model trace they were fitted
+    against.
+    """
+
     g_nev: float
     gamma0z_mev: float
     gamma_minus_mev: float
     chi2_reduced_min: float
     k_eff: int
-    scales: dict
-    shifts_fs: dict
+    inner: dict[str, InnerFit]
+    traces: dict[str, EnergyTrace]
     grid: FitGrid
     chi2_reduced_map: np.ndarray
     argmin: tuple[int, int, int]
@@ -552,7 +559,7 @@ def global_fit(
         if ds.sigma is None:
             raise DataError(f"dataset {ds.label!r} has no noise estimate; run estimate_noise")
         if labels.count(ds.label) > 1:
-            # labels key the scales, the shifts and the residual files
+            # labels key the inner fits, the traces and the residual files
             raise DataError(f"dataset label {ds.label!r} is used by {labels.count(ds.label)} datasets")
     k_total = sum(ds.n_points for ds in datasets)
     k_eff = k_total - 3
@@ -612,8 +619,8 @@ def global_fit(
         gamma_minus_mev=float(grid.gamma_minus_mev[k]),
         chi2_reduced_min=float(chi2_map[i, j, k]),
         k_eff=k_eff,
-        scales={ds.label: f.scale for ds, f in zip(datasets, fits)},
-        shifts_fs={ds.label: f.t0_fs for ds, f in zip(datasets, fits)},
+        inner={ds.label: f for ds, f in zip(datasets, fits)},
+        traces={ds.label: traces[(i, j, k, di)] for di, ds in enumerate(datasets)},
         grid=grid,
         chi2_reduced_map=chi2_map,
         argmin=(i, j, k),

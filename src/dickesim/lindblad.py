@@ -26,12 +26,13 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .cumulant import MomentTrace, SolverConfig, _segmented_solve, output_grid
+from .cumulant import MOMENT_NAMES, MomentTrace, SolverConfig, _segmented_solve, output_grid
 from .model import (
     HBAR_MEV_PS,
     ModelParams,
     PulseParams,
     effective_dephasing,
+    energy_density_from_inversion,
 )
 
 logger = logging.getLogger(__name__)
@@ -40,13 +41,6 @@ MAX_DIM = 64
 MAX_MOLECULES = 3
 # samples per Hermiticity/eigenvalue batch: a (32, 64, 64) complex block is 2 MB
 _BLOCK = 32
-
-# moment columns produced by evolve_exact; pair moments are NaN for one molecule
-MOMENT_NAMES = (
-    "c_a", "c_x", "c_y", "c_z", "c_n",
-    "c_aa", "c_ax", "c_ay", "c_az",
-    "c_xx", "c_yy", "c_zz", "c_xy", "c_xz", "c_yz",
-)
 
 
 class OracleTruncationError(RuntimeError):
@@ -157,7 +151,7 @@ class OracleResult:
     n_max: int
 
     def energy_mev(self, omega_a_mev: float) -> np.ndarray:
-        return 0.5 * omega_a_mev * (np.real(self.moments["c_z"]) + 1.0)
+        return energy_density_from_inversion(np.real(self.moments["c_z"]), omega_a_mev)
 
 
 def _molecule_count(params: ModelParams) -> int:
@@ -284,6 +278,7 @@ def _reduce(data: np.ndarray, times: np.ndarray, ops: _Operators, oracle: Oracle
     named = _moment_operators(ops)
     # tr(O rho) = vec(O^T) . vec(rho) on the row-major vec
     columns = np.stack([op.T.ravel() for op in named.values()], axis=1)
+    # pair moments stay NaN for one molecule
     moments = {name: np.full(n_t, np.nan, dtype=complex) for name in MOMENT_NAMES}
     moments.update(zip(named, columns.T @ data.T))
 

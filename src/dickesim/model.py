@@ -33,58 +33,18 @@ class ConfigError(ValueError):
     """Raised when a configuration mapping cannot be turned into parameters."""
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Conversion helpers anchored to the ps/meV working units.
-
-    The defaults are the only values ever used in practice; the dataclass
-    exists so the constants travel together and tests can state round-trip
-    invariants against one object.
-    """
-
-    hbar_mev_ps: float = HBAR_MEV_PS
-    hc_ev_nm: float = HC_EV_NM
-
-    def fs_to_ps(self, t_fs: float) -> float:
-        return t_fs * 1e-3
-
-    def ps_to_fs(self, t_ps: float) -> float:
-        return t_ps * 1e3
-
-    def ev_to_mev(self, e_ev: float) -> float:
-        return e_ev * 1e3
-
-    def mev_to_ev(self, e_mev: float) -> float:
-        return e_mev * 1e-3
-
-    def nev_to_mev(self, e_nev: float) -> float:
-        return e_nev * 1e-6
-
-    def mev_to_nev(self, e_mev: float) -> float:
-        return e_mev * 1e6
-
-    def wavelength_nm_to_mev(self, lam_nm: float) -> float:
-        if lam_nm <= 0:
-            raise ValueError(f"wavelength must be positive, got {lam_nm}")
-        return self.ev_to_mev(self.hc_ev_nm / lam_nm)
-
-    def mev_to_wavelength_nm(self, e_mev: float) -> float:
-        if e_mev <= 0:
-            raise ValueError(f"energy must be positive, got {e_mev}")
-        return self.hc_ev_nm / self.mev_to_ev(e_mev)
-
-    def rate_per_ps(self, e_mev: float) -> float:
-        """Energy-type decay constant -> angular rate in 1/ps."""
-        return e_mev / self.hbar_mev_ps
-
-    def lifetime_ps_to_mev(self, t_ps: float) -> float:
-        """Photon lifetime T -> cavity linewidth kappa = hbar/T."""
-        if t_ps <= 0:
-            raise ValueError(f"lifetime must be positive, got {t_ps}")
-        return self.hbar_mev_ps / t_ps
+def lifetime_ps_to_mev(t_ps: float) -> float:
+    """Photon lifetime T in ps -> cavity linewidth kappa = hbar/T in meV."""
+    if t_ps <= 0:
+        raise ValueError(f"lifetime must be positive, got {t_ps}")
+    return HBAR_MEV_PS / t_ps
 
 
-UNITS = UnitSystem()
+def wavelength_nm_to_mev(lam_nm: float) -> float:
+    """Transition wavelength in nm -> photon energy hc/lambda in meV."""
+    if lam_nm <= 0:
+        raise ValueError(f"wavelength must be positive, got {lam_nm}")
+    return HC_EV_NM / lam_nm * 1e3
 
 
 @dataclass(frozen=True)
@@ -132,7 +92,7 @@ class ModelParams:
     @classmethod
     def from_lifetime(cls, lifetime_fs: float, **kwargs) -> "ModelParams":
         """Construct with kappa = hbar/T for a photon lifetime given in fs."""
-        kappa = UNITS.lifetime_ps_to_mev(UNITS.fs_to_ps(lifetime_fs))
+        kappa = lifetime_ps_to_mev(lifetime_fs * 1e-3)
         return cls(kappa_mev=kappa, **kwargs)
 
     def with_molecule_count(self, n_molecules: float) -> "ModelParams":
@@ -253,23 +213,23 @@ def photons_in_cavity(pump_photons: float, reflectivity: float) -> float:
 
 _MODEL_KEYS = {
     "model.N": ("n_molecules", float),
-    "model.g_neV": ("g_mev", lambda s: UNITS.nev_to_mev(float(s))),
+    "model.g_neV": ("g_mev", lambda s: float(s) * 1e-6),
     "model.kappa_meV": ("kappa_mev", float),
-    "model.lifetime_fs": ("kappa_mev", lambda s: UNITS.lifetime_ps_to_mev(UNITS.fs_to_ps(float(s)))),
+    "model.lifetime_fs": ("kappa_mev", lambda s: lifetime_ps_to_mev(float(s) * 1e-3)),
     "model.gamma0z_meV": ("gamma0z_mev", float),
     "model.N_ref": ("n_ref", float),
     "model.gamma_minus_meV": ("gamma_minus_mev", float),
     "model.delta_c_meV": ("delta_c_mev", float),
     "model.delta_a_meV": ("delta_a_mev", float),
     "model.omega_a_meV": ("omega_a_mev", float),
-    "model.wavelength_nm": ("omega_a_mev", lambda s: UNITS.wavelength_nm_to_mev(float(s))),
+    "model.wavelength_nm": ("omega_a_mev", lambda s: wavelength_nm_to_mev(float(s))),
 }
 
 _PULSE_KEYS = {
     "pulse.eta0": ("amplitude", float),
-    "pulse.t0_fs": ("center_ps", lambda s: UNITS.fs_to_ps(float(s))),
-    "pulse.sigma_fs": ("sigma_ps", lambda s: UNITS.fs_to_ps(float(s))),
-    "pulse.response_fs": ("response_ps", lambda s: UNITS.fs_to_ps(float(s))),
+    "pulse.t0_fs": ("center_ps", lambda s: float(s) * 1e-3),
+    "pulse.sigma_fs": ("sigma_ps", lambda s: float(s) * 1e-3),
+    "pulse.response_fs": ("response_ps", lambda s: float(s) * 1e-3),
 }
 
 _EXCLUSIVE_PAIRS = (

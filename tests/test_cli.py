@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from dickesim import cli
+from dickesim import cli, fit
 from dickesim.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -367,6 +367,28 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         # the header prints nine significant digits; compare at that precision
         expected = float(f"{result.chi2_reduced_min * result.k_eff:.8e}")
         assert chi2 == pytest.approx(expected, rel=1e-12)
+
+    def test_residuals_reuse_the_fit_traces(self, tmp_path, capsys, monkeypatch):
+        # one dataset at one grid point: the synthetic data and the table trace
+        # are the only integrations, and the residuals read the table's trace
+        calls = []
+        for module in (fit, cli):
+            def counting(*args, _original=module.simulate_energy, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "simulate_energy", counting)
+        cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
+fit.grid_points = 1
+fit.g_bounds_neV = 10.6, 11.0
+fit.gamma0z_bounds_meV = 1.68, 2.0
+fit.gammaminus_bounds_meV = 0.0141, 0.02
+""")
+        with pytest.warns(UserWarning, match="boundary"):
+            assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == 2
+        assert (tmp_path / "out" / "residuals_synthetic.csv").exists()
 
 
 class TestSpectrum:

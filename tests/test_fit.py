@@ -355,8 +355,8 @@ class TestGlobalFit:
         assert result.g_nev == pytest.approx(10.6)
         assert result.gamma0z_mev == pytest.approx(1.68)
         assert result.gamma_minus_mev == pytest.approx(0.0141)
-        assert result.scales["A2"] == pytest.approx(1.0, abs=0.01)
-        assert result.shifts_fs["A2"] == pytest.approx(30.0, abs=2.0)
+        assert result.inner["A2"].scale == pytest.approx(1.0, abs=0.01)
+        assert result.inner["A2"].t0_fs == pytest.approx(30.0, abs=2.0)
         assert 0.7 < result.chi2_reduced_min < 1.3
         assert result.k_eff == ds.n_points - 3
         ci = result.confidence

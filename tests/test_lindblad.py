@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dickesim import cumulant, lindblad
 from dickesim.cumulant import SolverConfig, integrate
 from dickesim.lindblad import (
     MAX_MOLECULES,
@@ -12,6 +13,7 @@ from dickesim.lindblad import (
     OracleInvariantError,
     OracleTruncationError,
     _hamiltonian_and_jumps,
+    _moment_operators,
     _operators,
     _reduce,
     _superoperators,
@@ -56,6 +58,15 @@ def test_ground_state_moments():
     assert abs(np.trace(ops.n_op @ rho)) < 1e-14
     for j in range(2):
         assert np.trace(ops.sz[j] @ rho) == pytest.approx(-1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_reports_the_cumulant_moment_layout(n):
+    assert lindblad.MOMENT_NAMES is cumulant.MOMENT_NAMES
+    names = set(_moment_operators(_operators(n, 2)))
+    assert names <= set(cumulant.MOMENT_NAMES)
+    if n >= 2:
+        assert names == set(cumulant.MOMENT_NAMES)
 
 
 def test_molecule_count_must_be_small_integer():

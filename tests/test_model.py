@@ -14,32 +14,37 @@ from dickesim.model import (
     HBAR_MEV_PS,
     ModelParams,
     PulseParams,
-    UNITS,
     drive_amplitude_from_photon_ratio,
     effective_dephasing,
     energy_density_from_inversion,
     estimate_molecule_count,
     gamma_total,
     known_config_keys,
+    lifetime_ps_to_mev,
     model_params_from_config,
     photons_in_cavity,
     pulse_envelope,
     pulse_params_from_config,
+    wavelength_nm_to_mev,
 )
 
 
 def test_lifetime_to_linewidth_at_120_fs():
-    assert UNITS.lifetime_ps_to_mev(0.120) == pytest.approx(5.48510, abs=1e-5)
+    assert lifetime_ps_to_mev(0.120) == pytest.approx(5.48510, abs=1e-5)
 
 
-def test_wavelength_round_trip():
-    lam = 526.0
-    e = UNITS.wavelength_nm_to_mev(lam)
-    assert UNITS.mev_to_wavelength_nm(e) == pytest.approx(lam, rel=1e-14)
+def test_wavelength_to_energy_at_526_nm():
+    # the dye's 526 nm transition is the 2357 meV default omega_a
+    assert wavelength_nm_to_mev(526.0) == pytest.approx(2357.1, abs=0.05)
+    with pytest.raises(ValueError):
+        wavelength_nm_to_mev(0.0)
 
 
 def test_rate_conversion_uses_hbar():
-    assert UNITS.rate_per_ps(HBAR_MEV_PS) == pytest.approx(1.0)
+    # a lifetime of 1 ps is a linewidth of hbar / (1 ps)
+    assert lifetime_ps_to_mev(1.0) == pytest.approx(HBAR_MEV_PS)
+    with pytest.raises(ValueError):
+        lifetime_ps_to_mev(-0.1)
 
 
 def test_default_params_are_the_best_fit_values():
@@ -163,7 +168,7 @@ def test_config_rejects_unknown_and_conflicting_keys():
 
 def test_wavelength_key_sets_transition_energy():
     params = model_params_from_config({"model.wavelength_nm": "526"})
-    assert params.omega_a_mev == pytest.approx(UNITS.wavelength_nm_to_mev(526.0))
+    assert params.omega_a_mev == pytest.approx(wavelength_nm_to_mev(526.0))
 
 
 def test_known_keys_cover_both_namespaces():
