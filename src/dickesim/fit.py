@@ -7,9 +7,13 @@ by a bracketed golden-section search.  The three physical rates are shared
 by all datasets and scanned on a logarithmic grid; every dataset keeps its
 own molecule number and pump photon ratio.
 
-chi^2 = sum_i [ (S * d_i - E(t_i + T_0)) / sigma_i ]^2
+chi^2 = sum_i [ (S * d_i - E(t_i + T_0)) / (S * sigma_i) ]^2
+      = sum_i w_i (d_i - a E(t_i + T_0))^2,   w_i = 1/sigma_i^2,  a = 1/S
 
 with sigma_i estimated from quiet stretches of the measured signal itself.
+The noise of the scaled data S d_i is S sigma_i, so chi^2 does not depend
+on the units the data come in, and its minimum over S is closed form:
+a = sum(w d E) / sum(w E^2).
 """
 
 from __future__ import annotations
@@ -277,14 +281,19 @@ def _chi2_at(
     d: np.ndarray,
     w: np.ndarray,
     wd: np.ndarray,
-    wdd: float,
     t_model: np.ndarray,
     e_model: np.ndarray,
 ) -> tuple[float, float]:
     e = np.interp(t_data_ps + shift_ps, t_model, e_model)
-    scale = float(wd @ e) / wdd
-    r = scale * d - e
-    return float(w @ (r * r)), scale
+    we = w * e
+    wee = float(we @ e)
+    if not wee > 0.0:
+        raise ValueError(
+            f"model trace has no amplitude over the data at shift {shift_ps * 1e3:g} fs"
+        )
+    a = float(wd @ e) / wee
+    r = d - a * e
+    return float(w @ (r * r)), (1.0 / a if a != 0.0 else math.inf)
 
 
 def inner_fit(
@@ -295,8 +304,9 @@ def inner_fit(
 ) -> InnerFit:
     """Best scale and time shift of one dataset against one model trace.
 
-    The scale minimising chi^2 at fixed shift is the weighted projection
-    S = sum(w d E) / sum(w d^2).  The shift is found by a coarse scan over
+    At fixed shift chi^2 = sum w (d - a E)^2 with a = 1/S, minimised by the
+    weighted projection a = sum(w d E) / sum(w E^2); a trace with no
+    amplitude over the data raises ValueError.  The shift is found by a coarse scan over
     the allowed range followed by golden-section refinement of the best
     bracket; ties on the coarse scan resolve toward the smaller |T_0|.
     """
@@ -318,12 +328,11 @@ def inner_fit(
     d = dataset.signal
     w = 1.0 / dataset.sigma ** 2
     wd = w * d
-    wdd = float(wd @ d)
-    if wdd <= 0.0:
+    if float(wd @ d) <= 0.0:
         raise DataError(f"dataset {dataset.label!r} has no signal to scale")
     e_model = model.energy_mev
 
-    args = (t_data_ps, d, w, wd, wdd, t_model, e_model)
+    args = (t_data_ps, d, w, wd, t_model, e_model)
 
     shifts = np.linspace(lo, hi, coarse_points)
     chi2s = np.array([_chi2_at(s, *args)[0] for s in shifts])
@@ -699,12 +708,15 @@ def confidence_intervals(
 
 
 def residuals(model: EnergyTrace, dataset: ExperimentDataset, fit: InnerFit) -> np.ndarray:
-    """Weighted residuals (S d_i - E(t_i + T_0)) / sigma_i at the data times."""
+    """Weighted residuals (S d_i - E(t_i + T_0)) / (S sigma_i) at the data times.
+
+    Their squares sum to the chi^2 of ``fit``.
+    """
     if dataset.sigma is None:
         raise DataError(f"dataset {dataset.label!r} has no noise estimate yet")
     t = dataset.times_fs * 1e-3 + fit.t0_fs * 1e-3
     e = np.interp(t, model.times_ps, model.energy_mev)
-    return (fit.scale * dataset.signal - e) / dataset.sigma
+    return (dataset.signal - e / fit.scale) / dataset.sigma
 
 
 def make_synthetic_dataset(

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dickesim.fit as fit_module
 from dickesim.cumulant import SolverConfig
@@ -272,6 +274,79 @@ class TestInnerFit:
         assert np.max(np.abs(r)) < 0.3
 
 
+def noisy_dataset(model, times_fs, scale, shift_fs, noise, seed, label="synthetic"):
+    clean = dataset_from_model(model, times_fs, scale, shift_fs, sigma=noise)
+    rng = np.random.default_rng(seed)
+    return replace(clean, label=label, signal=clean.signal + rng.normal(scale=noise, size=times_fs.size))
+
+
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
+
+
+class TestChi2Properties:
+    """chi^2 carries the noise of the scaled data, so data units do not enter it."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        scale=st.floats(0.2, 5.0),
+        shift_fs=st.floats(-250.0, 250.0),
+        units=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_inner_fit_recovers_a_pure_scale_and_shift_of_the_data(self, scale, shift_fs, units, seed):
+        model = smooth_model()
+        times_fs = np.arange(-400.0, 1200.0, 8.0)
+        ds = noisy_dataset(model, times_fs, scale, shift_fs, noise=0.1, seed=seed)
+        fit = inner_fit(model, ds)
+        assert fit.t0_fs == pytest.approx(shift_fs, abs=5.0)
+        assert fit.scale == pytest.approx(scale, rel=0.05)
+        # the same data in other units, with their noise in those units
+        moved = replace(ds, signal=units * ds.signal, sigma=units * ds.sigma)
+        again = inner_fit(model, moved)
+        assert again.scale * units == pytest.approx(fit.scale, rel=1e-9)
+        assert again.t0_fs == pytest.approx(fit.t0_fs, abs=0.1)
+        assert again.chi2 == pytest.approx(fit.chi2, rel=1e-6)
+
+    @PROPERTY_SETTINGS
+    @given(
+        order=st.permutations(range(3)),
+        units=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_permuting_the_datasets_leaves_chi2_unchanged(self, order, units, seed):
+        # three transients of different shapes, each carried in its own units
+        models = [smooth_model(), smooth_model(), smooth_model()]
+        models = [
+            EnergyTrace(m.times_ps, m.energy_mev * (1.0 + 0.3 * n * np.sin(m.times_ps)))
+            for n, m in enumerate(models)
+        ]
+        times_fs = np.arange(-400.0, 1200.0, 8.0)
+        datasets = [
+            noisy_dataset(m, times_fs, 1.0 + n, 20.0 * n, noise=1.0, seed=seed + n, label=f"D{n}")
+            for n, m in enumerate(models)
+        ]
+        grid = FitGrid(np.array([1.0]), np.array([1.0]), np.array([1.0]))
+
+        def total_chi2(dss, traces):
+            table = {(0, 0, 0, di): t for di, t in enumerate(traces)}
+            with pytest.warns(UserWarning, match="boundary"):
+                result = global_fit(dss, grid, traces=table)
+            return result.chi2_reduced_min * result.k_eff, result
+
+        reference, ref_result = total_chi2(datasets, models)
+        moved = [
+            replace(datasets[n], signal=units[n] * datasets[n].signal, sigma=units[n] * datasets[n].sigma)
+            for n in order
+        ]
+        permuted, result = total_chi2(moved, [models[n] for n in order])
+        assert permuted == pytest.approx(reference, rel=1e-6)
+        for n in order:
+            label = f"D{n}"
+            assert result.inner[label].scale * units[n] == pytest.approx(
+                ref_result.inner[label].scale, rel=1e-9
+            )
+
+
 class TestFitGrid:
     def test_logspace_axes_are_geometric(self):
         grid = FitGrid.logspace((1.0, 100.0), (0.1, 10.0), (0.001, 1.0), points=5)
@@ -431,6 +506,36 @@ class TestGlobalFit:
         fresh = global_fit([ds], result.grid, lifetime_fs=120.0)
         np.testing.assert_allclose(result.chi2_reduced_map, fresh.chi2_reduced_map, rtol=1e-9)
         assert result.argmin == fresh.argmin
+
+    def test_one_percent_noise_at_scale_two_covers_the_truth(self):
+        # noise at 1% of the scaled data's peak and a true scale of 2: the
+        # truth must sit inside the joint 68% region in at least 68% of trials
+        ds, _ = synthetic_problem(noise_rms=0.0, true_scale=2.0, known_sigma=True)
+        step = 1.3
+        grid = FitGrid(
+            g_nev=10.6 * step ** np.arange(-2.0, 3.0),
+            gamma0z_mev=1.68 * step ** np.arange(-2.0, 3.0),
+            gamma_minus_mev=0.0141 * step ** np.arange(-2.0, 3.0),
+        )
+        table = model_traces([ds], grid, lifetime_fs=120.0)
+        noise = 0.01 * float(np.max(ds.signal))
+        truth = {"g_nev": 10.6, "gamma0z_mev": 1.68, "gamma_minus_mev": 0.0141}
+        trials = 40
+        covered = 0
+        for seed in range(trials):
+            rng = np.random.default_rng(seed)
+            noisy = replace(
+                ds,
+                signal=ds.signal + rng.normal(scale=noise, size=ds.n_points),
+                sigma=np.full(ds.n_points, noise),
+            )
+            result = global_fit([noisy], grid, lifetime_fs=120.0, traces=table)
+            ci = result.confidence
+            covered += ci is not None and all(
+                ci[name][0] * (1 - 1e-9) <= value <= ci[name][1] * (1 + 1e-9)
+                for name, value in truth.items()
+            )
+        assert covered >= 0.68 * trials, covered
 
     def test_duplicate_labels_are_rejected(self):
         ds, grid = synthetic_problem(known_sigma=True)
