@@ -19,6 +19,17 @@ with LSODA against 79,000 with RK45.  The exact Lindblad oracle stays on
 RK45 because scipy's LSODA accepts only real state vectors.  What remains
 costly are the strongly coupled corners (g near 5000 neV): they oscillate
 fast rather than decay, so the step stays bound to the Rabi period there.
+
+The equations are written once (``_moment_equations``) and run on plain
+floats for one trace or on (B,) arrays for a batch of members.
+``simulate_energies`` integrates a batch as one stacked member-major
+state, with one evaluation of the equations per step for all members and
+a banded block Jacobian central-differenced in one evaluation; LSODA's
+error test is a weighted max-norm, so each member keeps its own
+tolerance.  The fit's model table uses it; the single-trace path
+(``integrate``, ``simulate_energy``) stays scalar.  One stepping loop,
+``_segmented_solve``, serves every integration: it keeps only the
+requested state slots at the grid points and reports the solver's work.
 """
 
 from __future__ import annotations
@@ -26,10 +37,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA, RK45
 
 from .model import (
     HBAR_MEV_PS,
@@ -83,11 +94,21 @@ CLOSURES = ("cumulant", "meanfield")
 
 
 class IntegrationError(RuntimeError):
-    """Integration failed; ``last_good_time_ps`` is where it still held."""
+    """Integration failed; ``last_good_time_ps`` is where it still held.
 
-    def __init__(self, message: str, last_good_time_ps: float):
+    ``member`` is the index of the offending member of a stacked batch, or
+    None when the failure is not tied to one member.
+    """
+
+    def __init__(self, message: str, last_good_time_ps: float, member: int | None = None):
         super().__init__(message)
         self.last_good_time_ps = last_good_time_ps
+        self.member = member
+
+    def __reduce__(self):
+        # the default pickling replays only the message, which a worker
+        # process's error would not survive
+        return type(self), (str(self), self.last_good_time_ps, self.member)
 
 
 @dataclass(frozen=True)
@@ -97,7 +118,8 @@ class SolverConfig:
     ``output_dt_ps`` sets the uniform reporting grid only; the integrator
     (LSODA, see the module docstring) picks its own internal steps, capped
     at ``sigma/4`` while the pulse is on so a narrow pulse is never stepped
-    over.
+    over.  ``rel_tol`` and ``abs_tol`` hold for every member of a stacked
+    batch on its own, since LSODA's error norm is a max over components.
     """
 
     closure: str = "cumulant"
@@ -181,28 +203,54 @@ def _make_rhs(
     closure: str,
     ax_bracket: str = "consistent",
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Compile the right-hand side into a plain-float closure.
+    """Right-hand side of one member, evaluated on plain floats."""
+    return _moment_equations([params], [pulse], closure, ax_bracket)
 
-    All rates are pre-divided by hbar.  ``ax_bracket`` selects the saturation
-    bracket in the <a sx> equation: "consistent" uses 1 + (N-1) c_xx, the
-    form its companion <a sy> and <a sz> equations force by symmetry;
-    "variant" replaces it with N c_xx.  The variant breaks stationarity of
-    the all-down dark state and disagrees with the exact propagator, so it
-    exists only for that cross-check.
+
+def _moment_equations(
+    params: Sequence[ModelParams],
+    pulses: Sequence[PulseParams],
+    closure: str,
+    ax_bracket: str = "consistent",
+) -> Callable:
+    """The moment equations of one member, or of a batch sharing one pulse shape.
+
+    All rates are pre-divided by hbar.  For one member every coefficient is a
+    float and the returned ``rhs(t, y)`` is the member's right-hand side.
+    For a batch every coefficient is a (B,) array; the same body then runs
+    with ``y`` holding one array per state component (any shape that
+    broadcasts against (B,)), ``pair`` building a complex moment from its
+    (re, im) arrays and ``finish`` stacking the 20 derivative arrays.
+
+    ``ax_bracket`` selects the saturation bracket in the <a sx> equation:
+    "consistent" uses 1 + (N-1) c_xx, the form its companion <a sy> and
+    <a sz> equations force by symmetry; "variant" replaces it with N c_xx.
+    The variant breaks stationarity of the all-down dark state and disagrees
+    with the exact propagator, so it exists only for that cross-check.
     """
     if ax_bracket not in ("consistent", "variant"):
         raise ValueError(f"unknown ax_bracket {ax_bracket!r}")
-    dc = params.delta_c_mev / HBAR_MEV_PS
-    da = params.delta_a_mev / HBAR_MEV_PS
-    g = params.g_mev / HBAR_MEV_PS
-    kap = params.kappa_mev / HBAR_MEV_PS
-    gm = params.gamma_minus_mev / HBAR_MEV_PS
-    gtot = gamma_total(params) / HBAR_MEV_PS
-    n = params.n_molecules
+    rows = [
+        (
+            p.delta_c_mev, p.delta_a_mev, p.g_mev, p.kappa_mev, p.gamma_minus_mev,
+            gamma_total(p), p.n_molecules, q.amplitude / (q.sigma_ps * math.sqrt(2.0 * math.pi)),
+        )
+        for p, q in zip(params, pulses)
+    ]
+    if len(rows) == 1:
+        columns = rows[0]
+    else:
+        columns = tuple(np.array(column) for column in zip(*rows))
+    dc_mev, da_mev, g_mev, kap_mev, gm_mev, gtot_mev, n, amp = columns
+    dc = dc_mev / HBAR_MEV_PS
+    da = da_mev / HBAR_MEV_PS
+    g = g_mev / HBAR_MEV_PS
+    kap = kap_mev / HBAR_MEV_PS
+    gm = gm_mev / HBAR_MEV_PS
+    gtot = gtot_mev / HBAR_MEV_PS
     nm1 = n - 1.0
-    amp = pulse.amplitude / (pulse.sigma_ps * math.sqrt(2.0 * math.pi))
-    t0 = pulse.center_ps
-    inv_sig = 1.0 / pulse.sigma_ps
+    t0 = pulses[0].center_ps
+    inv_sig = 1.0 / pulses[0].sigma_ps
     exp = math.exp
     variant = ax_bracket == "variant"
 
@@ -210,19 +258,19 @@ def _make_rhs(
     cav1 = cav - gtot          # decay of <a sx>, <a sy>
     half_g = 0.5 * g
 
-    def rhs_cumulant(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs_cumulant(t: float, y, pair=complex, finish=np.array):
         arg = (t - t0) * inv_sig
         eta = amp * exp(-0.5 * arg * arg)
 
-        ca = complex(y[0], y[1])
+        ca = pair(y[0], y[1])
         cx = y[2]
         cy = y[3]
         cz = y[4]
         cn = y[5]
-        caa = complex(y[6], y[7])
-        cax = complex(y[8], y[9])
-        cay = complex(y[10], y[11])
-        caz = complex(y[12], y[13])
+        caa = pair(y[6], y[7])
+        cax = pair(y[8], y[9])
+        cay = pair(y[10], y[11])
+        caz = pair(y[12], y[13])
         cxx = y[14]
         cyy = y[15]
         czz = y[16]
@@ -300,8 +348,8 @@ def _make_rhs(
             - gm * (cyz + cy)
         )
 
-        return np.array(
-            [
+        return finish(
+            (
                 d_ca.real, d_ca.imag,
                 d_cx, d_cy, d_cz,
                 d_cn,
@@ -311,14 +359,14 @@ def _make_rhs(
                 d_caz.real, d_caz.imag,
                 d_cxx, d_cyy, d_czz,
                 d_cxy, d_cxz, d_cyz,
-            ]
+            )
         )
 
-    def rhs_meanfield(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs_meanfield(t: float, y, pair=complex, finish=np.array):
         arg = (t - t0) * inv_sig
         eta = amp * exp(-0.5 * arg * arg)
 
-        ca = complex(y[0], y[1])
+        ca = pair(y[0], y[1])
         cx = y[2]
         cy = y[3]
         cz = y[4]
@@ -327,18 +375,68 @@ def _make_rhs(
         d_cx = -da * cy - 2.0 * g * cz * ca.imag - gtot * cx
         d_cy = da * cx - 2.0 * g * cz * ca.real - gtot * cy
         d_cz = 2.0 * g * (ca.real * cy + ca.imag * cx) - gm * (cz + 1.0)
-
-        out = np.zeros(STATE_SIZE)
-        out[0] = d_ca.real
-        out[1] = d_ca.imag
-        out[2] = d_cx
-        out[3] = d_cy
-        out[4] = d_cz
         # keep the factorised moments consistent for observers of <a'a> etc.
-        out[5] = 2.0 * (ca.real * d_ca.real + ca.imag * d_ca.imag)
-        return out
+        d_cn = 2.0 * (ca.real * d_ca.real + ca.imag * d_ca.imag)
+        return finish(
+            (d_ca.real, d_ca.imag, d_cx, d_cy, d_cz, d_cn) + (0.0,) * (STATE_SIZE - 6)
+        )
 
     return rhs_meanfield if closure == "meanfield" else rhs_cumulant
+
+
+def _pair(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return re + 1j * im
+
+
+def _stack_last(values) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(*values), axis=-1)
+
+
+# relative step of the batched Jacobian's central differences.  Every
+# monomial of either closure is at most quadratic in any one component, so
+# a central difference is exact up to rounding whatever the step; a large
+# step keeps that rounding small.
+_JAC_STEP = 2.0 ** -10
+_JAC_I, _JAC_C = np.meshgrid(np.arange(STATE_SIZE), np.arange(STATE_SIZE), indexing="ij")
+
+
+def _batch_system(
+    params: Sequence[ModelParams],
+    pulses: Sequence[PulseParams],
+    closure: str,
+) -> tuple[Callable, Callable]:
+    """Right-hand side and banded Jacobian of B members stacked member-major.
+
+    The state is (B * STATE_SIZE,) with member m in slots [20 m, 20 m + 20).
+    Members do not couple, so the Jacobian is block diagonal and LSODA gets
+    it packed with lband = uband = STATE_SIZE - 1: ``packed[19 + i - c,
+    20 m + c]`` is d(dy_i)/d(y_c) of member m.  It is central-differenced
+    over all 20 components of all members in one evaluation of the
+    equations.
+    """
+    body = _moment_equations(params, pulses, closure)
+    size = len(params)
+    width = 2 * STATE_SIZE - 1
+    # state slot c of perturbation column c (+h) and STATE_SIZE + c (-h)
+    comp = np.tile(np.arange(STATE_SIZE), 2)
+    probe = np.arange(2 * STATE_SIZE)
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        columns = y.reshape(size, STATE_SIZE).T.copy()
+        return body(t, columns, _pair, _stack_last).ravel()
+
+    def jac(t: float, y: np.ndarray) -> np.ndarray:
+        columns = y.reshape(size, STATE_SIZE).T
+        step = _JAC_STEP * np.maximum(np.abs(columns), 1.0)          # (20, B)
+        shifted = np.repeat(columns[:, None, :], 2 * STATE_SIZE, axis=1)
+        shifted[comp, probe] += np.concatenate([step, -step])
+        f = body(t, shifted, _pair, _stack_last)                      # (40, B, 20)
+        d = (f[:STATE_SIZE] - f[STATE_SIZE:]) / (2.0 * step[:, :, None])  # [c, m, i]
+        packed = np.zeros((width, size, STATE_SIZE))
+        packed[STATE_SIZE - 1 + _JAC_I - _JAC_C, :, _JAC_C] = d[_JAC_C, :, _JAC_I]
+        return packed.reshape(width, size * STATE_SIZE)
+
+    return rhs, jac
 
 
 def _initial_array(closure: str) -> np.ndarray:
@@ -358,6 +456,25 @@ def output_grid(config: SolverConfig) -> np.ndarray:
     return config.t_start_ps + config.output_dt_ps * np.arange(n_out)
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """Work one integration cost: right-hand-side calls, Jacobians, steps."""
+
+    rhs_calls: int = 0
+    jacobians: int = 0
+    steps: int = 0
+
+    def __add__(self, other: "SolverStats") -> "SolverStats":
+        return SolverStats(
+            self.rhs_calls + other.rhs_calls,
+            self.jacobians + other.jacobians,
+            self.steps + other.steps,
+        )
+
+
+_METHODS = {"LSODA": LSODA, "RK45": RK45}
+
+
 def _segmented_solve(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -367,15 +484,26 @@ def _segmented_solve(
     abs_tol: float,
     method: str,
     max_step_ps: float = math.inf,
-) -> np.ndarray:
+    keep: np.ndarray | None = None,
+    jac: Callable | None = None,
+    band: int | None = None,
+    members: int = 1,
+) -> tuple[np.ndarray, SolverStats]:
     """Adaptive integration sampled at ``times``, one row per grid point.
 
     The window is split at the pulse edges so a step-size cap of sigma/4
     applies only while the drive is appreciable; outside it the solver is
-    free to take long steps.  ``method`` is the ``solve_ivp`` integrator:
-    "LSODA" for the real moment state, "RK45" for the complex density
-    matrix, which LSODA does not accept.  Each segment is sampled at its
-    grid points and its end as it goes, so no interpolant outlives it.
+    free to take long steps.  ``method`` names the scipy stepper: "LSODA"
+    for the real moment state, "RK45" for the complex density matrix, which
+    LSODA does not accept.  After each step the step's dense output is
+    evaluated at the grid points it covers (as ``solve_ivp(t_eval=...)``
+    does) and only the state slots ``keep`` (default: all) are stored, so
+    neither interpolants nor unrequested columns outlive the step.  ``jac``
+    and ``band`` hand LSODA a banded Jacobian (lband = uband = band).  The
+    state of a batch holds ``members`` equal-sized members; a non-finite
+    derivative names the first offending one.
+
+    Returns the samples and the solver's work summed over the segments.
     """
     t_start = float(times[0])
     t_end = float(times[-1])
@@ -392,14 +520,27 @@ def _segmented_solve(
         # blow-up leaves it retrying the same step), so stop it here
         dy = rhs(t, y)
         if not np.isfinite(dy).all():
+            where = ""
+            member = None
+            if members > 1:
+                member = int(np.argmin(np.isfinite(dy).reshape(members, -1).all(axis=1)))
+                where = f" in member {member}"
             raise IntegrationError(
-                f"derivative became non-finite at t = {t:g} ps", last_good_time_ps=float(t)
+                f"derivative became non-finite{where} at t = {t:g} ps",
+                last_good_time_ps=float(t),
+                member=member,
             )
         return dy
 
+    options = {"rtol": rel_tol, "atol": abs_tol}
+    if jac is not None:
+        options.update(jac=jac, lband=band, uband=band)
+    stepper = _METHODS[method]
+    keep = np.arange(y0.size) if keep is None else np.asarray(keep)
     n_out = times.size
-    data = np.empty((n_out, y0.size), dtype=y0.dtype)
+    data = np.empty((n_out, keep.size), dtype=y0.dtype)
     filled = 0
+    stats = SolverStats()
     y = y0
     for a, b in zip(edges[:-1], edges[1:]):
         in_pulse = a >= pulse_lo - 1e-15 and b <= pulse_hi + 1e-15
@@ -415,26 +556,29 @@ def _segmented_solve(
         t_eval = np.maximum(times[filled:hi], a)
         if t_eval.size == 0 or t_eval[-1] < b:
             t_eval = np.append(t_eval, b)
-        sol = solve_ivp(
-            checked_rhs,
-            (a, b),
-            y,
-            method=method,
-            t_eval=t_eval,
-            rtol=rel_tol,
-            atol=abs_tol,
-            max_step=max_step,
-        )
-        if not sol.success:
-            # sol.t holds only the sample points passed before the failure
-            raise IntegrationError(
-                f"integration failed in [{a:g}, {b:g}] ps: {sol.message}",
-                last_good_time_ps=float(sol.t[-1]) if sol.t.size else float(a),
-            )
-        if hi > filled:
-            data[filled:hi] = sol.y[:, : hi - filled].T
-            filled = hi
-        y = sol.y[:, -1]
+        solver = stepper(checked_rhs, a, y, b, max_step=max_step, **options)
+        done = 0
+        steps = 0
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                last = t_eval[done - 1] if done else a
+                raise IntegrationError(
+                    f"integration failed in [{a:g}, {b:g}] ps: {message}",
+                    last_good_time_ps=float(last),
+                )
+            steps += 1
+            reached = int(np.searchsorted(t_eval, solver.t, side="right"))
+            if reached > done:
+                values = solver.dense_output()(t_eval[done:reached])
+                rows = min(reached, hi - filled) - done
+                if rows > 0:
+                    data[filled + done:filled + done + rows] = values[keep, :rows].T
+                if reached == t_eval.size:
+                    y = values[:, -1]
+                done = reached
+        stats += SolverStats(int(solver.nfev), int(solver.njev), steps)
+        filled = hi
         if not np.all(np.isfinite(y)):
             raise IntegrationError(
                 f"state became non-finite near t = {b:g} ps",
@@ -446,7 +590,7 @@ def _segmented_solve(
             f"non-finite state at t = {times[bad]:g} ps",
             last_good_time_ps=float(times[max(bad - 1, 0)]),
         )
-    return data
+    return data, stats
 
 
 def integrate(
@@ -459,10 +603,22 @@ def integrate(
     rhs = _make_rhs(params, pulse, config.closure, ax_bracket=ax_bracket)
     y0 = _initial_array(config.closure)
     times = output_grid(config)
-    data = _segmented_solve(
+    data, _ = _segmented_solve(
         rhs, y0, times, pulse, config.rel_tol, config.abs_tol, "LSODA", config.max_step_ps
     )
     return MomentTrace(times_ps=times, data=data)
+
+
+def energy_trace(trace: MomentTrace, params: ModelParams):
+    """Reduce a moment trace to the stored-energy trace of ``simulate_energy``."""
+    from .observables import EnergyTrace
+
+    return EnergyTrace(
+        times_ps=trace.times_ps,
+        energy_mev=energy_density_from_inversion(trace.c_z, params.omega_a_mev),
+        photons=trace.c_n,
+        n_molecules=params.n_molecules,
+    )
 
 
 def simulate_energy(
@@ -475,15 +631,70 @@ def simulate_energy(
     Returns an ``observables.EnergyTrace`` with energy per molecule in meV
     and the photon count per molecule as auxiliary data.
     """
+    return energy_trace(integrate(params, pulse, config), params)
+
+
+def simulate_energies(
+    params: Sequence[ModelParams],
+    pulses: Sequence[PulseParams],
+    config: SolverConfig,
+):
+    """Energy traces of a batch of members integrated as one stacked system.
+
+    The B members become one member-major (B * 20) LSODA state with one
+    evaluation of the equations per step for the whole batch and a banded
+    block Jacobian (see ``_batch_system``).  LSODA's error test is a
+    weighted max-norm, so every member keeps its own tolerance; the steps
+    follow the hardest member, which is why the fit batches similar members.
+    Only <sigma_z> is stored, so the traces carry no photon numbers.  A lone
+    member takes the scalar path and matches ``simulate_energy`` bit for bit.
+
+    The members share ``config`` (window, tolerances, closure); their
+    pulses must share centre and width, which set the segment edges and the
+    sigma/4 step cap, or ValueError is raised.  Returns the traces and the
+    solver's work.
+    """
     from .observables import EnergyTrace
 
-    trace = integrate(params, pulse, config)
-    return EnergyTrace(
-        times_ps=trace.times_ps,
-        energy_mev=energy_density_from_inversion(trace.c_z, params.omega_a_mev),
-        photons=trace.c_n,
-        n_molecules=params.n_molecules,
+    if not params or len(params) != len(pulses):
+        raise ValueError("need one pulse per member and at least one member")
+    shape = (pulses[0].center_ps, pulses[0].sigma_ps)
+    for pulse in pulses:
+        if (pulse.center_ps, pulse.sigma_ps) != shape:
+            raise ValueError(
+                "members of a batch must share the pulse centre and width: "
+                f"({pulse.center_ps:g}, {pulse.sigma_ps:g}) ps against ({shape[0]:g}, {shape[1]:g}) ps"
+            )
+    size = len(params)
+    if size == 1:
+        rhs, jac, band = _make_rhs(params[0], pulses[0], config.closure), None, None
+    else:
+        rhs, jac = _batch_system(params, pulses, config.closure)
+        band = STATE_SIZE - 1
+    times = output_grid(config)
+    data, stats = _segmented_solve(
+        rhs,
+        np.tile(_initial_array(config.closure), size),
+        times,
+        pulses[0],
+        config.rel_tol,
+        config.abs_tol,
+        "LSODA",
+        config.max_step_ps,
+        keep=_SLOTS["c_z"][0] + STATE_SIZE * np.arange(size),
+        jac=jac,
+        band=band,
+        members=size,
     )
+    traces = [
+        EnergyTrace(
+            times_ps=times,
+            energy_mev=energy_density_from_inversion(data[:, m], p.omega_a_mev),
+            n_molecules=p.n_molecules,
+        )
+        for m, p in enumerate(params)
+    ]
+    return traces, stats
 
 
 def write_trace_csv(

@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
 import numpy as np
 
-from .cumulant import SolverConfig, simulate_energy
+from .cumulant import IntegrationError, SolverConfig, simulate_energies, simulate_energy
 from .model import (
     HBAR_MEV_PS,
     N_REF_DEFAULT,
     ModelParams,
     PulseParams,
     drive_amplitude_from_photon_ratio,
+    gamma_total,
 )
 from .observables import EnergyTrace, convolve_response
 
@@ -464,10 +466,64 @@ def trace_window(
     return min(lo_ps - pad, -8.0 * pulse_sigma_ps), hi_ps + pad
 
 
-def _fit_trace_task(args) -> EnergyTrace:
-    params, pulse, solver, response_ps = args
-    trace = simulate_energy(params, pulse, solver)
-    return convolve_response(trace, response_ps)
+# largest number of members integrated as one stacked system.  One LSODA
+# solve steps at the pace of its hardest member and its banded linear
+# algebra grows with the batch, so very large batches lose; on criterion 6's
+# 729-member A2 table (2-core machine, one BLAS thread) one batch of 729
+# took 63 s, batches of 81 15.4 s and batches of 27 16.5 s, against about
+# 51 s one member at a time.
+BATCH_CAP = 64
+
+
+def _regime(params: ModelParams) -> tuple[float, float]:
+    """(g sqrt(N) / kappa, gamma_tot / kappa): the order of members in batches."""
+    return (
+        params.g_mev * math.sqrt(params.n_molecules) / params.kappa_mev,
+        gamma_total(params) / params.kappa_mev,
+    )
+
+
+def _batches(tasks: dict) -> list[list]:
+    """Keys of ``tasks`` grouped into the batches that are integrated together.
+
+    A batch holds members of one dataset only, ordered by g sqrt(N)/kappa and
+    then gamma_tot/kappa so that neighbours step alike, cut into near-equal
+    runs of at most ``BATCH_CAP``.  Only the members' own parameters decide
+    it, so the traces do not depend on the number of workers.
+    """
+    by_dataset: dict[int, list] = {}
+    for key in tasks:
+        by_dataset.setdefault(key[3], []).append(key)
+    batches = []
+    for di in sorted(by_dataset):
+        keys = sorted(by_dataset[di], key=lambda k: (_regime(tasks[k][0]), k))
+        runs = -(-len(keys) // BATCH_CAP)
+        batches.extend([keys[i] for i in run] for run in np.array_split(np.arange(len(keys)), runs))
+    return batches
+
+
+def _fit_batch_task(batch: list) -> tuple[list, object, float]:
+    """Convolved traces of one batch of (key, task) pairs, its solver work and wall time."""
+    start = time.perf_counter()
+    solver = batch[0][1][2]
+    if any(task[2] != solver for _, task in batch):
+        raise ValueError("members of a batch must share the window, tolerances and closure")
+    try:
+        traces, stats = simulate_energies(
+            [task[0] for _, task in batch], [task[1] for _, task in batch], solver
+        )
+    except IntegrationError as exc:
+        if exc.member is None:
+            raise
+        key, (params, *_) = batch[exc.member]
+        raise IntegrationError(
+            f"grid point {key[:3]} of dataset {key[3]} (g = {params.g_mev * 1e6:g} neV, "
+            f"gamma0z = {params.gamma0z_mev:g} meV, gamma_minus = {params.gamma_minus_mev:g} meV): {exc}",
+            exc.last_good_time_ps,
+            member=exc.member,
+        ) from None
+    convolved = [convolve_response(trace, task[3]) for trace, (_, task) in zip(traces, batch)]
+    return convolved, stats, time.perf_counter() - start
 
 
 def _member_tasks(
@@ -508,13 +564,26 @@ def _member_tasks(
     return tasks
 
 
-def _integrate(tasks: dict, workers: int) -> dict:
-    if workers > 1 and tasks:
-        with Pool(processes=workers) as pool:
-            traces = pool.map(_fit_trace_task, tasks.values())
+def _integrate(tasks: dict, labels: list[str], workers: int) -> dict:
+    """Traces of ``tasks`` integrated batch by batch; the pool maps over batches."""
+    batches = [[(key, tasks[key]) for key in keys] for keys in _batches(tasks)]
+    if workers > 1 and len(batches) > 1:
+        with Pool(processes=min(workers, len(batches))) as pool:
+            results = pool.map(_fit_batch_task, batches)
     else:
-        traces = [_fit_trace_task(t) for t in tasks.values()]
-    return dict(zip(tasks, traces))
+        results = [_fit_batch_task(batch) for batch in batches]
+    out = {}
+    for batch, (traces, stats, wall) in zip(batches, results):
+        regimes = np.array([_regime(task[0]) for _, task in batch])
+        (coupling_lo, decay_lo), (coupling_hi, decay_hi) = regimes.min(axis=0), regimes.max(axis=0)
+        logger.info(
+            "%s: %d members, g sqrt(N)/kappa %.3g..%.3g, gamma_tot/kappa %.3g..%.3g: "
+            "%d rhs calls, %d jacobians, %d steps, %.2f s",
+            labels[batch[0][0][3]], len(batch), coupling_lo, coupling_hi, decay_lo, decay_hi,
+            stats.rhs_calls, stats.jacobians, stats.steps, wall,
+        )
+        out.update(zip((key for key, _ in batch), traces))
+    return {key: out[key] for key in tasks}
 
 
 def model_traces(
@@ -534,9 +603,16 @@ def model_traces(
     table.  Keys are (i_g, i_z, i_m, dataset_index).  The traces span
     ``trace_window``; ``solver`` supplies the closure, tolerances and output
     step, and its own window is ignored.
+
+    Members are integrated in stacked batches (``_batches``: one dataset
+    each, in regime order, at most ``BATCH_CAP`` members), and ``workers``
+    processes map over the batches.  Each member stays within the
+    tolerances of its own scalar integration; the traces do not depend on
+    ``workers``.  Every batch logs its size, regime range, solver work and
+    wall time at INFO.
     """
     tasks = _member_tasks(datasets, grid, lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs)
-    return _integrate(tasks, workers)
+    return _integrate(tasks, [ds.label for ds in datasets], workers)
 
 
 def global_fit(
@@ -648,7 +724,8 @@ def global_fit(
         key: traces[coarse_keys[task]] for key, task in fine_tasks.items() if task in coarse_keys
     }
     fine_traces.update(_integrate(
-        {key: task for key, task in fine_tasks.items() if key not in fine_traces}, workers
+        {key: task for key, task in fine_tasks.items() if key not in fine_traces},
+        [ds.label for ds in datasets], workers,
     ))
     fine = global_fit(
         datasets,

@@ -232,7 +232,7 @@ def evolve_exact(
     rho0 = ops.ground_state(oracle.initial_photons).ravel()
     times = output_grid(config)
     # the density matrix is complex, which scipy's LSODA does not accept
-    data = _segmented_solve(rhs, rho0, times, pulse, oracle.rel_tol, oracle.abs_tol, "RK45")
+    data, _ = _segmented_solve(rhs, rho0, times, pulse, oracle.rel_tol, oracle.abs_tol, "RK45")
     return _reduce(data, times, ops, oracle)
 
 

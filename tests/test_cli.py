@@ -370,7 +370,8 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
 
     def test_residuals_reuse_the_fit_traces(self, tmp_path, capsys, monkeypatch):
         # one dataset at one grid point: the synthetic data and the table trace
-        # are the only integrations, and the residuals read the table's trace
+        # are the only integrated members, and the residuals read the table's
+        # trace
         calls = []
         for module in (fit, cli):
             def counting(*args, _original=module.simulate_energy, **kwargs):
@@ -378,6 +379,12 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, "simulate_energy", counting)
+
+        def counting_batch(params, pulses, solver, _original=fit.simulate_energies):
+            calls.extend(params)
+            return _original(params, pulses, solver)
+
+        monkeypatch.setattr(fit, "simulate_energies", counting_batch)
         cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
 fit.grid_points = 1
 fit.g_bounds_neV = 10.6, 11.0

@@ -237,7 +237,7 @@ def test_stiff_dephasing_corner_is_cheap_and_accurate(monkeypatch):
         1e-10,
         config.abs_tol,
         "RK45",
-    ))
+    )[0])
     ref_energy = 0.5 * params.omega_a_mev * (reference.c_z + 1.0)
     assert np.max(np.abs(energy - ref_energy)) <= 1e-6 * np.max(ref_energy)
 
@@ -253,3 +253,95 @@ def test_finite_time_blow_up_raises(method):
             pulse, 1e-8, 1e-10, method,
         )
     assert 0.99 < info.value.last_good_time_ps <= 1.0
+
+
+def _b2_members(closure="cumulant"):
+    """The B2 members of a fit over a gamma0z axis reaching strong dephasing."""
+    n = 0.81e10
+    pulse = PulseParams(
+        amplitude=drive_amplitude_from_photon_ratio(1.60e10 / n, n), center_ps=0.0, sigma_ps=0.020,
+    )
+    params = [
+        ModelParams(
+            n_molecules=n, g_mev=g * 1e-6, kappa_mev=HBAR_MEV_PS / 0.120,
+            gamma0z_mev=gz, n_ref=8.08e10, gamma_minus_mev=gm,
+        )
+        for g in (5.3, 10.6, 21.2) for gz in (0.336, 1.68, 8.4, 42.0) for gm in (0.00705, 0.0141)
+    ]
+    return params, [pulse] * len(params), SolverConfig(closure=closure, t_start_ps=-0.65, t_end_ps=1.9)
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_stacked_members_match_their_scalar_traces(closure):
+    params, pulses, config = _b2_members(closure)
+    traces, stats = cumulant.simulate_energies(params, pulses, config)
+    assert stats.jacobians > 0 and stats.steps > 0 and stats.rhs_calls > 0
+    for p, q, trace in zip(params, pulses, traces):
+        ref = simulate_energy(p, q, config).energy_mev
+        np.testing.assert_array_equal(trace.times_ps, output_grid(config))
+        assert np.max(np.abs(trace.energy_mev - ref)) <= 1e-6 * np.max(ref), p
+
+
+def test_lone_member_takes_the_scalar_path_bit_for_bit():
+    params, pulses, config = _b2_members()
+    (trace,), _ = cumulant.simulate_energies(params[:1], pulses[:1], config)
+    np.testing.assert_array_equal(trace.energy_mev, simulate_energy(params[0], pulses[0], config).energy_mev)
+
+
+def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
+    params, pulses, _ = _b2_members()
+    params = params[::7]
+    size = len(params)
+    rng = np.random.default_rng(3)
+    # near a driven state: a large field amplitude and small correlations
+    states = np.tile(GROUND, (size, 1)) + rng.normal(size=(size, STATE_SIZE)) * 1e-3
+    states[:, :2] *= 1e7
+    states[:, 5] = 1e9
+    rhs, jac = cumulant._batch_system(params, pulses, "cumulant")
+    np.testing.assert_allclose(
+        rhs(0.01, states.ravel()).reshape(size, STATE_SIZE),
+        [cumulant._make_rhs(p, q, "cumulant")(0.01, y) for p, q, y in zip(params, pulses, states)],
+        rtol=1e-12, atol=0.0,
+    )
+    packed = jac(0.01, states.ravel())
+    band = STATE_SIZE - 1
+    assert packed.shape == (2 * band + 1, size * STATE_SIZE)
+    full = np.zeros((size * STATE_SIZE, size * STATE_SIZE))
+    for r in range(full.shape[0]):
+        for q in range(max(0, r - band), min(full.shape[1], r + band + 1)):
+            full[r, q] = packed[band + r - q, q]
+    for m, (p, q, y) in enumerate(zip(params, pulses, states)):
+        scalar = cumulant._make_rhs(p, q, "cumulant")
+        dense = np.empty((STATE_SIZE, STATE_SIZE))
+        for c in range(STATE_SIZE):
+            h = 1e-2 * max(abs(y[c]), 1.0)
+            up, down = y.copy(), y.copy()
+            up[c] += h
+            down[c] -= h
+            dense[:, c] = (scalar(0.01, up) - scalar(0.01, down)) / (2.0 * h)
+        block = slice(m * STATE_SIZE, (m + 1) * STATE_SIZE)
+        assert np.max(np.abs(full[block, block] - dense)) <= 1e-6 * np.max(np.abs(dense)), m
+        off = full[block].copy()
+        off[:, block] = 0.0
+        assert not off.any(), m
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_blow_up_in_one_member_raises_and_names_it():
+    # three stacked copies of y' = -y, of which member 1 is y' = y^2
+    pulse = PulseParams(amplitude=0.0, center_ps=5.0, sigma_ps=0.020)
+    mask = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(IntegrationError, match="member 1") as info:
+        cumulant._segmented_solve(
+            lambda t, y: mask * y * y - (1.0 - mask) * y, np.ones(3), np.linspace(0.0, 2.0, 201),
+            pulse, 1e-8, 1e-10, "LSODA", members=3,
+        )
+    assert info.value.member == 1
+    assert 0.99 < info.value.last_good_time_ps <= 1.0
+
+
+def test_batch_members_must_share_the_pulse_shape():
+    params, pulses, config = _b2_members()
+    wider = PulseParams(amplitude=pulses[0].amplitude, center_ps=0.0, sigma_ps=0.030)
+    with pytest.raises(ValueError, match="centre and width"):
+        cumulant.simulate_energies(params[:2], [pulses[0], wider], config)

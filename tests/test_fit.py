@@ -488,22 +488,34 @@ class TestGlobalFit:
         np.testing.assert_array_equal(meanfield.times_ps, plain.times_ps)
         assert not np.array_equal(meanfield.energy_mev, plain.energy_mev)
 
-    @pytest.mark.parametrize("g_points, fine_calls", [(3, 0), (5, 18)])
-    def test_refined_pass_reuses_coarse_traces(self, monkeypatch, g_points, fine_calls):
+    @pytest.mark.parametrize("g_points, fine_members", [(3, 0), (5, 18)])
+    def test_refined_pass_reuses_coarse_traces(self, monkeypatch, g_points, fine_members):
         ds, grid = synthetic_problem(known_sigma=True)
         grid = replace(grid, g_nev=10.6 * 1.3 ** np.linspace(-1, 1, g_points))
-        calls = []
-        simulate = fit_module.simulate_energy
+        batches = []
+        simulate = fit_module.simulate_energies
 
-        def counting(*args):
-            calls.append(args)
-            return simulate(*args)
+        def counting(params, pulses, solver):
+            batches.append(list(params))
+            return simulate(params, pulses, solver)
 
-        monkeypatch.setattr(fit_module, "simulate_energy", counting)
+        monkeypatch.setattr(fit_module, "simulate_energies", counting)
         result = global_fit([ds], grid, lifetime_fs=120.0, refine=True)
         assert result.coarse.argmin == (g_points // 2, 1, 1)
-        assert len(calls) == g_points * 9 + fine_calls
-        fresh = global_fit([ds], result.grid, lifetime_fs=120.0)
+        assert sum(len(b) for b in batches) == g_points * 9 + fine_members
+        # a table of the coarse traces plus the same leftover batch, built
+        # afresh, gives the same map bit for bit
+        coarse = model_traces([ds], grid, lifetime_fs=120.0)
+        setup = (120.0, 0.020, fit_module.N_REF_DEFAULT, None, (-400.0, 400.0))
+        coarse_keys = {
+            task: key for key, task in fit_module._member_tasks([ds], grid, *setup).items()
+        }
+        fine_tasks = fit_module._member_tasks([ds], result.grid, *setup)
+        table = {key: coarse[coarse_keys[task]] for key, task in fine_tasks.items() if task in coarse_keys}
+        leftover = {key: task for key, task in fine_tasks.items() if key not in table}
+        assert len(leftover) == fine_members
+        table.update(fit_module._integrate(leftover, [ds.label], workers=1))
+        fresh = global_fit([ds], result.grid, lifetime_fs=120.0, traces=table)
         np.testing.assert_allclose(result.chi2_reduced_map, fresh.chi2_reduced_map, rtol=1e-9)
         assert result.argmin == fresh.argmin
 
@@ -569,6 +581,73 @@ class TestSyntheticDataset:
         c, _ = synthetic_problem(seed=4)
         np.testing.assert_array_equal(a.signal, b.signal)
         assert np.any(a.signal != c.signal)
+
+
+def five_label_tasks(closure="cumulant"):
+    """Table tasks of the five labels on a 2x2x2 grid around the bundled best fit."""
+    times_fs = np.arange(-400.0, 1150.0 + 1.0, 2.0)
+    datasets = [
+        ExperimentDataset(label, times_fs, np.zeros(times_fs.size), n, phot / n)
+        for label, (n, phot) in LABEL_INFO.items()
+    ]
+    grid = FitGrid(
+        g_nev=np.array([10.6, 21.2]),
+        gamma0z_mev=np.array([1.68, 8.4]),
+        gamma_minus_mev=np.array([0.0141, 0.0282]),
+    )
+    solver = SolverConfig(closure=closure)
+    tasks = fit_module._member_tasks(datasets, grid, 120.0, 0.020, 8.08e10, solver, (-100.0, 100.0))
+    return datasets, tasks
+
+
+class TestBatches:
+    @pytest.mark.parametrize("closure", ["cumulant", "meanfield"])
+    def test_five_label_batches_match_their_scalar_traces(self, closure):
+        _, tasks = five_label_tasks(closure)
+        batches = fit_module._batches(tasks)
+        assert len(batches) == 5
+        for keys in batches:
+            assert len({key[3] for key in keys}) == 1
+            params = [tasks[key][0] for key in keys]
+            pulses = [tasks[key][1] for key in keys]
+            solver = tasks[keys[0]][2]
+            traces, _ = fit_module.simulate_energies(params, pulses, solver)
+            for p, q, trace in zip(params, pulses, traces):
+                ref = fit_module.simulate_energy(p, q, solver).energy_mev
+                assert np.max(np.abs(trace.energy_mev - ref)) <= 1e-6 * np.max(ref), p
+
+    def test_batches_are_cut_from_each_dataset_in_regime_order(self, monkeypatch):
+        _, tasks = five_label_tasks()
+        monkeypatch.setattr(fit_module, "BATCH_CAP", 3)
+        batches = fit_module._batches(tasks)
+        # eight members per dataset become runs of 3, 3 and 2
+        assert [len(b) for b in batches] == [3, 3, 2] * 5
+        for di in range(5):
+            keys = [k for b in batches for k in b if k[3] == di]
+            regimes = [fit_module._regime(tasks[k][0]) for k in keys]
+            assert regimes == sorted(regimes)
+            assert sorted(keys) == sorted(k for k in tasks if k[3] == di)
+
+    def test_batch_membership_does_not_depend_on_workers(self):
+        datasets, tasks = five_label_tasks()
+        tasks = {key: task for key, task in tasks.items() if key[3] < 2 and key[2] == 0}
+        labels = [ds.label for ds in datasets]
+        one = fit_module._integrate(tasks, labels, workers=1)
+        two = fit_module._integrate(tasks, labels, workers=2)
+        assert list(one) == list(two) == list(tasks)
+        for key in tasks:
+            np.testing.assert_array_equal(one[key].energy_mev, two[key].energy_mev)
+
+    def test_a_batch_logs_its_solver_work(self, caplog):
+        datasets, tasks = five_label_tasks()
+        tasks = {key: task for key, task in tasks.items() if key[3] == 4 and key[2] == 0}
+        with caplog.at_level("INFO", logger="dickesim.fit"):
+            fit_module._integrate(tasks, [ds.label for ds in datasets], workers=1)
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert message.startswith("B2: 4 members, g sqrt(N)/kappa ")
+        for word in ("gamma_tot/kappa", "rhs calls", "jacobians", "steps"):
+            assert word in message
 
 
 def test_map_csv_round_trips_the_chi2_map(tmp_path):
