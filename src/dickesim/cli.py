@@ -30,8 +30,8 @@ from scipy.special import erfc
 
 from .cumulant import (
     IntegrationError,
+    energy_trace,
     integrate,
-    simulate_energy,
     solver_config_from_config,
     solver_config_keys,
     write_trace_csv,
@@ -250,7 +250,7 @@ def cmd_simulate(cfg: dict[str, str], out_dir: Path, args) -> int:
     trace = integrate(params, pulse, solver)
     write_trace_csv(out_dir / "trace.csv", trace, params, pulse, solver)
 
-    energy = simulate_energy(params, pulse, solver)
+    energy = energy_trace(trace, params)
     smoothed = convolve_response(energy, pulse.response_ps)
     with open(out_dir / "trace_convolved.csv", "w", newline="") as fh:
         fh.write(f"# response_ps={pulse.response_ps:g}\n")
@@ -503,9 +503,10 @@ def cmd_oracle_check(cfg: dict[str, str], out_dir: Path, args) -> int:
         raise ConfigError("oracle trace has no excitation; increase pulse.eta0")
 
     errors = {}
+    runs = {}  # (closure, bracket) -> trace, so no configuration is integrated twice
     for closure in ("cumulant", "meanfield"):
-        cl_solver = replace(solver, closure=closure)
-        trace = integrate(params, pulse, cl_solver)
+        trace = integrate(params, pulse, replace(solver, closure=closure))
+        runs[(closure, "consistent")] = trace
         e_model = energy_density_from_inversion(
             np.interp(exact.times_ps, trace.times_ps, trace.c_z), params.omega_a_mev
         )
@@ -519,7 +520,9 @@ def cmd_oracle_check(cfg: dict[str, str], out_dir: Path, args) -> int:
 
     bracket_errs = {}
     for bracket in ("consistent", "variant"):
-        trace = integrate(params, pulse, solver, ax_bracket=bracket)
+        trace = runs.get((solver.closure, bracket))
+        if trace is None:
+            trace = integrate(params, pulse, solver, ax_bracket=bracket)
         norms = compare_cumulant(exact, trace, observables=("c_z",))
         bracket_errs[bracket] = norms["c_z"].max_rel_error
     passed = bracket_errs["consistent"] <= bracket_errs["variant"]
@@ -575,6 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory (created if missing)")
     common.add_argument("--threads", type=int, default=1, help="worker process cap")
     common.add_argument("--seed", type=int, default=0, help="seed for synthetic noise")
+    common.add_argument(
+        "--log-level", default="WARNING", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        help="log threshold on stderr; INFO reports the solver work of every fit batch",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -582,8 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("dickesim").setLevel(args.log_level)
     try:
         cfg = read_config_file(args.config)
         _check_keys(cfg, args.command)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import subprocess
 import sys
 
@@ -373,12 +374,13 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         # are the only integrated members, and the residuals read the table's
         # trace
         calls = []
-        for module in (fit, cli):
-            def counting(*args, _original=module.simulate_energy, **kwargs):
-                calls.append(args)
-                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "simulate_energy", counting)
+        def counting(*args, _original=fit.simulate_energy, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fit, "simulate_energy", counting)
+        assert not hasattr(cli, "simulate_energy")
 
         def counting_batch(params, pulses, solver, _original=fit.simulate_energies):
             calls.extend(params)
@@ -396,6 +398,34 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         capsys.readouterr()
         assert len(calls) == 2
         assert (tmp_path / "out" / "residuals_synthetic.csv").exists()
+
+
+    def test_log_level_info_reports_each_batch(self, tmp_path, capsys, caplog):
+        cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
+fit.grid_points = 1
+fit.g_bounds_neV = 10.6, 11.0
+fit.gamma0z_bounds_meV = 1.68, 2.0
+fit.gammaminus_bounds_meV = 0.0141, 0.02
+""")
+        argv = ["fit", "--config", cfg, "--out", str(tmp_path / "quiet")]
+        with pytest.warns(UserWarning, match="boundary"):
+            assert main(argv) == EXIT_OK
+        assert not [r for r in caplog.records if r.levelname == "INFO"]
+        argv = ["fit", "--config", cfg, "--out", str(tmp_path / "loud"), "--log-level", "INFO"]
+        package = logging.getLogger("dickesim")
+        try:
+            with pytest.warns(UserWarning, match="boundary"):
+                assert main(argv) == EXIT_OK
+        finally:
+            package.setLevel(logging.WARNING)
+        capsys.readouterr()
+        batches = [r.getMessage() for r in caplog.records if r.name == "dickesim.fit" and r.levelname == "INFO"]
+        assert len(batches) == 1 and batches[0].startswith("synthetic: 1 members")
+        assert "rhs calls" in batches[0]
+        for name in ("chi2_map.csv", "fit_report.txt", "residuals_synthetic.csv"):
+            assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "loud" / name).read_bytes()
+        with pytest.raises(SystemExit):
+            main(["fit", "--config", cfg, "--log-level", "LOUD"])
 
 
 class TestSpectrum:

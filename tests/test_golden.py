@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from dickesim import cumulant
 from dickesim.cli import EXIT_OK, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -109,6 +110,23 @@ def test_cli_outputs_match_golden_files(name, tmp_path, capsys):
     assert sorted(got) == sorted(want)
     for fname, data in want.items():
         assert got[fname] == data, f"{name}/{fname} differs from its golden file"
+
+
+@pytest.mark.parametrize("name, solves", [("simulate", 1), ("oracle-check", 4)])
+def test_each_moment_configuration_is_integrated_once(name, solves, tmp_path, capsys, monkeypatch):
+    # simulate writes trace.csv and the energy trace from one integration;
+    # oracle-check's consistent-bracket run is its cumulant closure run
+    calls = []
+    original = cumulant._segmented_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cumulant, "_segmented_solve", counting)
+    run_case(name, tmp_path)
+    capsys.readouterr()
+    assert len(calls) == solves
 
 
 if __name__ == "__main__":
