@@ -197,6 +197,26 @@ class MomentTrace:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
+def _meanfield_slots(values) -> np.ndarray:
+    """One member's mean-field derivative: the six propagated slots, zero after them."""
+    out = np.zeros(STATE_SIZE)
+    out[0], out[1], out[2], out[3], out[4], out[5] = values
+    return out
+
+
+def _pair(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return re + 1j * im
+
+
+def _stack_last(values) -> np.ndarray:
+    """A batch's derivatives, slots along the last axis; slots past ``values`` are zero."""
+    arrays = np.broadcast_arrays(*values)
+    out = np.zeros(arrays[0].shape + (STATE_SIZE,))
+    for slot, value in enumerate(arrays):
+        out[..., slot] = value
+    return out
+
+
 def _make_rhs(
     params: ModelParams,
     pulse: PulseParams,
@@ -362,7 +382,7 @@ def _moment_equations(
             )
         )
 
-    def rhs_meanfield(t: float, y, pair=complex, finish=np.array):
+    def rhs_meanfield(t: float, y, pair=complex, finish=_meanfield_slots):
         arg = (t - t0) * inv_sig
         eta = amp * exp(-0.5 * arg * arg)
 
@@ -377,19 +397,9 @@ def _moment_equations(
         d_cz = 2.0 * g * (ca.real * cy + ca.imag * cx) - gm * (cz + 1.0)
         # keep the factorised moments consistent for observers of <a'a> etc.
         d_cn = 2.0 * (ca.real * d_ca.real + ca.imag * d_ca.imag)
-        return finish(
-            (d_ca.real, d_ca.imag, d_cx, d_cy, d_cz, d_cn) + (0.0,) * (STATE_SIZE - 6)
-        )
+        return finish((d_ca.real, d_ca.imag, d_cx, d_cy, d_cz, d_cn))
 
     return rhs_meanfield if closure == "meanfield" else rhs_cumulant
-
-
-def _pair(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return re + 1j * im
-
-
-def _stack_last(values) -> np.ndarray:
-    return np.stack(np.broadcast_arrays(*values), axis=-1)
 
 
 # relative step of the batched Jacobian's central differences.  Every

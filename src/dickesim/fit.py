@@ -467,11 +467,11 @@ def trace_window(
 
 
 # largest number of members integrated as one stacked system.  One LSODA
-# solve steps at the pace of its hardest member and its banded linear
-# algebra grows with the batch, so very large batches lose; on criterion 6's
-# 729-member A2 table (2-core machine, one BLAS thread) one batch of 729
-# took 63 s, batches of 81 15.4 s and batches of 27 16.5 s, against about
-# 51 s one member at a time.
+# solve steps at the pace of its hardest member, so very large batches
+# lose, while small ones pay the per-call overhead of the array equations
+# more often.  Criterion 6's 729-member A2 table on a 2-core machine (one
+# BLAS thread) took 64 s one member at a time; in near-equal batches of at
+# most 27, 48, 64, 81 and 128 members it took 20, 19, 12-17, 17-18 and 18 s.
 BATCH_CAP = 64
 
 
