@@ -14,18 +14,20 @@ A1.csv, A2.csv, A3.csv, B1.csv and B2.csv (time in fs, differential
 reflectivity; `#` comments allowed); molecule and photon numbers for these
 labels are built in.
 
-Expect about 40 minutes per lifetime on one core with the default 9-point
-grid; --threads spreads the grid evaluations over workers.  That figure is
-extrapolated from a timed sample, not from a whole run: on a 2-core
-machine, the five labels' traces (samples from -500 to 1500 fs, the default
-+-400 fs shift range) cost 239 s over all 81 (g, gamma0z) pairs at the
-middle gamma_minus, and the costliest g row took the same at both
-gamma_minus ends, so the coarse pass takes about 36 minutes; the refined
-pass around a minimum near the bundled best fit adds about 6 minutes.
-83% of the coarse pass goes to the rows with g >= 330 neV, and most of that
-to g = 5000 neV with gamma0z below 100 meV, where the five traces of one
-grid point take up to 35 s: those corners oscillate at the collective Rabi
-frequency, so every integrator's step stays bound to its period.
+Expect about 18 minutes per lifetime on one core with the default 9-point
+grid; --threads spreads the fit's batches of stacked traces over workers.
+That figure is extrapolated from timed samples, not from a whole run: on a
+2-core machine, the five labels' traces (samples from -500 to 1500 fs, the
+default +-400 fs shift range) over all 81 (g, gamma0z) pairs at the middle
+gamma_minus take 112 s (206 s one trace at a time, timed on the same
+machine), so the coarse pass takes about 17 minutes if every gamma_minus
+slice costs the same, as the costliest g row did when timed at both
+gamma_minus ends; the refined pass around the coarse cell nearest the
+bundled best fit integrates 3,510 new members in 59 s.  Most of the coarse
+pass goes to each label's batch of strongly coupled members (the upper
+half of the g axis), which holds the g = 5000 neV corners: those oscillate at the collective
+Rabi frequency, so the whole batch steps at that period (33 s of the A1
+label's 37 s).
 """
 
 from __future__ import annotations

@@ -308,9 +308,10 @@ def inner_fit(
 
     At fixed shift chi^2 = sum w (d - a E)^2 with a = 1/S, minimised by the
     weighted projection a = sum(w d E) / sum(w E^2); a trace with no
-    amplitude over the data raises ValueError.  The shift is found by a coarse scan over
-    the allowed range followed by golden-section refinement of the best
-    bracket; ties on the coarse scan resolve toward the smaller |T_0|.
+    amplitude over the data raises ValueError.  The shift is found by a
+    coarse scan over the allowed range followed by golden-section
+    refinement of the best bracket; ties on the coarse scan resolve toward
+    the smaller |T_0|.
     """
     if dataset.sigma is None:
         raise DataError(f"dataset {dataset.label!r} has no noise estimate yet")
@@ -505,12 +506,10 @@ def _batches(tasks: dict) -> list[list]:
 def _fit_batch_task(batch: list) -> tuple[list, object, float]:
     """Convolved traces of one batch of (key, task) pairs, its solver work and wall time."""
     start = time.perf_counter()
-    solver = batch[0][1][2]
-    if any(task[2] != solver for _, task in batch):
-        raise ValueError("members of a batch must share the window, tolerances and closure")
     try:
+        # _member_tasks gives every member of a table the same solver
         traces, stats = simulate_energies(
-            [task[0] for _, task in batch], [task[1] for _, task in batch], solver
+            [task[0] for _, task in batch], [task[1] for _, task in batch], batch[0][1][2]
         )
     except IntegrationError as exc:
         if exc.member is None:
