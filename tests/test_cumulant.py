@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,3 +346,21 @@ def test_batch_members_must_share_the_pulse_shape():
     wider = PulseParams(amplitude=pulses[0].amplitude, center_ps=0.0, sigma_ps=0.030)
     with pytest.raises(ValueError, match="centre and width"):
         cumulant.simulate_energies(params[:2], [pulses[0], wider], config)
+
+
+def test_lsoda_work_arrays_do_not_outlive_the_solve():
+    # scipy's LSODA wrapper keeps its work arrays alive after the solver is
+    # gone; repeated batch solves must not accumulate them
+    params, pulses, _ = _b2_members()
+    config = SolverConfig(t_start_ps=-0.2, t_end_ps=0.3)
+    cumulant.simulate_energies(params[:4], pulses[:4], config)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            cumulant.simulate_energies(params[:4], pulses[:4], config)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # each leaked solve would hold three segments' rwork, about 0.13 MB
+    assert grown < 100_000, grown
