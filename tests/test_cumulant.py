@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -364,3 +365,9 @@ def test_lsoda_work_arrays_do_not_outlive_the_solve():
         tracemalloc.stop()
     # each leaked solve would hold three segments' rwork, about 0.13 MB
     assert grown < 100_000, grown
+
+
+def test_integration_error_survives_a_worker_process():
+    # a pool returns a worker's exception pickled; it must arrive whole
+    err = pickle.loads(pickle.dumps(IntegrationError("blew up", 0.25, member=3)))
+    assert (str(err), err.last_good_time_ps, err.member) == ("blew up", 0.25, 3)
