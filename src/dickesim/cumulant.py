@@ -512,7 +512,6 @@ def _segmented_solve(
     max_step_ps: float = math.inf,
     keep: np.ndarray | None = None,
     jac: Callable | None = None,
-    band: int | None = None,
     members: int = 1,
 ) -> tuple[np.ndarray, SolverStats]:
     """Adaptive integration sampled at ``times``, one row per grid point.
@@ -524,10 +523,11 @@ def _segmented_solve(
     LSODA does not accept.  After each step the step's dense output is
     evaluated at the grid points it covers (as ``solve_ivp(t_eval=...)``
     does) and only the state slots ``keep`` (default: all) are stored, so
-    neither interpolants nor unrequested columns outlive the step.  ``jac``
-    and ``band`` hand LSODA a banded Jacobian (lband = uband = band).  The
-    state of a batch holds ``members`` equal-sized members; a non-finite
-    derivative names the first offending one.
+    neither interpolants nor unrequested columns outlive the step.  The
+    state of a batch holds ``members`` equal-sized, uncoupled members;
+    ``jac`` then hands LSODA their block-diagonal Jacobian, packed with
+    lband = uband = member size - 1, and a non-finite derivative names the
+    first offending member.
 
     Returns the samples and the solver's work summed over the segments.
     """
@@ -560,6 +560,7 @@ def _segmented_solve(
 
     options = {"rtol": rel_tol, "atol": abs_tol}
     if jac is not None:
+        band = y0.size // members - 1
         options.update(jac=jac, lband=band, uband=band)
     stepper = _METHODS[method]
     keep = np.arange(y0.size) if keep is None else np.asarray(keep)
@@ -696,10 +697,9 @@ def simulate_energies(
             )
     size = len(params)
     if size == 1:
-        rhs, jac, band = _make_rhs(params[0], pulses[0], config.closure), None, None
+        rhs, jac = _make_rhs(params[0], pulses[0], config.closure), None
     else:
         rhs, jac = _batch_system(params, pulses, config.closure)
-        band = STATE_SIZE - 1
     times = output_grid(config)
     data, stats = _segmented_solve(
         rhs,
@@ -712,7 +712,6 @@ def simulate_energies(
         config.max_step_ps,
         keep=_SLOTS["c_z"][0] + STATE_SIZE * np.arange(size),
         jac=jac,
-        band=band,
         members=size,
     )
     traces = [
