@@ -9,9 +9,15 @@ master-equation propagator.
 
 Configuration comes from a flat ``key = value`` file with ``#`` comments.
 Keys are namespaced (``model.``, ``pulse.``, ``solver.``, plus a namespace
-per subcommand) and unknown keys are rejected outright.  Every run echoes
-its fully resolved configuration into the output directory so a result can
-always be traced back to exact inputs.
+per subcommand), and ``CONFIG_KEYS`` is the one table of them: each key
+sets one field of one section, through one parser.  ``parse_config``
+rejects a key outside the subcommand's namespaces or outside the table,
+and two keys that set the same field; then it parses every value, a
+failure reported as ``bad value for <key>``.  ``ModelParams``,
+``PulseParams``, ``SolverConfig`` and ``OracleConfig`` are built straight
+from their sections; only ``pulse.photon_ratio`` waits for N to become an
+amplitude.  Every run echoes its fully resolved configuration into the
+output directory so a result can always be traced back to exact inputs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 data
 error.
@@ -24,18 +30,12 @@ import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 from scipy.special import erfc
 
-from .cumulant import (
-    IntegrationError,
-    energy_trace,
-    integrate,
-    solver_config_from_config,
-    solver_config_keys,
-    write_trace_csv,
-)
+from .cumulant import IntegrationError, SolverConfig, energy_trace, integrate, write_trace_csv
 from .fit import (
     DataError,
     FitBoundaryError,
@@ -59,10 +59,11 @@ from .model import (
     ConfigError,
     HBAR_MEV_PS,
     ModelParams,
+    PulseParams,
+    drive_amplitude_from_photon_ratio,
     energy_density_from_inversion,
-    known_config_keys,
-    model_params_from_config,
-    pulse_params_from_config,
+    lifetime_ps_to_mev,
+    wavelength_nm_to_mev,
 )
 from .observables import (
     UndefinedMetricError,
@@ -115,45 +116,68 @@ def _parse_strings(raw: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
-_SWEEP_KEYS = {
-    "sweep.axis": str,
-    "sweep.grid": _parse_floats,
-    "sweep.start": float,
-    "sweep.stop": float,
-    "sweep.points": int,
-    "sweep.photon_ratio": float,
-    "sweep.lower_polariton": _parse_bool,
-}
+def _scaled(factor: float):
+    return lambda raw: float(raw) * factor
 
-_FIT_KEYS = {
-    "fit.datasets": _parse_strings,
-    "fit.labels": _parse_strings,
-    "fit.n_dye": _parse_floats,
-    "fit.photon_ratio": _parse_floats,
-    "fit.lifetime_fs": float,
-    "fit.pulse_sigma_fs": float,
-    "fit.grid_points": int,
-    "fit.g_bounds_neV": _parse_floats,
-    "fit.gamma0z_bounds_meV": _parse_floats,
-    "fit.gammaminus_bounds_meV": _parse_floats,
-    "fit.t0_range_fs": _parse_floats,
-    "fit.refine": _parse_bool,
-    "fit.synthetic": _parse_bool,
-    "fit.times_fs": _parse_floats,
-    "fit.noise_rms": float,
-    "fit.true_scale": float,
-    "fit.true_shift_fs": float,
-}
 
-_SPECTRUM_KEYS = {
-    "spectrum.span_meV": float,
-    "spectrum.points": int,
-}
-
-_ORACLE_KEYS = {
-    "oracle.n_max": int,
-    "oracle.initial_photons": int,
-    "oracle.top_level_tol": float,
+# key -> (section, field, parser).  A section is named after its namespace;
+# the model, pulse, solver and oracle fields are those of ModelParams,
+# PulseParams, SolverConfig and OracleConfig.  Keys that set the same field
+# are alternatives, listed in the order their conflict is reported.
+CONFIG_KEYS = {
+    "model.N": ("model", "n_molecules", float),
+    "model.g_neV": ("model", "g_mev", _scaled(1e-6)),
+    "model.kappa_meV": ("model", "kappa_mev", float),
+    "model.lifetime_fs": ("model", "kappa_mev", lambda raw: lifetime_ps_to_mev(float(raw) * 1e-3)),
+    "model.gamma0z_meV": ("model", "gamma0z_mev", float),
+    "model.N_ref": ("model", "n_ref", float),
+    "model.gamma_minus_meV": ("model", "gamma_minus_mev", float),
+    "model.delta_c_meV": ("model", "delta_c_mev", float),
+    "model.delta_a_meV": ("model", "delta_a_mev", float),
+    "model.omega_a_meV": ("model", "omega_a_mev", float),
+    "model.wavelength_nm": ("model", "omega_a_mev", lambda raw: wavelength_nm_to_mev(float(raw))),
+    "pulse.eta0": ("pulse", "amplitude", float),
+    # a photon ratio, turned into the amplitude once N is known
+    "pulse.photon_ratio": ("pulse", "amplitude", float),
+    "pulse.t0_fs": ("pulse", "center_ps", _scaled(1e-3)),
+    "pulse.sigma_fs": ("pulse", "sigma_ps", _scaled(1e-3)),
+    "pulse.response_fs": ("pulse", "response_ps", _scaled(1e-3)),
+    "solver.closure": ("solver", "closure", str),
+    "solver.t_start_ps": ("solver", "t_start_ps", float),
+    "solver.t_end_ps": ("solver", "t_end_ps", float),
+    "solver.output_dt_fs": ("solver", "output_dt_ps", _scaled(1e-3)),
+    "solver.rel_tol": ("solver", "rel_tol", float),
+    "solver.abs_tol": ("solver", "abs_tol", float),
+    "solver.max_step_fs": ("solver", "max_step_ps", _scaled(1e-3)),
+    "sweep.axis": ("sweep", "axis", str),
+    "sweep.grid": ("sweep", "grid", _parse_floats),
+    "sweep.start": ("sweep", "start", float),
+    "sweep.stop": ("sweep", "stop", float),
+    "sweep.points": ("sweep", "points", int),
+    "sweep.photon_ratio": ("sweep", "photon_ratio", float),
+    "sweep.lower_polariton": ("sweep", "lower_polariton", _parse_bool),
+    "fit.datasets": ("fit", "datasets", _parse_strings),
+    "fit.labels": ("fit", "labels", _parse_strings),
+    "fit.n_dye": ("fit", "n_dye", _parse_floats),
+    "fit.photon_ratio": ("fit", "photon_ratio", _parse_floats),
+    "fit.lifetime_fs": ("fit", "lifetime_fs", float),
+    "fit.pulse_sigma_fs": ("fit", "pulse_sigma_fs", float),
+    "fit.grid_points": ("fit", "grid_points", int),
+    "fit.g_bounds_neV": ("fit", "g_bounds_nev", _parse_floats),
+    "fit.gamma0z_bounds_meV": ("fit", "gamma0z_bounds_mev", _parse_floats),
+    "fit.gammaminus_bounds_meV": ("fit", "gamma_minus_bounds_mev", _parse_floats),
+    "fit.t0_range_fs": ("fit", "t0_range_fs", _parse_floats),
+    "fit.refine": ("fit", "refine", _parse_bool),
+    "fit.synthetic": ("fit", "synthetic", _parse_bool),
+    "fit.times_fs": ("fit", "times_fs", _parse_floats),
+    "fit.noise_rms": ("fit", "noise_rms", float),
+    "fit.true_scale": ("fit", "true_scale", float),
+    "fit.true_shift_fs": ("fit", "true_shift_fs", float),
+    "spectrum.span_meV": ("spectrum", "span_meV", float),
+    "spectrum.points": ("spectrum", "points", int),
+    "oracle.n_max": ("oracle", "n_max", int),
+    "oracle.initial_photons": ("oracle", "initial_photons", int),
+    "oracle.top_level_tol": ("oracle", "top_level_tol", float),
 }
 
 _COMMAND_NAMESPACES = {
@@ -188,33 +212,50 @@ def read_config_file(path) -> dict[str, str]:
     return cfg
 
 
-def _check_keys(cfg: dict[str, str], command: str) -> None:
+def parse_config(cfg: Mapping[str, str], command: str) -> dict[str, dict]:
+    """``{section: {field: value}}`` of ``cfg`` for ``command``, one section per namespace.
+
+    Every key must belong to one of the command's namespaces and to
+    ``CONFIG_KEYS``, and no two keys may set the same field; only then are
+    the values parsed.  Fields left out are absent from their section.
+    """
     namespaces = _COMMAND_NAMESPACES[command]
-    known = known_config_keys() | solver_config_keys()
-    known |= set(_SWEEP_KEYS) | set(_FIT_KEYS) | set(_SPECTRUM_KEYS) | set(_ORACLE_KEYS)
     for key in cfg:
         if not key.startswith(namespaces):
             raise ConfigError(
                 f"key {key!r} does not belong to the {command!r} command "
                 f"(accepted namespaces: {', '.join(namespaces)})"
             )
-        if key not in known:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
+    set_by: dict[tuple[str, str], str] = {}
+    for key in CONFIG_KEYS:
+        if key in cfg:
+            first = set_by.setdefault(CONFIG_KEYS[key][:2], key)
+            if first != key:
+                raise ConfigError(f"{first} and {key} are mutually exclusive")
+    sections: dict[str, dict] = {ns[:-1]: {} for ns in namespaces}
+    for (section, field), key in set_by.items():
+        try:
+            sections[section][field] = CONFIG_KEYS[key][2](cfg[key])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {cfg[key]!r} ({exc})") from None
+    return sections
 
 
-def _get(cfg: dict[str, str], key: str, table: dict, default=None):
-    if key not in cfg:
-        return default
-    try:
-        return table[key](cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {cfg[key]!r} ({exc})") from None
-
-
-def _require(cfg: dict[str, str], key: str, table: dict):
-    if key not in cfg:
+def _require(sections: dict[str, dict], key: str):
+    section, field, _ = CONFIG_KEYS[key]
+    if field not in sections[section]:
         raise ConfigError(f"missing required key {key!r}")
-    return _get(cfg, key, table)
+    return sections[section][field]
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError reported as a configuration error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _echo_config(out_dir: Path, command: str, sections: dict[str, dict]) -> None:
@@ -231,10 +272,15 @@ def _resolved(obj) -> dict:
     return dict(vars(obj))
 
 
-def _build_common(cfg: dict[str, str]):
-    params = model_params_from_config(cfg)
-    pulse = pulse_params_from_config(cfg, params)
-    solver = solver_config_from_config(cfg)
+def _build_common(cfg: Mapping[str, str], sections: dict[str, dict]):
+    params = _checked(ModelParams, **sections["model"])
+    pulse_fields = dict(sections["pulse"])
+    if "pulse.photon_ratio" in cfg:
+        pulse_fields["amplitude"] = _checked(
+            drive_amplitude_from_photon_ratio, pulse_fields["amplitude"], params.n_molecules
+        )
+    pulse = _checked(PulseParams, **pulse_fields)
+    solver = _checked(SolverConfig, **sections["solver"])
     return params, pulse, solver
 
 
@@ -242,8 +288,8 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def cmd_simulate(cfg: dict[str, str], out_dir: Path, args) -> int:
-    params, pulse, solver = _build_common(cfg)
+def cmd_simulate(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
+    params, pulse, solver = _build_common(cfg, sections)
     _echo_config(out_dir, "simulate", {
         "model": _resolved(params), "pulse": _resolved(pulse), "solver": _resolved(solver),
     })
@@ -280,21 +326,22 @@ def cmd_simulate(cfg: dict[str, str], out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict[str, str], out_dir: Path, args) -> int:
-    params, pulse, solver = _build_common(cfg)
-    axis = _require(cfg, "sweep.axis", _SWEEP_KEYS)
-    grid = _get(cfg, "sweep.grid", _SWEEP_KEYS)
+def cmd_sweep(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
+    params, pulse, solver = _build_common(cfg, sections)
+    section = sections["sweep"]
+    axis = _require(sections, "sweep.axis")
+    grid = section.get("grid")
     if grid is None:
-        start = _require(cfg, "sweep.start", _SWEEP_KEYS)
-        stop = _require(cfg, "sweep.stop", _SWEEP_KEYS)
-        points = _require(cfg, "sweep.points", _SWEEP_KEYS)
+        start = _require(sections, "sweep.start")
+        stop = _require(sections, "sweep.stop")
+        points = _require(sections, "sweep.points")
         if points < 1 or start <= 0 or stop <= start:
             raise ConfigError("sweep bounds need 0 < start < stop and points >= 1")
         grid = np.geomspace(start, stop, points)
-    elif {"sweep.start", "sweep.stop", "sweep.points"} & set(cfg):
+    elif {"start", "stop", "points"} & set(section):
         raise ConfigError("sweep.grid and sweep.start/stop/points are mutually exclusive")
-    photon_ratio = _get(cfg, "sweep.photon_ratio", _SWEEP_KEYS)
-    lower = _get(cfg, "sweep.lower_polariton", _SWEEP_KEYS, default=False)
+    photon_ratio = section.get("photon_ratio")
+    lower = section.get("lower_polariton", False)
     _echo_config(out_dir, "sweep", {
         "model": _resolved(params), "pulse": _resolved(pulse), "solver": _resolved(solver),
         "sweep": {
@@ -317,30 +364,31 @@ def cmd_sweep(cfg: dict[str, str], out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def _fit_datasets(cfg: dict[str, str], params, pulse, solver, seed: int):
-    if _get(cfg, "fit.synthetic", _FIT_KEYS, default=False):
-        times_spec = _get(cfg, "fit.times_fs", _FIT_KEYS, default=(-500.0, 1500.0, 4.0))
+def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
+    section = sections["fit"]
+    if section.get("synthetic", False):
+        times_spec = section.get("times_fs", (-500.0, 1500.0, 4.0))
         if len(times_spec) != 3 or times_spec[2] <= 0 or times_spec[1] <= times_spec[0]:
             raise ConfigError("fit.times_fs must be start, stop, step with stop > start")
         times = np.arange(times_spec[0], times_spec[1] + 0.5 * times_spec[2], times_spec[2])
         ds = make_synthetic_dataset(
             params, pulse, times,
-            true_scale=_get(cfg, "fit.true_scale", _FIT_KEYS, default=1.0),
-            true_shift_fs=_get(cfg, "fit.true_shift_fs", _FIT_KEYS, default=0.0),
-            noise_rms=_get(cfg, "fit.noise_rms", _FIT_KEYS, default=0.0),
+            true_scale=section.get("true_scale", 1.0),
+            true_shift_fs=section.get("true_shift_fs", 0.0),
+            noise_rms=section.get("noise_rms", 0.0),
             rng=np.random.default_rng(seed),
             solver=solver,
         )
         return [estimate_noise(ds)]
 
-    paths = _require(cfg, "fit.datasets", _FIT_KEYS)
-    labels = _get(cfg, "fit.labels", _FIT_KEYS)
+    paths = _require(sections, "fit.datasets")
+    labels = section.get("labels")
     if labels is None:
         labels = tuple(Path(p).stem for p in paths)
     if len(labels) != len(paths):
         raise ConfigError("fit.labels must match fit.datasets in length")
-    n_dyes = _get(cfg, "fit.n_dye", _FIT_KEYS, default=(None,) * len(paths))
-    ratios = _get(cfg, "fit.photon_ratio", _FIT_KEYS, default=(None,) * len(paths))
+    n_dyes = section.get("n_dye", (None,) * len(paths))
+    ratios = section.get("photon_ratio", (None,) * len(paths))
     if len(n_dyes) != len(paths) or len(ratios) != len(paths):
         raise ConfigError("fit.n_dye and fit.photon_ratio must match fit.datasets in length")
     datasets = []
@@ -352,50 +400,40 @@ def _fit_datasets(cfg: dict[str, str], params, pulse, solver, seed: int):
     return datasets
 
 
-# model keys the fit's table does not take: it is built at the ModelParams
-# defaults (resonant, omega_a = 2357 meV)
-_FIT_FIXED_MODEL_KEYS = {
-    "model.delta_c_meV": "delta_c_mev",
-    "model.delta_a_meV": "delta_a_mev",
-    "model.omega_a_meV": "omega_a_mev",
-    "model.wavelength_nm": "omega_a_mev",
-}
-
-
-def cmd_fit(cfg: dict[str, str], out_dir: Path, args) -> int:
-    params, pulse, solver = _build_common(cfg)
+def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
+    params, pulse, solver = _build_common(cfg, sections)
+    # the fit's table is built at the ModelParams defaults: resonant, omega_a = 2357 meV
     table = ModelParams()
-    for key, attr in _FIT_FIXED_MODEL_KEYS.items():
-        if key in cfg and getattr(params, attr) != getattr(table, attr):
+    for key in cfg:
+        section, field, _ = CONFIG_KEYS[key]
+        if (
+            section == "model" and field in ("delta_c_mev", "delta_a_mev", "omega_a_mev")
+            and getattr(params, field) != getattr(table, field)
+        ):
             raise ConfigError(
                 f"{key} = {cfg[key]} is not supported by fit, whose model table is resonant "
                 f"with omega_a = {table.omega_a_mev:g} meV; remove the key"
             )
-    datasets = _fit_datasets(cfg, params, pulse, solver, args.seed)
+    datasets = _fit_datasets(sections, params, pulse, solver, args.seed)
 
-    points = _get(cfg, "fit.grid_points", _FIT_KEYS, default=9)
+    section = sections["fit"]
+    points = section.get("grid_points", 9)
     bounds = {}
-    for key, name in (
-        ("fit.g_bounds_neV", "g_bounds_nev"),
-        ("fit.gamma0z_bounds_meV", "gamma0z_bounds_mev"),
-        ("fit.gammaminus_bounds_meV", "gamma_minus_bounds_mev"),
-    ):
-        pair = _get(cfg, key, _FIT_KEYS)
-        if pair is not None:
+    for key in ("fit.g_bounds_neV", "fit.gamma0z_bounds_meV", "fit.gammaminus_bounds_meV"):
+        name = CONFIG_KEYS[key][1]
+        if name in section:
+            pair = section[name]
             if len(pair) != 2:
                 raise ConfigError(f"{key} must be two numbers")
             bounds[name] = (pair[0], pair[1])
-    try:
-        grid = FitGrid.logspace(points=points, **bounds)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = _checked(FitGrid.logspace, points=points, **bounds)
 
-    lifetime_fs = _get(cfg, "fit.lifetime_fs", _FIT_KEYS, default=120.0)
-    sigma_fs = _get(cfg, "fit.pulse_sigma_fs", _FIT_KEYS, default=pulse.sigma_ps * 1e3)
-    t0_pair = _get(cfg, "fit.t0_range_fs", _FIT_KEYS, default=(-400.0, 400.0))
+    lifetime_fs = section.get("lifetime_fs", 120.0)
+    sigma_fs = section.get("pulse_sigma_fs", pulse.sigma_ps * 1e3)
+    t0_pair = section.get("t0_range_fs", (-400.0, 400.0))
     if len(t0_pair) != 2 or t0_pair[1] <= t0_pair[0]:
         raise ConfigError("fit.t0_range_fs must be lo, hi with hi > lo")
-    refine = _get(cfg, "fit.refine", _FIT_KEYS, default=False)
+    refine = section.get("refine", False)
 
     _echo_config(out_dir, "fit", {
         "model": _resolved(params), "pulse": _resolved(pulse), "solver": _resolved(solver),
@@ -451,13 +489,13 @@ def cmd_fit(cfg: dict[str, str], out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: dict[str, str], out_dir: Path, args) -> int:
-    params = model_params_from_config(cfg)
-    span = _get(cfg, "spectrum.span_meV", _SPECTRUM_KEYS)
+def cmd_spectrum(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
+    params = _checked(ModelParams, **sections["model"])
+    span = sections["spectrum"].get("span_meV")
     if span is None:
         scale = max(params.g_mev * np.sqrt(params.n_molecules), params.kappa_mev)
         span = 4.0 * scale
-    points = _get(cfg, "spectrum.points", _SPECTRUM_KEYS, default=2001)
+    points = sections["spectrum"].get("points", 2001)
     if span <= 0 or points < 3:
         raise ConfigError("spectrum needs span_meV > 0 and points >= 3")
     _echo_config(out_dir, "spectrum", {
@@ -481,13 +519,9 @@ def cmd_spectrum(cfg: dict[str, str], out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_check(cfg: dict[str, str], out_dir: Path, args) -> int:
-    params, pulse, solver = _build_common(cfg)
-    oracle = OracleConfig(
-        n_max=_get(cfg, "oracle.n_max", _ORACLE_KEYS, default=8),
-        initial_photons=_get(cfg, "oracle.initial_photons", _ORACLE_KEYS, default=0),
-        top_level_tol=_get(cfg, "oracle.top_level_tol", _ORACLE_KEYS, default=1e-6),
-    )
+def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
+    params, pulse, solver = _build_common(cfg, sections)
+    oracle = _checked(OracleConfig, **sections["oracle"])
     _echo_config(out_dir, "oracle-check", {
         "model": _resolved(params), "pulse": _resolved(pulse), "solver": _resolved(solver),
         "oracle": _resolved(oracle),
@@ -594,12 +628,12 @@ def main(argv=None) -> int:
     logging.getLogger("dickesim").setLevel(args.log_level)
     try:
         cfg = read_config_file(args.config)
-        _check_keys(cfg, args.command)
+        sections = parse_config(cfg, args.command)
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, args)
+        return _COMMANDS[args.command](cfg, sections, out_dir, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -37,14 +37,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import LSODA, RK45
 
 from .model import (
     HBAR_MEV_PS,
-    ConfigError,
     ModelParams,
     PulseParams,
     energy_density_from_inversion,
@@ -141,39 +140,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.max_step_ps <= 0:
             raise ValueError("max_step_ps must be positive")
-
-
-_SOLVER_KEYS = {
-    "solver.closure": ("closure", str),
-    "solver.t_start_ps": ("t_start_ps", float),
-    "solver.t_end_ps": ("t_end_ps", float),
-    "solver.output_dt_fs": ("output_dt_ps", lambda s: float(s) * 1e-3),
-    "solver.rel_tol": ("rel_tol", float),
-    "solver.abs_tol": ("abs_tol", float),
-    "solver.max_step_fs": ("max_step_ps", lambda s: float(s) * 1e-3),
-}
-
-
-def solver_config_from_config(cfg: Mapping[str, str]) -> SolverConfig:
-    kwargs = {}
-    for key, raw in cfg.items():
-        if not key.startswith("solver."):
-            continue
-        if key not in _SOLVER_KEYS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        attr, conv = _SOLVER_KEYS[key]
-        try:
-            kwargs[attr] = conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def solver_config_keys() -> set[str]:
-    return set(_SOLVER_KEYS)
 
 
 @dataclass(frozen=True)

@@ -387,6 +387,9 @@ class FitGrid:
         gamma_minus_bounds_mev: tuple[float, float] = (0.001, 1.0),
         points: int = 9,
     ) -> "FitGrid":
+        if points < 1:
+            raise ValueError(f"points must be at least 1, got {points}")
+
         def axis(lo, hi):
             if not (0 < lo < hi):
                 raise ValueError(f"bad axis bounds ({lo}, {hi})")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -204,104 +203,3 @@ def photons_in_cavity(pump_photons: float, reflectivity: float) -> float:
     if not (0.0 <= reflectivity <= 1.0):
         raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
     return pump_photons * (1.0 - reflectivity)
-
-
-# --- flat key=value configuration ------------------------------------------
-#
-# The CLI reads files of "namespace.key = value" lines.  Each namespace is
-# parsed here so the defaults live next to the dataclasses they fill.
-
-_MODEL_KEYS = {
-    "model.N": ("n_molecules", float),
-    "model.g_neV": ("g_mev", lambda s: float(s) * 1e-6),
-    "model.kappa_meV": ("kappa_mev", float),
-    "model.lifetime_fs": ("kappa_mev", lambda s: lifetime_ps_to_mev(float(s) * 1e-3)),
-    "model.gamma0z_meV": ("gamma0z_mev", float),
-    "model.N_ref": ("n_ref", float),
-    "model.gamma_minus_meV": ("gamma_minus_mev", float),
-    "model.delta_c_meV": ("delta_c_mev", float),
-    "model.delta_a_meV": ("delta_a_mev", float),
-    "model.omega_a_meV": ("omega_a_mev", float),
-    "model.wavelength_nm": ("omega_a_mev", lambda s: wavelength_nm_to_mev(float(s))),
-}
-
-_PULSE_KEYS = {
-    "pulse.eta0": ("amplitude", float),
-    "pulse.t0_fs": ("center_ps", lambda s: float(s) * 1e-3),
-    "pulse.sigma_fs": ("sigma_ps", lambda s: float(s) * 1e-3),
-    "pulse.response_fs": ("response_ps", lambda s: float(s) * 1e-3),
-}
-
-_EXCLUSIVE_PAIRS = (
-    ("model.kappa_meV", "model.lifetime_fs"),
-    ("model.omega_a_meV", "model.wavelength_nm"),
-    ("pulse.eta0", "pulse.photon_ratio"),
-)
-
-
-def _convert(key: str, raw: str, conv) -> object:
-    try:
-        return conv(raw)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
-
-
-def model_params_from_config(cfg: Mapping[str, str]) -> ModelParams:
-    """Build ModelParams from the ``model.`` namespace of a flat config.
-
-    Unknown ``model.`` keys are rejected rather than ignored; a silently
-    misspelled rate is the worst failure mode a fitting run can have.
-    """
-    for a, b in _EXCLUSIVE_PAIRS[:2]:
-        if a in cfg and b in cfg:
-            raise ConfigError(f"{a} and {b} are mutually exclusive")
-    kwargs = {}
-    for key, raw in cfg.items():
-        if not key.startswith("model."):
-            continue
-        if key not in _MODEL_KEYS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        attr, conv = _MODEL_KEYS[key]
-        kwargs[attr] = _convert(key, raw, conv)
-    try:
-        return ModelParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def pulse_params_from_config(cfg: Mapping[str, str], params: ModelParams | None = None) -> PulseParams:
-    """Build PulseParams from the ``pulse.`` namespace.
-
-    ``pulse.photon_ratio`` sets the amplitude via eta0 = sqrt(r N) and needs
-    the model parameters for N; it is mutually exclusive with ``pulse.eta0``.
-    """
-    if "pulse.eta0" in cfg and "pulse.photon_ratio" in cfg:
-        raise ConfigError("pulse.eta0 and pulse.photon_ratio are mutually exclusive")
-    kwargs = {}
-    for key, raw in cfg.items():
-        if not key.startswith("pulse."):
-            continue
-        if key == "pulse.photon_ratio":
-            if params is None:
-                raise ConfigError("pulse.photon_ratio requires model parameters")
-            ratio = _convert(key, raw, float)
-            try:
-                kwargs["amplitude"] = drive_amplitude_from_photon_ratio(ratio, params.n_molecules)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            continue
-        if key not in _PULSE_KEYS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        attr, conv = _PULSE_KEYS[key]
-        kwargs[attr] = _convert(key, raw, conv)
-    try:
-        return PulseParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def known_config_keys() -> set[str]:
-    """Every model./pulse. key the parsers accept (for CLI validation)."""
-    return set(_MODEL_KEYS) | set(_PULSE_KEYS) | {"pulse.photon_ratio"}

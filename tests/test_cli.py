@@ -2,21 +2,36 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
+import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dickesim import cli, fit
 from dickesim.cli import (
+    CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
     main,
+    parse_config,
     read_config_file,
+)
+from dickesim.cumulant import SolverConfig
+from dickesim.lindblad import OracleConfig
+from dickesim.model import (
+    HBAR_MEV_PS,
+    ConfigError,
+    ModelParams,
+    PulseParams,
+    wavelength_nm_to_mev,
 )
 
 A1_CFG = """\
@@ -65,6 +80,94 @@ class TestConfigParsing:
         with pytest.raises(Exception, match="c.cfg:1"):
             read_config_file(p)
 
+    def test_config_round_trip_with_lifetime_and_ratio(self):
+        cfg = {
+            "model.N": "8.08e10",
+            "model.g_neV": "10.6",
+            "model.lifetime_fs": "120",
+            "model.gamma0z_meV": "1.68",
+            "model.gamma_minus_meV": "0.0141",
+            "pulse.photon_ratio": "0.25",
+            "pulse.sigma_fs": "20",
+        }
+        params, pulse, _ = build_common(cfg)
+        assert params.kappa_mev == pytest.approx(HBAR_MEV_PS / 0.120)
+        assert params.g_mev == pytest.approx(10.6e-6)
+        assert pulse.amplitude == pytest.approx(math.sqrt(0.25 * 8.08e10))
+        assert pulse.sigma_ps == pytest.approx(0.020)
+
+    def test_config_rejects_unknown_and_conflicting_keys(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            parse_config({"model.gnev": "1"}, "simulate")
+        with pytest.raises(ConfigError, match="mutually exclusive"):
+            parse_config({"model.kappa_meV": "5", "model.lifetime_fs": "120"}, "simulate")
+        with pytest.raises(ConfigError, match="mutually exclusive"):
+            parse_config({"pulse.eta0": "1", "pulse.photon_ratio": "0.1"}, "simulate")
+        with pytest.raises(ConfigError, match="bad value"):
+            parse_config({"model.N": "many"}, "simulate")
+
+    def test_wavelength_key_sets_transition_energy(self):
+        params, _, _ = build_common({"model.wavelength_nm": "526"})
+        assert params.omega_a_mev == pytest.approx(wavelength_nm_to_mev(526.0))
+
+    def test_known_keys_cover_both_namespaces(self):
+        keys = set(CONFIG_KEYS)
+        assert "model.N" in keys and "pulse.eta0" in keys and "pulse.photon_ratio" in keys
+
+    def test_solver_config_parsing_and_rejection(self):
+        _, _, cfg = build_common({
+            "solver.t_start_ps": "-0.3",
+            "solver.t_end_ps": "2.5",
+            "solver.output_dt_fs": "4",
+            "solver.rel_tol": "1e-9",
+        })
+        assert cfg.t_end_ps == pytest.approx(2.5)
+        assert cfg.output_dt_ps == pytest.approx(0.004)
+        assert cfg.rel_tol == pytest.approx(1e-9)
+        with pytest.raises(ConfigError):
+            build_common({"solver.t_stop_ps": "2"})
+        with pytest.raises(ConfigError):
+            build_common({"solver.t_start_ps": "3", "solver.t_end_ps": "1"})
+        with pytest.raises(ValueError):
+            SolverConfig(closure="exact")
+
+
+def build_common(cfg):
+    """(ModelParams, PulseParams, SolverConfig) of a ``simulate`` config."""
+    return cli._build_common(cfg, parse_config(cfg, "simulate"))
+
+
+class TestRegistry:
+    def test_fields_belong_to_their_classes(self):
+        classes = {"model": ModelParams, "pulse": PulseParams, "solver": SolverConfig, "oracle": OracleConfig}
+        for key, (section, field, _) in CONFIG_KEYS.items():
+            assert key.startswith(section + "."), key
+            if section in classes:
+                assert field in {f.name for f in dataclasses.fields(classes[section])}, key
+
+    def test_every_section_is_used_by_a_command(self):
+        used = {ns[:-1] for namespaces in cli._COMMAND_NAMESPACES.values() for ns in namespaces}
+        assert {section for section, _, _ in CONFIG_KEYS.values()} <= used
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.findall(r"^\| `(\w+\.\w+)` \|", readme, flags=re.MULTILINE)
+        assert sorted(listed) == sorted(CONFIG_KEYS)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [("model.kappa_meV = 5", "model.lifetime_fs = 120"),
+         ("model.omega_a_meV = 2357", "model.wavelength_nm = 526"),
+         ("pulse.eta0 = 0.1", "pulse.photon_ratio = 0.1")],
+        ids=["kappa-lifetime", "omega-wavelength", "eta0-ratio"],
+    )
+    def test_alternative_keys_are_mutually_exclusive(self, tmp_path, capsys, pair):
+        cfg = write_cfg(tmp_path, "\n".join(pair) + "\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"{pair[0].split(' = ')[0]} and {pair[1].split(' = ')[0]} are mutually exclusive" in (
+            capsys.readouterr().err
+        )
+
 
 class TestSimulate:
     def test_outputs_and_reported_metrics(self, a1_run):
@@ -103,6 +206,21 @@ class TestSimulate:
             assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
+SYNTHETIC_FIT_CFG = """\
+model.N = 8.08e10
+model.g_neV = 10.6
+model.lifetime_fs = 120
+model.gamma0z_meV = 1.68
+model.gamma_minus_meV = 0.0141
+pulse.sigma_fs = 20
+pulse.photon_ratio = 0.121287128712871
+pulse.response_fs = 120
+fit.synthetic = true
+fit.times_fs = -500, 1500, 8
+fit.noise_rms = 0.02
+"""
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "cfg_text",
@@ -119,6 +237,19 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, cfg_text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, cfg_text, message",
+        [
+            ("oracle-check", A1_CFG + "oracle.n_max = 0\n", "n_max must be at least 1"),
+            ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 0\n", "points must be at least 1"),
+        ],
+        ids=["oracle-n-max", "fit-grid-points"],
+    )
+    def test_bad_command_configuration_exits_2(self, tmp_path, capsys, command, cfg_text, message):
+        cfg = write_cfg(tmp_path, cfg_text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path)])
@@ -235,21 +366,6 @@ sweep.points = 2
 """)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "mutually exclusive" in capsys.readouterr().err
-
-
-SYNTHETIC_FIT_CFG = """\
-model.N = 8.08e10
-model.g_neV = 10.6
-model.lifetime_fs = 120
-model.gamma0z_meV = 1.68
-model.gamma_minus_meV = 0.0141
-pulse.sigma_fs = 20
-pulse.photon_ratio = 0.121287128712871
-pulse.response_fs = 120
-fit.synthetic = true
-fit.times_fs = -500, 1500, 8
-fit.noise_rms = 0.02
-"""
 
 
 class TestFit:

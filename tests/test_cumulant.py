@@ -22,10 +22,8 @@ from dickesim.cumulant import (
     moment,
     output_grid,
     simulate_energy,
-    solver_config_from_config,
 )
 from dickesim.model import (
-    ConfigError,
     HBAR_MEV_PS,
     ModelParams,
     PulseParams,
@@ -170,24 +168,6 @@ def test_simulate_energy_starts_from_zero():
     assert trace.energy_mev[0] == pytest.approx(0.0, abs=1e-12)
     assert trace.n_molecules == SMALL_N.n_molecules
     assert np.max(trace.energy_mev) > 0.0
-
-
-def test_solver_config_parsing_and_rejection():
-    cfg = solver_config_from_config({
-        "solver.t_start_ps": "-0.3",
-        "solver.t_end_ps": "2.5",
-        "solver.output_dt_fs": "4",
-        "solver.rel_tol": "1e-9",
-    })
-    assert cfg.t_end_ps == pytest.approx(2.5)
-    assert cfg.output_dt_ps == pytest.approx(0.004)
-    assert cfg.rel_tol == pytest.approx(1e-9)
-    with pytest.raises(ConfigError):
-        solver_config_from_config({"solver.t_stop_ps": "2"})
-    with pytest.raises(ConfigError):
-        solver_config_from_config({"solver.t_start_ps": "3", "solver.t_end_ps": "1"})
-    with pytest.raises(ValueError):
-        SolverConfig(closure="exact")
 
 
 def test_integration_is_deterministic():

@@ -1,4 +1,4 @@
-"""Units, parameter containers and flat-config parsing."""
+"""Units and parameter containers."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim.model import (
-    ConfigError,
     HBAR_MEV_PS,
     ModelParams,
     PulseParams,
@@ -19,12 +18,9 @@ from dickesim.model import (
     energy_density_from_inversion,
     estimate_molecule_count,
     gamma_total,
-    known_config_keys,
     lifetime_ps_to_mev,
-    model_params_from_config,
     photons_in_cavity,
     pulse_envelope,
-    pulse_params_from_config,
     wavelength_nm_to_mev,
 )
 
@@ -134,43 +130,3 @@ def test_photons_in_cavity_reflection_correction():
     with pytest.raises(ValueError):
         photons_in_cavity(1e10, 1.5)
 
-
-def test_config_round_trip_with_lifetime_and_ratio():
-    cfg = {
-        "model.N": "8.08e10",
-        "model.g_neV": "10.6",
-        "model.lifetime_fs": "120",
-        "model.gamma0z_meV": "1.68",
-        "model.gamma_minus_meV": "0.0141",
-        "pulse.photon_ratio": "0.25",
-        "pulse.sigma_fs": "20",
-    }
-    params = model_params_from_config(cfg)
-    pulse = pulse_params_from_config(cfg, params)
-    assert params.kappa_mev == pytest.approx(HBAR_MEV_PS / 0.120)
-    assert params.g_mev == pytest.approx(10.6e-6)
-    assert pulse.amplitude == pytest.approx(math.sqrt(0.25 * 8.08e10))
-    assert pulse.sigma_ps == pytest.approx(0.020)
-
-
-def test_config_rejects_unknown_and_conflicting_keys():
-    with pytest.raises(ConfigError, match="unknown"):
-        model_params_from_config({"model.gnev": "1"})
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        model_params_from_config({"model.kappa_meV": "5", "model.lifetime_fs": "120"})
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        pulse_params_from_config({"pulse.eta0": "1", "pulse.photon_ratio": "0.1"})
-    with pytest.raises(ConfigError, match="requires model parameters"):
-        pulse_params_from_config({"pulse.photon_ratio": "0.1"})
-    with pytest.raises(ConfigError, match="bad value"):
-        model_params_from_config({"model.N": "many"})
-
-
-def test_wavelength_key_sets_transition_energy():
-    params = model_params_from_config({"model.wavelength_nm": "526"})
-    assert params.omega_a_mev == pytest.approx(wavelength_nm_to_mev(526.0))
-
-
-def test_known_keys_cover_both_namespaces():
-    keys = known_config_keys()
-    assert "model.N" in keys and "pulse.eta0" in keys and "pulse.photon_ratio" in keys
