@@ -456,18 +456,21 @@ def trace_window(
     lifetime_ps: float,
     pulse_sigma_ps: float,
     t0_range_fs: tuple[float, float],
+    center_ps: float = 0.0,
 ) -> tuple[float, float]:
-    """Simulation window (t_start_ps, t_end_ps) a fit of ``datasets`` needs.
+    """Simulation window (t_start_ps, t_end_ps) a model of ``datasets`` needs.
 
     It covers every sample over the whole shift range, padded by five
-    cavity lifetimes (the default detector width) plus 50 fs so the edges
-    of the response convolution stay outside it, and starts no later than
-    the pulse's leading edge.
+    times the widest detector response (a dataset without its own takes
+    the cavity lifetime) plus 50 fs so the edges of the response
+    convolution stay outside it, and starts no later than the leading edge
+    of the pulse centred at ``center_ps``.
     """
     lo_ps = min(ds.times_fs[0] for ds in datasets) * 1e-3 + t0_range_fs[0] * 1e-3
     hi_ps = max(ds.times_fs[-1] for ds in datasets) * 1e-3 + t0_range_fs[1] * 1e-3
-    pad = 5.0 * lifetime_ps + 0.05
-    return min(lo_ps - pad, -8.0 * pulse_sigma_ps), hi_ps + pad
+    response_ps = max(lifetime_ps if ds.response_ps is None else ds.response_ps for ds in datasets)
+    pad = 5.0 * response_ps + 0.05
+    return min(lo_ps - pad, center_ps - 8.0 * pulse_sigma_ps), hi_ps + pad
 
 
 # largest number of members integrated as one stacked system.  One LSODA
@@ -811,33 +814,28 @@ def make_synthetic_dataset(
 ) -> ExperimentDataset:
     """Generate a transient the fit should invert: d = E(t + T_0)/S + noise.
 
-    The model is simulated, convolved with the pulse's detector response and
-    sampled at the requested times.  Useful for self-consistency tests and
-    for exercising the pipeline without measured data.
+    The model is simulated over the ``trace_window`` of the samples at the
+    shift T_0, convolved with the pulse's detector response and sampled at
+    the requested times.  ``solver`` supplies the closure, tolerances and
+    output step; its own window is ignored.  Useful for self-consistency
+    tests and for exercising the pipeline without measured data.
     """
-    times_fs = np.asarray(times_fs, dtype=float)
-    if solver is None:
-        t_lo = times_fs[0] * 1e-3 + true_shift_fs * 1e-3 - 5.0 * pulse.response_ps - 0.05
-        t_hi = times_fs[-1] * 1e-3 + true_shift_fs * 1e-3 + 5.0 * pulse.response_ps + 0.05
-        solver = SolverConfig(
-            t_start_ps=min(t_lo, pulse.center_ps - 8.0 * pulse.sigma_ps),
-            t_end_ps=t_hi,
-        )
+    dataset = ExperimentDataset(
+        label, times_fs, np.zeros(np.shape(times_fs)), params.n_molecules,
+        pulse.amplitude ** 2 / params.n_molecules, response_ps=pulse.response_ps,
+    )
+    t_start, t_end = trace_window(
+        [dataset], pulse.response_ps, pulse.sigma_ps, (true_shift_fs, true_shift_fs), pulse.center_ps
+    )
+    solver = replace(solver or SolverConfig(), t_start_ps=t_start, t_end_ps=t_end)
     trace = convolve_response(simulate_energy(params, pulse, solver), pulse.response_ps)
-    clean = np.interp(times_fs * 1e-3 + true_shift_fs * 1e-3, trace.times_ps, trace.energy_mev)
+    clean = np.interp(dataset.times_fs * 1e-3 + true_shift_fs * 1e-3, trace.times_ps, trace.energy_mev)
     d = clean / true_scale
     if noise_rms > 0.0:
         if rng is None:
             rng = np.random.default_rng()
         d = d + rng.normal(scale=noise_rms, size=d.size)
-    return ExperimentDataset(
-        label=label,
-        times_fs=times_fs,
-        signal=d,
-        n_dye=params.n_molecules,
-        photon_ratio=pulse.amplitude ** 2 / params.n_molecules,
-        response_ps=pulse.response_ps,
-    )
+    return replace(dataset, signal=d)
 
 
 def write_map_csv(path, result: FitResult) -> None:

@@ -27,9 +27,10 @@ from dickesim.fit import (
     residuals,
     write_map_csv,
 )
-from dickesim.fit import _window_sigma
+from dickesim.cumulant import simulate_energy
+from dickesim.fit import _member_tasks, _window_sigma
 from dickesim.model import ModelParams, PulseParams, drive_amplitude_from_photon_ratio
-from dickesim.observables import EnergyTrace
+from dickesim.observables import EnergyTrace, convolve_response
 
 
 def write_two_columns(path, times, signal, header="", sep=" "):
@@ -420,6 +421,44 @@ def synthetic_problem(noise_rms=0.02, seed=11, true_scale=1.0, true_shift_fs=30.
         gamma_minus_mev=np.array([0.0141 / span, 0.0141, 0.0141 * span]),
     )
     return ds, grid
+
+
+class TestTraceWindow:
+    def test_synthetic_data_ignore_the_solver_window(self):
+        # the default solver window ends at 3.5 ps; samples past it were once
+        # read off the trace's last value
+        n = 8.08e10
+        params = ModelParams(n_molecules=n)
+        pulse = PulseParams(amplitude=drive_amplitude_from_photon_ratio(0.98 / 8.08, n))
+        times_fs = np.arange(-500.0, 5000.0 + 2.0, 4.0)
+        ds = make_synthetic_dataset(params, pulse, times_fs, solver=SolverConfig())
+        wide = convolve_response(
+            simulate_energy(params, pulse, SolverConfig(t_start_ps=-1.5, t_end_ps=6.5)), pulse.response_ps
+        )
+        reference = np.interp(times_fs * 1e-3, wide.times_ps, wide.energy_mev)
+        assert np.max(np.abs(ds.signal - reference)) <= 1e-5 * np.max(reference)
+
+    def test_window_is_padded_by_the_widest_response(self):
+        # a 400 fs detector response with a 120 fs lifetime: the convolution's
+        # edge continuation must stay outside the samples and the shift range
+        times_fs = np.arange(-500.0, 1500.0 + 4.0, 8.0)
+        ds = ExperimentDataset("A2", times_fs, np.zeros(times_fs.size), 8.08e10, 0.98 / 8.08, response_ps=0.4)
+        grid = FitGrid(g_nev=np.array([10.6]), gamma0z_mev=np.array([1.68]), gamma_minus_mev=np.array([0.0141]))
+        t0_range_fs = (-400.0, 400.0)
+        table = model_traces([ds], grid, 120.0, t0_range_fs=t0_range_fs)[(0, 0, 0, 0)]
+        params, pulse, solver, response_ps = _member_tasks([ds], grid, 120.0, 0.020, 8.08e10, None, t0_range_fs)[
+            (0, 0, 0, 0)
+        ]
+        # the same start, so the same output grid, and 3 ps more at the end
+        wide = convolve_response(
+            simulate_energy(params, pulse, replace(solver, t_end_ps=solver.t_end_ps + 3.0)), response_ps
+        )
+        assert np.array_equal(wide.times_ps[: table.times_ps.size], table.times_ps)
+        used = (table.times_ps >= (times_fs[0] + t0_range_fs[0]) * 1e-3) & (
+            table.times_ps <= (times_fs[-1] + t0_range_fs[1]) * 1e-3
+        )
+        deviation = np.abs(table.energy_mev - wide.energy_mev[: table.times_ps.size])[used]
+        assert np.max(deviation) <= 1e-6 * np.max(wide.energy_mev)
 
 
 class TestGlobalFit:
