@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.special import erfc
 
 from .cumulant import IntegrationError, SolverConfig, energy_trace, integrate, write_trace_csv
 from .fit import (
@@ -57,10 +56,10 @@ from .lindblad import (
 )
 from .model import (
     ConfigError,
-    HBAR_MEV_PS,
     ModelParams,
     PulseParams,
     drive_amplitude_from_photon_ratio,
+    empty_cavity_amplitude,
     energy_density_from_inversion,
     lifetime_ps_to_mev,
     wavelength_nm_to_mev,
@@ -391,11 +390,11 @@ def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
     ratios = section.get("photon_ratio", (None,) * len(paths))
     if len(n_dyes) != len(paths) or len(ratios) != len(paths):
         raise ConfigError("fit.n_dye and fit.photon_ratio must match fit.datasets in length")
+    # without pulse.response_fs a dataset's response is the table's lifetime
+    response_ps = sections["pulse"].get("response_ps")
     datasets = []
     for path, label, n_dye, ratio in zip(paths, labels, n_dyes, ratios):
-        ds = load_dataset(
-            path, label, n_dye=n_dye, photon_ratio=ratio, response_ps=pulse.response_ps
-        )
+        ds = load_dataset(path, label, n_dye=n_dye, photon_ratio=ratio, response_ps=response_ps)
         datasets.append(estimate_noise(ds))
     return datasets
 
@@ -568,14 +567,7 @@ def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir:
 
     g0 = replace(params, g_mev=0.0, delta_c_mev=0.0)
     trace = integrate(g0, pulse, solver)
-    k = 0.5 * g0.kappa_mev / HBAR_MEV_PS
-    t = trace.times_ps
-    u = (t - pulse.center_ps - k * pulse.sigma_ps ** 2) / pulse.sigma_ps
-    closed = (
-        pulse.amplitude
-        * np.exp(-k * (t - pulse.center_ps) + 0.5 * (k * pulse.sigma_ps) ** 2)
-        * 0.5 * erfc(-u / np.sqrt(2.0))
-    )
+    closed = empty_cavity_amplitude(g0.kappa_mev, pulse, trace.times_ps)
     dev = float(np.max(np.abs(trace.c_a - closed)))
     limit = 10.0 * max(solver.rel_tol * pulse.amplitude, solver.abs_tol)
     passed = dev <= limit

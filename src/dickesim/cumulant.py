@@ -28,13 +28,12 @@ a banded block Jacobian central-differenced in one evaluation; LSODA's
 error test is a weighted max-norm, so each member keeps its own
 tolerance.  The fit's model table uses it; the single-trace path
 (``integrate``, ``simulate_energy``) stays scalar.  One stepping loop,
-``_segmented_solve``, serves every integration: it keeps only the
-requested state slots at the grid points and reports the solver's work.
+``_segmented_solve``, serves every integration: it hands each step's
+samples to the caller's reduction and reports the solver's work.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,13 +43,12 @@ from scipy.integrate import LSODA, RK45
 
 from .model import (
     HBAR_MEV_PS,
+    PULSE_SUPPORT_SIGMAS,
     ModelParams,
     PulseParams,
     energy_density_from_inversion,
     gamma_total,
 )
-
-logger = logging.getLogger(__name__)
 
 # state vector layout in storage order: (name, offset, is_complex); a
 # complex moment is stored as its (re, im) pair.  Pair moments are between
@@ -449,6 +447,9 @@ class SolverStats:
 
 
 _METHODS = {"LSODA": LSODA, "RK45": RK45}
+# grid points pending before ``_segmented_solve`` reduces them: a strongly
+# driven oracle run samples once per short step, and one call each costs more
+_REDUCE_BATCH = 32
 
 
 def _release_lsoda_work(solver) -> None:
@@ -476,7 +477,7 @@ def _segmented_solve(
     abs_tol: float,
     method: str,
     max_step_ps: float = math.inf,
-    keep: np.ndarray | None = None,
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda t, states: states,
     jac: Callable | None = None,
     members: int = 1,
 ) -> tuple[np.ndarray, SolverStats]:
@@ -488,19 +489,22 @@ def _segmented_solve(
     for the real moment state, "RK45" for the complex density matrix, which
     LSODA does not accept.  After each step the step's dense output is
     evaluated at the grid points it covers (as ``solve_ivp(t_eval=...)``
-    does) and only the state slots ``keep`` (default: all) are stored, so
-    neither interpolants nor unrequested columns outlive the step.  The
-    state of a batch holds ``members`` equal-sized, uncoupled members;
+    does).  Once ``_REDUCE_BATCH`` grid points are pending, and at the end,
+    ``reduce(t, states)`` maps them and their (len(t), state size) states
+    to the rows the caller keeps (default: the whole state), so no
+    interpolant outlives its step and no state outlives its reduction.
+    The state of a batch holds ``members`` equal-sized, uncoupled members;
     ``jac`` then hands LSODA their block-diagonal Jacobian, packed with
     lband = uband = member size - 1, and a non-finite derivative names the
     first offending member.
 
-    Returns the samples and the solver's work summed over the segments.
+    Returns the rows of all grid points and the solver's work summed over
+    the segments.
     """
     t_start = float(times[0])
     t_end = float(times[-1])
-    pulse_lo = pulse.center_ps - 8.0 * pulse.sigma_ps
-    pulse_hi = pulse.center_ps + 8.0 * pulse.sigma_ps
+    pulse_lo = pulse.center_ps - PULSE_SUPPORT_SIGMAS * pulse.sigma_ps
+    pulse_hi = pulse.center_ps + PULSE_SUPPORT_SIGMAS * pulse.sigma_ps
     edges = [t_start]
     for edge in (pulse_lo, pulse_hi):
         if t_start < edge < t_end:
@@ -529,9 +533,16 @@ def _segmented_solve(
         band = y0.size // members - 1
         options.update(jac=jac, lband=band, uband=band)
     stepper = _METHODS[method]
-    keep = np.arange(y0.size) if keep is None else np.asarray(keep)
     n_out = times.size
-    data = np.empty((n_out, keep.size), dtype=y0.dtype)
+    rows = []
+    pending = []
+
+    def flush() -> None:
+        if pending:
+            t, states = zip(*pending)
+            rows.append(reduce(np.concatenate(t), np.concatenate(states)))
+            pending.clear()
+
     filled = 0
     stats = SolverStats()
     y = y0
@@ -565,9 +576,12 @@ def _segmented_solve(
                 reached = int(np.searchsorted(t_eval, solver.t, side="right"))
                 if reached > done:
                     values = solver.dense_output()(t_eval[done:reached])
-                    rows = min(reached, hi - filled) - done
-                    if rows > 0:
-                        data[filled + done:filled + done + rows] = values[keep, :rows].T
+                    count = min(reached, hi - filled) - done
+                    if count > 0:
+                        first = filled + done
+                        pending.append((times[first:first + count], values[:, :count].T))
+                        if sum(len(t) for t, _ in pending) >= _REDUCE_BATCH:
+                            flush()
                     if reached == t_eval.size:
                         y = values[:, -1]
                     done = reached
@@ -580,6 +594,8 @@ def _segmented_solve(
                 f"state became non-finite near t = {b:g} ps",
                 last_good_time_ps=float(a),
             )
+    flush()
+    data = np.concatenate(rows)
     if not np.all(np.isfinite(data)):
         bad = int(np.argmax(~np.isfinite(data).all(axis=1)))
         raise IntegrationError(
@@ -612,7 +628,6 @@ def energy_trace(trace: MomentTrace, params: ModelParams):
     return EnergyTrace(
         times_ps=trace.times_ps,
         energy_mev=energy_density_from_inversion(trace.c_z, params.omega_a_mev),
-        photons=trace.c_n,
         n_molecules=params.n_molecules,
     )
 
@@ -622,11 +637,7 @@ def simulate_energy(
     pulse: PulseParams,
     config: SolverConfig,
 ):
-    """Integrate and reduce to the stored-energy trace.
-
-    Returns an ``observables.EnergyTrace`` with energy per molecule in meV
-    and the photon count per molecule as auxiliary data.
-    """
+    """Integrate and reduce to an ``observables.EnergyTrace``, energy per molecule in meV."""
     return energy_trace(integrate(params, pulse, config), params)
 
 
@@ -642,8 +653,8 @@ def simulate_energies(
     block Jacobian (see ``_batch_system``).  LSODA's error test is a
     weighted max-norm, so every member keeps its own tolerance; the steps
     follow the hardest member, which is why the fit batches similar members.
-    Only <sigma_z> is stored, so the traces carry no photon numbers.  A lone
-    member takes the scalar path and matches ``simulate_energy`` bit for bit.
+    Only <sigma_z> is kept.  A lone member takes the scalar path and matches
+    ``simulate_energy`` bit for bit.
 
     The members share ``config`` (window, tolerances, closure); their
     pulses must share centre and width, which set the segment edges and the
@@ -667,6 +678,7 @@ def simulate_energies(
     else:
         rhs, jac = _batch_system(params, pulses, config.closure)
     times = output_grid(config)
+    c_z = _SLOTS["c_z"][0] + STATE_SIZE * np.arange(size)
     data, stats = _segmented_solve(
         rhs,
         np.tile(_initial_array(config.closure), size),
@@ -676,7 +688,7 @@ def simulate_energies(
         config.abs_tol,
         "LSODA",
         config.max_step_ps,
-        keep=_SLOTS["c_z"][0] + STATE_SIZE * np.arange(size),
+        reduce=lambda t, states: states[:, c_z],
         jac=jac,
         members=size,
     )

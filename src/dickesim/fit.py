@@ -31,6 +31,7 @@ from .cumulant import IntegrationError, SolverConfig, simulate_energies, simulat
 from .model import (
     HBAR_MEV_PS,
     N_REF_DEFAULT,
+    PULSE_SUPPORT_SIGMAS,
     ModelParams,
     PulseParams,
     drive_amplitude_from_photon_ratio,
@@ -401,7 +402,7 @@ class FitGrid:
             gamma_minus_mev=axis(*gamma_minus_bounds_mev),
         )
 
-    def refined_around(self, i: int, j: int, k: int, points: int | None = None) -> "FitGrid":
+    def refined_around(self, i: int, j: int, k: int) -> "FitGrid":
         """Zoom each axis to one coarse cell either side of (i, j, k).
 
         For a geometric axis this narrows the span to two coarse steps, so
@@ -409,21 +410,18 @@ class FitGrid:
         within 1e-12 relative of a coarse node is placed exactly on it, so
         ``global_fit`` can take that member's trace from the coarse table.
         """
-        def zoom(axis, idx, n):
+        def zoom(axis, idx):
             step = axis[1] / axis[0] if axis.size > 1 else 2.0
-            fine = np.geomspace(axis[idx] / step, axis[idx] * step, n)
+            fine = np.geomspace(axis[idx] / step, axis[idx] * step, axis.size)
             near = np.abs(fine[:, None] / axis[None, :] - 1.0) <= 1e-12
             hit = near.any(axis=1)
             fine[hit] = axis[near.argmax(axis=1)[hit]]
             return fine
 
-        n_g = points or self.g_nev.size
-        n_z = points or self.gamma0z_mev.size
-        n_m = points or self.gamma_minus_mev.size
         return FitGrid(
-            g_nev=zoom(self.g_nev, i, n_g),
-            gamma0z_mev=zoom(self.gamma0z_mev, j, n_z),
-            gamma_minus_mev=zoom(self.gamma_minus_mev, k, n_m),
+            g_nev=zoom(self.g_nev, i),
+            gamma0z_mev=zoom(self.gamma0z_mev, j),
+            gamma_minus_mev=zoom(self.gamma_minus_mev, k),
         )
 
 
@@ -470,7 +468,7 @@ def trace_window(
     hi_ps = max(ds.times_fs[-1] for ds in datasets) * 1e-3 + t0_range_fs[1] * 1e-3
     response_ps = max(lifetime_ps if ds.response_ps is None else ds.response_ps for ds in datasets)
     pad = 5.0 * response_ps + 0.05
-    return min(lo_ps - pad, center_ps - 8.0 * pulse_sigma_ps), hi_ps + pad
+    return min(lo_ps - pad, center_ps - PULSE_SUPPORT_SIGMAS * pulse_sigma_ps), hi_ps + pad
 
 
 # largest number of members integrated as one stacked system.  One LSODA
@@ -687,20 +685,15 @@ def global_fit(
     argmin = np.unravel_index(np.argmin(chi2_map), shape)
     i, j, k = (int(v) for v in argmin)
 
-    on_edge = (
-        i in (0, shape[0] - 1)
-        or j in (0, shape[1] - 1)
-        or k in (0, shape[2] - 1)
-    )
-    confidence = None
-    if on_edge:
+    try:
+        confidence = confidence_intervals(chi2_map, grid, k_eff, (i, j, k))
+    except FitBoundaryError:
+        confidence = None
         warnings.warn(
             "best fit sits on the grid boundary; confidence intervals are "
             "unavailable until the grid is extended",
             stacklevel=2,
         )
-    else:
-        confidence = confidence_intervals(chi2_map, grid, k_eff, (i, j, k))
 
     fits = inner[(i, j, k)]
     result = FitResult(
@@ -732,17 +725,7 @@ def global_fit(
         {key: task for key, task in fine_tasks.items() if key not in fine_traces},
         [ds.label for ds in datasets], workers,
     ))
-    fine = global_fit(
-        datasets,
-        fine_grid,
-        lifetime_fs=lifetime_fs,
-        pulse_sigma_ps=pulse_sigma_ps,
-        n_ref=n_ref,
-        solver=solver,
-        t0_range_fs=t0_range_fs,
-        refine=False,
-        traces=fine_traces,
-    )
+    fine = global_fit(datasets, fine_grid, *setup, traces=fine_traces)
     return replace(fine, coarse=result)
 
 

@@ -12,13 +12,14 @@ the drift from the Hamiltonian and the jumps, and the drive [V, rho] that the
 pulse envelope multiplies.  At three molecules and n_max = 7 they hold about
 46,000 nonzeros against 4096^2 for a dense superoperator.  The states are
 complex and scipy's LSODA accepts only real ones, so the oracle stays on
-RK45.  Moments come from one contraction of all samples against vec(O^T),
-since tr(O rho) = vec(O^T) . vec(rho).
+RK45.  The samples are reduced as they are taken, a few steps at a time:
+one contraction against vec(O^T) gives the moments, since tr(O rho) =
+vec(O^T) . vec(rho), and only the moments and the per-sample diagnostics
+are kept.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,12 +36,8 @@ from .model import (
     energy_density_from_inversion,
 )
 
-logger = logging.getLogger(__name__)
-
 MAX_DIM = 64
 MAX_MOLECULES = 3
-# samples per Hermiticity/eigenvalue batch: a (32, 64, 64) complex block is 2 MB
-_BLOCK = 32
 
 
 class OracleTruncationError(RuntimeError):
@@ -232,8 +229,10 @@ def evolve_exact(
     rho0 = ops.ground_state(oracle.initial_photons).ravel()
     times = output_grid(config)
     # the density matrix is complex, which scipy's LSODA does not accept
-    data, _ = _segmented_solve(rhs, rho0, times, pulse, oracle.rel_tol, oracle.abs_tol, "RK45")
-    return _reduce(data, times, ops, oracle)
+    rows, _ = _segmented_solve(
+        rhs, rho0, times, pulse, oracle.rel_tol, oracle.abs_tol, "RK45", reduce=_sampler(ops, oracle)
+    )
+    return _oracle_result(rows, times, ops, oracle)
 
 
 def _moment_operators(ops: _Operators) -> dict:
@@ -256,31 +255,47 @@ def _moment_operators(ops: _Operators) -> dict:
     return named
 
 
-def _reduce(data: np.ndarray, times: np.ndarray, ops: _Operators, oracle: OracleConfig) -> OracleResult:
+def _sampler(ops: _Operators, oracle: OracleConfig):
+    """``reduce(t, states)``, which ``evolve_exact`` applies to its samples as they are taken.
+
+    It turns the row-major vec(rho) at the times ``t`` into one row per
+    sample: the moments in ``_moment_operators`` order, then the trace, the
+    top Fock population and the smallest eigenvalue.  It raises
+    OracleInvariantError at the first sample whose Hermiticity is off by
+    more than ``oracle.herm_tol``.
+    """
     dim = ops.dim
-    n_t = times.size
-    min_eig = np.empty(n_t)
-    for lo in range(0, n_t, _BLOCK):
-        rho = data[lo:lo + _BLOCK].reshape(-1, dim, dim)
+    # tr(O rho) = vec(O^T) . vec(rho) on the row-major vec
+    columns = np.stack([op.T.ravel() for op in _moment_operators(ops).values()], axis=1)
+
+    def reduce(t: np.ndarray, states: np.ndarray) -> np.ndarray:
+        rho = states.reshape(-1, dim, dim)
         rho_h = rho.conj().transpose(0, 2, 1)
         herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
         bad = np.flatnonzero(herm > oracle.herm_tol)
         if bad.size:
             raise OracleInvariantError(
-                f"Hermiticity violated by {herm[bad[0]]:.2e} at t = {times[lo + bad[0]]:g} ps"
+                f"Hermiticity violated by {herm[bad[0]]:.2e} at t = {t[bad[0]]:g} ps"
             )
-        min_eig[lo:lo + _BLOCK] = np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1)
+        diag = states[:, :: dim + 1]
+        return np.column_stack((
+            states @ columns,
+            diag.sum(axis=1),
+            diag[:, ops.n_max :: ops.n_max + 1].real.sum(axis=1),
+            np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1),
+        ))
 
-    diag = data[:, :: dim + 1]
-    trace_err = np.abs(diag.sum(axis=1) - 1.0)
-    top_pop = diag[:, ops.n_max :: ops.n_max + 1].real.sum(axis=1)
+    return reduce
 
-    named = _moment_operators(ops)
-    # tr(O rho) = vec(O^T) . vec(rho) on the row-major vec
-    columns = np.stack([op.T.ravel() for op in named.values()], axis=1)
+
+def _oracle_result(rows, times, ops: _Operators, oracle: OracleConfig) -> OracleResult:
+    """The result held in ``_sampler``'s rows, once the run's diagnostics pass their checks."""
     # pair moments stay NaN for one molecule
-    moments = {name: np.full(n_t, np.nan, dtype=complex) for name in MOMENT_NAMES}
-    moments.update(zip(named, columns.T @ data.T))
+    moments = {name: np.full(times.size, np.nan, dtype=complex) for name in MOMENT_NAMES}
+    moments.update(zip(_moment_operators(ops), rows[:, :-3].T))
+    trace_err = np.abs(rows[:, -3] - 1.0)
+    top_pop = rows[:, -2].real
+    min_eig = rows[:, -1].real
 
     if np.max(top_pop) >= oracle.top_level_tol:
         raise OracleTruncationError(
@@ -336,12 +351,8 @@ def compare_cumulant(
         if np.all(np.isnan(exact)):
             raise ValueError(f"{name} is undefined for a single molecule")
         approx = np.asarray(getattr(trace, name))
-        interp_re = np.interp(t_cmp, trace.times_ps, approx.real)
-        if np.iscomplexobj(approx):
-            approx_i = interp_re + 1j * np.interp(t_cmp, trace.times_ps, approx.imag)
-        else:
-            approx_i = interp_re
-        diff = np.max(np.abs(approx_i - exact))
+        re, im = (np.interp(t_cmp, trace.times_ps, part) for part in (approx.real, approx.imag))
+        diff = np.max(np.abs(re + 1j * im - exact))
         scale = np.max(np.abs(exact))
         out[name] = ComparisonNorms(
             max_abs_error=float(diff),

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
 # hbar in meV*ps.  Single definition site; everything else imports this.
 HBAR_MEV_PS = 0.6582119569
@@ -26,6 +27,9 @@ HC_EV_NM = 1239.8419843320026
 # gamma_z(N) = gamma0_z * N_REF_DEFAULT / N reproduces the concentration
 # series when gamma0_z is quoted at this filling.
 N_REF_DEFAULT = 8.08e10
+
+# the pulse is on within 8 sigma of its centre: its envelope is above 1e-14 of its peak
+PULSE_SUPPORT_SIGMAS = 8.0
 
 
 class ConfigError(ValueError):
@@ -88,15 +92,6 @@ class ModelParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    @classmethod
-    def from_lifetime(cls, lifetime_fs: float, **kwargs) -> "ModelParams":
-        """Construct with kappa = hbar/T for a photon lifetime given in fs."""
-        kappa = lifetime_ps_to_mev(lifetime_fs * 1e-3)
-        return cls(kappa_mev=kappa, **kwargs)
-
-    def with_molecule_count(self, n_molecules: float) -> "ModelParams":
-        return replace(self, n_molecules=n_molecules)
-
 
 @dataclass(frozen=True)
 class PulseParams:
@@ -136,6 +131,23 @@ def pulse_envelope(pulse: PulseParams, t_ps):
     if np.ndim(t_ps) == 0:
         return float(out)
     return out
+
+
+def empty_cavity_amplitude(kappa_mev: float, pulse: PulseParams, t_ps):
+    """<a>(t) of a resonant cavity with no molecules coupled, empty before the pulse.
+
+    The closed form of d<a>/dt = -(kappa/2) <a> + eta(t): with k = kappa/2
+    and u = (t - t0 - k sigma^2)/sigma,
+    <a>(t) = eta0 exp(-k (t - t0) + (k sigma)^2 / 2) erfc(-u / sqrt 2) / 2.
+    """
+    k = 0.5 * kappa_mev / HBAR_MEV_PS
+    t = np.asarray(t_ps, dtype=float)
+    u = (t - pulse.center_ps - k * pulse.sigma_ps ** 2) / pulse.sigma_ps
+    return (
+        pulse.amplitude
+        * np.exp(-k * (t - pulse.center_ps) + 0.5 * (k * pulse.sigma_ps) ** 2)
+        * 0.5 * erfc(-u / np.sqrt(2.0))
+    )
 
 
 def effective_dephasing(params: ModelParams) -> float:

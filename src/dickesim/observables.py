@@ -46,7 +46,6 @@ class EnergyTrace:
 
     times_ps: np.ndarray
     energy_mev: np.ndarray
-    photons: np.ndarray | None = None
     n_molecules: float | None = None
 
     def __post_init__(self) -> None:
@@ -70,12 +69,6 @@ class EnergyTrace:
     def dt_ps(self) -> float:
         return float(self.times_ps[1] - self.times_ps[0])
 
-    @property
-    def photon_ratio(self) -> np.ndarray | None:
-        if self.photons is None or not self.n_molecules:
-            return None
-        return self.photons / self.n_molecules
-
 
 def convolve_response(trace: EnergyTrace, response_ps: float) -> EnergyTrace:
     """Smear the energy trace with a normalised Gaussian detector response.
@@ -98,7 +91,6 @@ def convolve_response(trace: EnergyTrace, response_ps: float) -> EnergyTrace:
     return EnergyTrace(
         times_ps=trace.times_ps,
         energy_mev=smeared,
-        photons=None,
         n_molecules=trace.n_molecules,
     )
 
@@ -361,10 +353,8 @@ def sweep(
     return points
 
 
-def write_sweep_csv(path, points: list[SweepPoint], axis: str, comment: str = "") -> None:
+def write_sweep_csv(path, points: list[SweepPoint], axis: str) -> None:
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
         fh.write(f"# axis={axis}\n")
         fh.write("axis_value,tau_ps,Emax_meV,Pmax_meV_per_ps,regime,N_kappa,N_gammaz,N_sigma\n")
         for p in points:

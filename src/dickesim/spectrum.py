@@ -8,7 +8,6 @@ in meV; the expressions are ratios of energies, so hbar never appears.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -89,8 +88,8 @@ def absorption_spectrum(params: ModelParams, detunings_mev) -> SpectrumResult:
         raise ValueError("detunings must be a non-empty 1-D array")
     gtot = gamma_total(params)
     rabi = effective_rabi(params)
-    radicand = params.g_mev ** 2 * params.n_molecules - 0.25 * (params.kappa_mev - 2.0 * gtot) ** 2
-    omega_c = cmath.sqrt(complex(radicand, 0.0))
+    # the complex root of Omega_eff^2: imaginary when overdamped
+    omega_c = complex(0.0, rabi.omega_mev) if rabi.overdamped else complex(rabi.omega_mev, 0.0)
     width = 0.25 * (2.0 * gtot + params.kappa_mev)
 
     denom = (1j * (dn + omega_c) - width) * (1j * (dn - omega_c) - width)
@@ -112,10 +111,8 @@ def absorption_spectrum(params: ModelParams, detunings_mev) -> SpectrumResult:
     )
 
 
-def write_spectrum_csv(path, result: SpectrumResult, comment: str = "") -> None:
+def write_spectrum_csv(path, result: SpectrumResult) -> None:
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
         fh.write(
             f"# omega_eff_meV={result.omega_eff_mev:.8e} overdamped={result.overdamped} "
             f"gamma_tot_meV={result.gamma_tot_mev:.8e}\n"

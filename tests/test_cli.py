@@ -516,6 +516,23 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         assert (tmp_path / "out" / "residuals_synthetic.csv").exists()
 
 
+    @pytest.mark.parametrize("line, response_ps", [("", None), ("pulse.response_fs = 150", 0.150)])
+    def test_measured_data_take_the_response_from_the_lifetime(self, tmp_path, line, response_ps):
+        # without pulse.response_fs a measured dataset carries no response of
+        # its own, so the table convolves and pads it with fit.lifetime_fs
+        times = np.arange(-500.0, 1500.0, 8.0)
+        signal = np.random.default_rng(5).normal(scale=0.01, size=times.size) + np.exp(
+            -(((times - 200.0) / 300.0) ** 2)
+        )
+        path = tmp_path / "A2.csv"
+        np.savetxt(path, np.column_stack([times, signal]), delimiter=",")
+        cfg = read_config_file(write_cfg(tmp_path, f"fit.datasets = {path}\nfit.lifetime_fs = 185\n{line}\n"))
+        sections = parse_config(cfg, "fit")
+        (dataset,) = cli._fit_datasets(sections, *cli._build_common(cfg, sections), seed=0)
+        assert dataset.response_ps == response_ps
+        window = fit.trace_window([dataset], 0.185, 0.020, (-400.0, 400.0))
+        assert window[1] == pytest.approx(times[-1] * 1e-3 + 0.4 + 5.0 * (response_ps or 0.185) + 0.05)
+
     def test_log_level_info_reports_each_batch(self, tmp_path, capsys, caplog):
         cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
 fit.grid_points = 1

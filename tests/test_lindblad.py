@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from dickesim.lindblad import (
     _hamiltonian_and_jumps,
     _moment_operators,
     _operators,
-    _reduce,
+    _oracle_result,
+    _sampler,
     _superoperators,
     compare_cumulant,
     evolve_exact,
@@ -168,10 +172,11 @@ def test_sparse_generator_matches_dense_master_equation(n):
 def test_batched_moments_match_per_sample_traces(n):
     n_max = 7 if n == 3 else 4
     ops = _operators(n, n_max)
-    # more samples than one reduction block, so the block edges are crossed
     count = 70
     data = random_states(ops.dim, count, np.random.default_rng(10 + n))
-    result = _reduce(data, np.arange(count) * 0.01, ops, OracleConfig(top_level_tol=2.0))
+    # handed over in steps of uneven length, as the stepping loop does
+    times = np.arange(count) * 0.01
+    result = reduce_in_steps(data, times, ops, OracleConfig(top_level_tol=2.0), (1, 5, 32))
     pair = lambda left, right: sum(
         left[i] @ right[j] for i in range(n) for j in range(n) if i != j
     ) / (n * (n - 1))
@@ -202,13 +207,37 @@ def test_batched_moments_match_per_sample_traces(n):
     assert np.max(result.trace_error) < 1e-13
 
 
+def reduce_in_steps(data, times, ops, oracle, cuts=()):
+    """``evolve_exact``'s reduction of the sampled states ``data``, cut into steps at ``cuts``."""
+    sample = _sampler(ops, oracle)
+    edges = (0, *cuts, len(times))
+    rows = np.concatenate([sample(times[a:b], data[a:b]) for a, b in zip(edges[:-1], edges[1:])])
+    return _oracle_result(rows, times, ops, oracle)
+
+
+def test_propagation_keeps_no_density_matrix_history():
+    # 2,001 samples of a 64 x 64 density matrix are 131 MB; reduced as they
+    # are taken, a few steps' samples are held at once (the longest step
+    # covers 114)
+    params = params_for(3, g_mev=HBAR_MEV_PS / 0.120 / math.sqrt(3))
+    pulse = PulseParams(amplitude=0.1, center_ps=0.0, sigma_ps=0.020)
+    tracemalloc.start()
+    try:
+        result = evolve_exact(params, pulse, SolverConfig(), OracleConfig(n_max=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.times_ps.size == 2001
+    assert peak < 50e6, peak
+
+
 def test_hermiticity_guard_names_the_sample():
     ops = _operators(2, 4)
     times = np.arange(40) * 0.5
     data = random_states(ops.dim, times.size, np.random.default_rng(3))
     data[35, 1] += 1e-6  # rho[0, 1] without its conjugate partner
     with pytest.raises(OracleInvariantError, match=r"Hermiticity violated by 1\.00e-06 at t = 17\.5 ps"):
-        _reduce(data, times, ops, OracleConfig(top_level_tol=2.0))
+        reduce_in_steps(data, times, ops, OracleConfig(top_level_tol=2.0), (32,))
 
 
 def test_positivity_guard_fires_on_negative_eigenvalue():
@@ -217,4 +246,4 @@ def test_positivity_guard_fires_on_negative_eigenvalue():
     rho[0, 0], rho[1, 1] = 1.1, -0.1  # unit trace, nothing in the top Fock level
     data = np.tile(rho.ravel(), (3, 1))
     with pytest.raises(OracleInvariantError, match="negative eigenvalue -1.00e-01"):
-        _reduce(data, np.arange(3.0), ops, OracleConfig())
+        reduce_in_steps(data, np.arange(3.0), ops, OracleConfig())

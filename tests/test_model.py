@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from dickesim.model import (
     HBAR_MEV_PS,
@@ -15,6 +16,7 @@ from dickesim.model import (
     PulseParams,
     drive_amplitude_from_photon_ratio,
     effective_dephasing,
+    empty_cavity_amplitude,
     energy_density_from_inversion,
     estimate_molecule_count,
     gamma_total,
@@ -101,6 +103,25 @@ def test_pulse_envelope_area_is_amplitude():
 def test_drive_amplitude_injects_r_photons_per_molecule(r, n):
     eta0 = drive_amplitude_from_photon_ratio(r, n)
     assert eta0 ** 2 == pytest.approx(r * n, rel=1e-12, abs=1e-12)
+
+
+def test_empty_cavity_amplitude_matches_the_quadrature_of_its_equation():
+    # d<a>/dt = -(kappa/2) <a> + eta(t) from an empty cavity integrates to
+    # <a>(t) = int_{-inf}^t exp(-kappa (t - s) / 2) eta(s) ds
+    kappa = HBAR_MEV_PS / 0.120
+    k = 0.5 * kappa / HBAR_MEV_PS
+    pulse = PulseParams(amplitude=0.7, center_ps=0.1, sigma_ps=0.030)
+    times = np.array([-0.2, 0.04, 0.1, 0.13, 0.25, 0.9])
+    start = pulse.center_ps - 12.0 * pulse.sigma_ps
+    quadrature = [
+        quad(lambda s: math.exp(-k * (t - s)) * pulse_envelope(pulse, s), start, t,
+             points=[pulse.center_ps] if t > pulse.center_ps else None,
+             epsabs=1e-14, epsrel=1e-12)[0]
+        for t in times
+    ]
+    np.testing.assert_allclose(
+        empty_cavity_amplitude(kappa, pulse, times), quadrature, rtol=1e-10, atol=1e-13
+    )
 
 
 def test_drive_amplitude_rejects_negative_ratio():
