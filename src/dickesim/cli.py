@@ -1,11 +1,20 @@
-"""Command-line entry point.
+"""Command-line entry point, and the only module that writes files.
 
-Subcommands cover the whole pipeline: ``simulate`` writes an energy trace
-and its charging metrics, ``sweep`` scans molecule number or pump strength,
-``fit`` runs the global grid search against measured or synthetic
-transients, ``spectrum`` tabulates the probe absorption, and
-``oracle-check`` validates the moment solver against the exact
-master-equation propagator.
+Each subcommand writes its fully resolved configuration to
+``resolved_config.txt``, so a result can always be traced back to exact
+inputs, and its own files:
+
+- ``simulate``: ``trace.csv``, ``trace_convolved.csv``, ``metrics.txt``;
+- ``sweep``, over molecule number or pump strength: ``sweep.csv``;
+- ``fit``, the global grid search against measured or synthetic transients:
+  ``fit_report.txt``, ``chi2_map.csv`` (and ``chi2_map_coarse.csv`` with
+  ``fit.refine``), ``residuals_<label>.csv`` per dataset;
+- ``spectrum``, the probe absorption: ``spectrum.csv``, ``spectrum_summary.txt``;
+- ``oracle-check``, the moment solver against the exact master-equation
+  propagator: ``oracle_trace.csv``, ``oracle_report.txt``.
+
+Tables go through ``_write_table`` and reports through ``_report``; the
+library modules compute and return.
 
 Configuration comes from a flat ``key = value`` file with ``#`` comments.
 Keys are namespaced (``model.``, ``pulse.``, ``solver.``, plus a namespace
@@ -16,8 +25,7 @@ and two keys that set the same field; then it parses every value, a
 failure reported as ``bad value for <key>``.  ``ModelParams``,
 ``PulseParams``, ``SolverConfig`` and ``OracleConfig`` are built straight
 from their sections; only ``pulse.photon_ratio`` waits for N to become an
-amplitude.  Every run echoes its fully resolved configuration into the
-output directory so a result can always be traced back to exact inputs.
+amplitude.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 data
 error.
@@ -34,7 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cumulant import IntegrationError, SolverConfig, energy_trace, integrate, write_trace_csv
+from .cumulant import IntegrationError, SolverConfig, energy_trace, integrate
 from .fit import (
     DataError,
     FitBoundaryError,
@@ -44,7 +52,6 @@ from .fit import (
     load_dataset,
     make_synthetic_dataset,
     residuals,
-    write_map_csv,
 )
 from .lindblad import (
     OracleConfig,
@@ -52,7 +59,6 @@ from .lindblad import (
     OracleTruncationError,
     compare_cumulant,
     evolve_exact,
-    write_oracle_csv,
 )
 from .model import (
     ConfigError,
@@ -70,9 +76,8 @@ from .observables import (
     classify_regime,
     convolve_response,
     sweep,
-    write_sweep_csv,
 )
-from .spectrum import absorption_spectrum, write_spectrum_csv
+from .spectrum import absorption_spectrum
 
 logger = logging.getLogger(__name__)
 
@@ -257,18 +262,37 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(str(exc)) from None
 
 
-def _echo_config(out_dir: Path, command: str, sections: dict[str, dict]) -> None:
+def _echo_config(out_dir: Path, command: str, *sections) -> None:
+    """Write ``resolved_config.txt``: in namespace order, one parameter dataclass or dict per section."""
     lines = [f"command = {command}"]
-    for section, values in sections.items():
-        lines.append("")
-        lines.append(f"[{section}]")
-        for name in sorted(values):
-            lines.append(f"{name} = {values[name]!r}")
+    for namespace, values in zip(_COMMAND_NAMESPACES[command], sections, strict=True):
+        values = values if isinstance(values, dict) else vars(values)
+        lines += ["", f"[{namespace[:-1]}]"]
+        lines += [f"{name} = {values[name]!r}" for name in sorted(values)]
     (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
 
 
-def _resolved(obj) -> dict:
-    return dict(vars(obj))
+def _write_table(path: Path, comment: str, header: str, rows) -> None:
+    """A CSV table: the ``# comment`` line, the column header, then one formatted row per line."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {comment}\n{header}\n")
+        fh.writelines(f"{row}\n" for row in rows)
+
+
+def _report(out_dir: Path, name: str, lines: list[str]) -> None:
+    """Write a text report into ``out_dir`` and print it."""
+    text = "\n".join(lines)
+    (out_dir / name).write_text(text + "\n")
+    print(text)
+
+
+def _trace_table(times_ps, c_z, c_n, n_molecules: float, omega_a_mev: float) -> tuple[str, list[str]]:
+    """Header and rows of the five columns that ``trace.csv`` and ``oracle_trace.csv`` share."""
+    energy = energy_density_from_inversion(c_z, omega_a_mev)
+    return "t_ps,E_meV,Cz,n_photons,n_over_N", [
+        f"{t:.6f},{e:.10e},{cz:.10e},{cn:.10e},{cn / n_molecules:.10e}"
+        for t, e, cz, cn in zip(times_ps, energy, c_z, c_n)
+    ]
 
 
 def _build_common(cfg: Mapping[str, str], sections: dict[str, dict]):
@@ -288,20 +312,21 @@ def _fmt(value: float) -> str:
 
 
 def cmd_simulate(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
-    params, pulse, solver = _build_common(cfg, sections)
-    _echo_config(out_dir, "simulate", {
-        "model": _resolved(params), "pulse": _resolved(pulse), "solver": _resolved(solver),
-    })
+    common = params, pulse, solver = _build_common(cfg, sections)
+    _echo_config(out_dir, "simulate", *common)
     trace = integrate(params, pulse, solver)
-    write_trace_csv(out_dir / "trace.csv", trace, params, pulse, solver)
+    _write_table(
+        out_dir / "trace.csv",
+        " ".join(f"{name}={value!r}" for obj in common for name, value in sorted(vars(obj).items())),
+        *_trace_table(trace.times_ps, trace.c_z, trace.c_n, params.n_molecules, params.omega_a_mev),
+    )
 
     energy = energy_trace(trace, params)
     smoothed = convolve_response(energy, pulse.response_ps)
-    with open(out_dir / "trace_convolved.csv", "w", newline="") as fh:
-        fh.write(f"# response_ps={pulse.response_ps:g}\n")
-        fh.write("t_ps,E_meV\n")
-        for t, e in zip(smoothed.times_ps, smoothed.energy_mev):
-            fh.write(f"{t:.6f},{e:.10e}\n")
+    _write_table(
+        out_dir / "trace_convolved.csv", f"response_ps={pulse.response_ps:g}", "t_ps,E_meV",
+        (f"{t:.6f},{e:.10e}" for t, e in zip(smoothed.times_ps, smoothed.energy_mev)),
+    )
 
     # Metrics come from the bare trace; smoothing is only for comparing
     # against detector-limited data.
@@ -320,13 +345,12 @@ def cmd_simulate(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Pat
         f"N_gammaz = {_fmt(report.n_gammaz)}",
         f"N_sigma = {_fmt(report.n_sigma)}",
     ]
-    (out_dir / "metrics.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _report(out_dir, "metrics.txt", lines)
     return EXIT_OK
 
 
 def cmd_sweep(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
-    params, pulse, solver = _build_common(cfg, sections)
+    common = params, pulse, solver = _build_common(cfg, sections)
     section = sections["sweep"]
     axis = _require(sections, "sweep.axis")
     grid = section.get("grid")
@@ -341,12 +365,9 @@ def cmd_sweep(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, 
         raise ConfigError("sweep.grid and sweep.start/stop/points are mutually exclusive")
     photon_ratio = section.get("photon_ratio")
     lower = section.get("lower_polariton", False)
-    _echo_config(out_dir, "sweep", {
-        "model": _resolved(params), "pulse": _resolved(pulse), "solver": _resolved(solver),
-        "sweep": {
-            "axis": axis, "grid": [float(v) for v in grid],
-            "photon_ratio": photon_ratio, "lower_polariton": lower,
-        },
+    _echo_config(out_dir, "sweep", *common, {
+        "axis": axis, "grid": [float(v) for v in grid],
+        "photon_ratio": photon_ratio, "lower_polariton": lower,
     })
     try:
         points_out = sweep(
@@ -355,7 +376,15 @@ def cmd_sweep(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, 
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    write_sweep_csv(out_dir / "sweep.csv", points_out, axis)
+    _write_table(
+        out_dir / "sweep.csv", f"axis={axis}",
+        "axis_value,tau_ps,Emax_meV,Pmax_meV_per_ps,regime,N_kappa,N_gammaz,N_sigma",
+        (
+            f"{p.axis_value:.8e},{p.tau_ps:.8e},{p.e_max_mev:.8e},{p.p_max_mev_per_ps:.8e},"
+            f"{p.regime},{p.n_kappa:.8e},{p.n_gammaz:.8e},{p.n_sigma:.8e}"
+            for p in points_out
+        ),
+    )
     failures = [p for p in points_out if p.error]
     for p in failures:
         logger.warning("sweep point %s=%g failed: %s", axis, p.axis_value, p.error)
@@ -400,7 +429,7 @@ def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
 
 
 def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
-    params, pulse, solver = _build_common(cfg, sections)
+    common = params, pulse, solver = _build_common(cfg, sections)
     # the fit's table is built at the ModelParams defaults: resonant, omega_a = 2357 meV
     table = ModelParams()
     for key in cfg:
@@ -434,17 +463,14 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
         raise ConfigError("fit.t0_range_fs must be lo, hi with hi > lo")
     refine = section.get("refine", False)
 
-    _echo_config(out_dir, "fit", {
-        "model": _resolved(params), "pulse": _resolved(pulse), "solver": _resolved(solver),
-        "fit": {
-            "datasets": [ds.label for ds in datasets],
-            "lifetime_fs": lifetime_fs, "pulse_sigma_fs": sigma_fs,
-            "grid_points": points,
-            "g_bounds_neV": (grid.g_nev[0], grid.g_nev[-1]),
-            "gamma0z_bounds_meV": (grid.gamma0z_mev[0], grid.gamma0z_mev[-1]),
-            "gammaminus_bounds_meV": (grid.gamma_minus_mev[0], grid.gamma_minus_mev[-1]),
-            "t0_range_fs": tuple(t0_pair), "refine": refine, "seed": args.seed,
-        },
+    _echo_config(out_dir, "fit", *common, {
+        "datasets": [ds.label for ds in datasets],
+        "lifetime_fs": lifetime_fs, "pulse_sigma_fs": sigma_fs,
+        "grid_points": points,
+        "g_bounds_neV": (grid.g_nev[0], grid.g_nev[-1]),
+        "gamma0z_bounds_meV": (grid.gamma0z_mev[0], grid.gamma0z_mev[-1]),
+        "gammaminus_bounds_meV": (grid.gamma_minus_mev[0], grid.gamma_minus_mev[-1]),
+        "t0_range_fs": tuple(t0_pair), "refine": refine, "seed": args.seed,
     })
 
     result = global_fit(
@@ -453,9 +479,19 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
         t0_range_fs=(t0_pair[0], t0_pair[1]), workers=args.threads, refine=refine,
     )
 
-    write_map_csv(out_dir / "chi2_map.csv", result)
-    if result.coarse is not None:
-        write_map_csv(out_dir / "chi2_map_coarse.csv", result.coarse)
+    for name, scan in (("chi2_map.csv", result), ("chi2_map_coarse.csv", result.coarse)):
+        if scan is not None:
+            _write_table(
+                out_dir / name,
+                f"lifetime_fs={scan.lifetime_fs:g} k_eff={scan.k_eff} "
+                f"chi2_reduced_min={scan.chi2_reduced_min:.8e}",
+                "g_neV,gamma0z_meV,gammaminus_meV,chi2_reduced",
+                (
+                    f"{scan.grid.g_nev[i]:.8e},{scan.grid.gamma0z_mev[j]:.8e},"
+                    f"{scan.grid.gamma_minus_mev[k]:.8e},{scan.chi2_reduced_map[i, j, k]:.8e}"
+                    for i, j, k in np.ndindex(scan.chi2_reduced_map.shape)
+                ),
+            )
 
     lines = [
         f"g_neV = {_fmt(result.g_nev)}",
@@ -474,17 +510,16 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
         for name in sorted(result.confidence):
             lo, hi = result.confidence[name]
             lines.append(f"ci68[{name}] = {_fmt(lo)} .. {_fmt(hi)}")
-    (out_dir / "fit_report.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _report(out_dir, "fit_report.txt", lines)
 
     for ds in datasets:
         f = result.inner[ds.label]
         res = residuals(result.traces[ds.label], ds, f)
-        with open(out_dir / f"residuals_{ds.label}.csv", "w", newline="") as fh:
-            fh.write(f"# scale={f.scale:.8e} t0_fs={f.t0_fs:.4f} chi2={f.chi2:.8e}\n")
-            fh.write("t_fs,residual_sigma\n")
-            for t, r in zip(ds.times_fs, res):
-                fh.write(f"{t:.4f},{r:.8e}\n")
+        _write_table(
+            out_dir / f"residuals_{ds.label}.csv",
+            f"scale={f.scale:.8e} t0_fs={f.t0_fs:.4f} chi2={f.chi2:.8e}", "t_fs,residual_sigma",
+            (f"{t:.4f},{r:.8e}" for t, r in zip(ds.times_fs, res)),
+        )
     return EXIT_OK
 
 
@@ -497,13 +532,16 @@ def cmd_spectrum(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Pat
     points = sections["spectrum"].get("points", 2001)
     if span <= 0 or points < 3:
         raise ConfigError("spectrum needs span_meV > 0 and points >= 3")
-    _echo_config(out_dir, "spectrum", {
-        "model": _resolved(params),
-        "spectrum": {"span_meV": span, "points": points},
-    })
+    _echo_config(out_dir, "spectrum", params, {"span_meV": span, "points": points})
     detunings = np.linspace(-span, span, points)
     result = absorption_spectrum(params, detunings)
-    write_spectrum_csv(out_dir / "spectrum.csv", result)
+    _write_table(
+        out_dir / "spectrum.csv",
+        f"omega_eff_meV={result.omega_eff_mev:.8e} overdamped={result.overdamped} "
+        f"gamma_tot_meV={result.gamma_tot_mev:.8e}",
+        "delta_nu_meV,absorption",
+        (f"{d:.8e},{a:.8e}" for d, a in zip(result.detunings_mev, result.absorption)),
+    )
     peaks = result.peak_detunings()
     lines = [
         f"omega_eff_meV = {_fmt(result.omega_eff_mev)}",
@@ -513,23 +551,29 @@ def cmd_spectrum(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Pat
         f"n_lines = {result.n_lines}",
         "peaks_meV = " + ", ".join(_fmt(p) for p in peaks),
     ]
-    (out_dir / "spectrum_summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _report(out_dir, "spectrum_summary.txt", lines)
     return EXIT_OK
 
 
 def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
-    params, pulse, solver = _build_common(cfg, sections)
+    common = params, pulse, solver = _build_common(cfg, sections)
     oracle = _checked(OracleConfig, **sections["oracle"])
-    _echo_config(out_dir, "oracle-check", {
-        "model": _resolved(params), "pulse": _resolved(pulse), "solver": _resolved(solver),
-        "oracle": _resolved(oracle),
-    })
+    _echo_config(out_dir, "oracle-check", *common, oracle)
     lines = []
     ok = True
 
     exact = evolve_exact(params, pulse, solver, oracle)
-    write_oracle_csv(out_dir / "oracle_trace.csv", exact, params.omega_a_mev)
+    header, rows = _trace_table(
+        exact.times_ps, np.real(exact.moments["c_z"]), np.real(exact.moments["c_n"]),
+        exact.n_molecules, params.omega_a_mev,
+    )
+    diagnostics = zip(rows, exact.top_fock_pop, exact.trace_error, exact.min_eigenvalue)
+    _write_table(
+        out_dir / "oracle_trace.csv",
+        f"exact propagation: n_molecules={exact.n_molecules} n_max={exact.n_max}",
+        header + ",top_fock_pop,trace_err,min_eig",
+        (f"{row},{top:.3e},{err:.3e},{eig:.3e}" for row, top, err, eig in diagnostics),
+    )
     e_exact = exact.energy_mev(params.omega_a_mev)
     peak = float(np.max(np.abs(e_exact)))
     if peak <= 0.0:
@@ -580,8 +624,7 @@ def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir:
     lines.append(f"top_fock_population = {float(np.max(exact.top_fock_pop)):.3e}")
     lines.append(f"trace_error = {float(np.max(np.abs(exact.trace_error))):.3e}")
     lines.append(f"min_eigenvalue = {float(np.min(exact.min_eigenvalue)):.3e}")
-    (out_dir / "oracle_report.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _report(out_dir, "oracle_report.txt", lines)
     return EXIT_OK if ok else EXIT_NUMERIC
 
 

@@ -628,7 +628,6 @@ def energy_trace(trace: MomentTrace, params: ModelParams):
     return EnergyTrace(
         times_ps=trace.times_ps,
         energy_mev=energy_density_from_inversion(trace.c_z, params.omega_a_mev),
-        n_molecules=params.n_molecules,
     )
 
 
@@ -696,35 +695,7 @@ def simulate_energies(
         EnergyTrace(
             times_ps=times,
             energy_mev=energy_density_from_inversion(data[:, m], p.omega_a_mev),
-            n_molecules=p.n_molecules,
         )
         for m, p in enumerate(params)
     ]
     return traces, stats
-
-
-def write_trace_csv(
-    path,
-    trace: MomentTrace,
-    params: ModelParams,
-    pulse: PulseParams,
-    config: SolverConfig,
-) -> None:
-    """Write the standard trace table with a parameter-echo comment header."""
-    header = _param_comment(params, pulse, config)
-    energy = energy_density_from_inversion(trace.c_z, params.omega_a_mev)
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write("t_ps,E_meV,Cz,n_photons,n_over_N\n")
-        for t, e, cz, cn in zip(trace.times_ps, energy, trace.c_z, trace.c_n):
-            fh.write(
-                f"{t:.6f},{e:.10e},{cz:.10e},{cn:.10e},{cn / params.n_molecules:.10e}\n"
-            )
-
-
-def _param_comment(params: ModelParams, pulse: PulseParams, config: SolverConfig) -> str:
-    fields = []
-    for obj in (params, pulse, config):
-        for name, value in sorted(vars(obj).items()):
-            fields.append(f"{name}={value!r}")
-    return "# " + " ".join(fields) + "\n"

@@ -451,7 +451,6 @@ class FitResult:
 
 def trace_window(
     datasets: list[ExperimentDataset],
-    lifetime_ps: float,
     pulse_sigma_ps: float,
     t0_range_fs: tuple[float, float],
     center_ps: float = 0.0,
@@ -459,15 +458,14 @@ def trace_window(
     """Simulation window (t_start_ps, t_end_ps) a model of ``datasets`` needs.
 
     It covers every sample over the whole shift range, padded by five
-    times the widest detector response (a dataset without its own takes
-    the cavity lifetime) plus 50 fs so the edges of the response
-    convolution stay outside it, and starts no later than the leading edge
-    of the pulse centred at ``center_ps``.
+    times the widest detector response plus 50 fs so the edges of the
+    response convolution stay outside it, and starts no later than the
+    leading edge of the pulse centred at ``center_ps``.  Every dataset must
+    carry its ``response_ps``.
     """
     lo_ps = min(ds.times_fs[0] for ds in datasets) * 1e-3 + t0_range_fs[0] * 1e-3
     hi_ps = max(ds.times_fs[-1] for ds in datasets) * 1e-3 + t0_range_fs[1] * 1e-3
-    response_ps = max(lifetime_ps if ds.response_ps is None else ds.response_ps for ds in datasets)
-    pad = 5.0 * response_ps + 0.05
+    pad = 5.0 * max(ds.response_ps for ds in datasets) + 0.05
     return min(lo_ps - pad, center_ps - PULSE_SUPPORT_SIGMAS * pulse_sigma_ps), hi_ps + pad
 
 
@@ -525,7 +523,7 @@ def _fit_batch_task(batch: list) -> tuple[list, object, float]:
             exc.last_good_time_ps,
             member=exc.member,
         ) from None
-    convolved = [convolve_response(trace, task[3]) for trace, (_, task) in zip(traces, batch)]
+    convolved = [convolve_response(trace, task[1].response_ps) for trace, (_, task) in zip(traces, batch)]
     return convolved, stats, time.perf_counter() - start
 
 
@@ -541,7 +539,9 @@ def _member_tasks(
     """One hashable integration task per (i_g, i_z, i_m, dataset_index) key."""
     lifetime_ps = lifetime_fs * 1e-3
     kappa = HBAR_MEV_PS / lifetime_ps
-    t_start, t_end = trace_window(datasets, lifetime_ps, pulse_sigma_ps, t0_range_fs)
+    # a dataset without its own detector response takes the cavity lifetime
+    datasets = [replace(ds, response_ps=lifetime_ps) if ds.response_ps is None else ds for ds in datasets]
+    t_start, t_end = trace_window(datasets, pulse_sigma_ps, t0_range_fs)
     solver = replace(solver or SolverConfig(), t_start_ps=t_start, t_end_ps=t_end)
 
     tasks = {}
@@ -561,9 +561,9 @@ def _member_tasks(
                         amplitude=drive_amplitude_from_photon_ratio(ds.photon_ratio, ds.n_dye),
                         center_ps=0.0,
                         sigma_ps=pulse_sigma_ps,
-                        response_ps=ds.response_ps if ds.response_ps is not None else lifetime_ps,
+                        response_ps=ds.response_ps,
                     )
-                    tasks[(i, j, k, di)] = (params, pulse, solver, pulse.response_ps)
+                    tasks[(i, j, k, di)] = (params, pulse, solver)
     return tasks
 
 
@@ -808,7 +808,7 @@ def make_synthetic_dataset(
         pulse.amplitude ** 2 / params.n_molecules, response_ps=pulse.response_ps,
     )
     t_start, t_end = trace_window(
-        [dataset], pulse.response_ps, pulse.sigma_ps, (true_shift_fs, true_shift_fs), pulse.center_ps
+        [dataset], pulse.sigma_ps, (true_shift_fs, true_shift_fs), pulse.center_ps
     )
     solver = replace(solver or SolverConfig(), t_start_ps=t_start, t_end_ps=t_end)
     trace = convolve_response(simulate_energy(params, pulse, solver), pulse.response_ps)
@@ -819,19 +819,3 @@ def make_synthetic_dataset(
             rng = np.random.default_rng()
         d = d + rng.normal(scale=noise_rms, size=d.size)
     return replace(dataset, signal=d)
-
-
-def write_map_csv(path, result: FitResult) -> None:
-    grid = result.grid
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# lifetime_fs={result.lifetime_fs:g} k_eff={result.k_eff} "
-            f"chi2_reduced_min={result.chi2_reduced_min:.8e}\n"
-        )
-        fh.write("g_neV,gamma0z_meV,gammaminus_meV,chi2_reduced\n")
-        for i, g in enumerate(grid.g_nev):
-            for j, gz in enumerate(grid.gamma0z_mev):
-                for k, gm in enumerate(grid.gamma_minus_mev):
-                    fh.write(
-                        f"{g:.8e},{gz:.8e},{gm:.8e},{result.chi2_reduced_map[i, j, k]:.8e}\n"
-                    )

@@ -39,6 +39,13 @@ from .model import (
 MAX_DIM = 64
 MAX_MOLECULES = 3
 
+# RK45 tolerances, and the drift allowed in the trace, Hermiticity and positivity
+REL_TOL = 1e-9
+ABS_TOL = 1e-11
+TRACE_TOL = 1e-7
+HERM_TOL = 1e-8
+POSITIVITY_TOL = 1e-8
+
 
 class OracleTruncationError(RuntimeError):
     """The Fock ladder is too short for the requested drive."""
@@ -50,25 +57,19 @@ class OracleInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Truncation and validation settings for the exact propagator."""
+    """Fock truncation, initial photon number and truncation tolerance of the exact propagator."""
 
     n_max: int = 8
     initial_photons: int = 0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
     top_level_tol: float = 1e-6
-    trace_tol: float = 1e-7
-    herm_tol: float = 1e-8
-    positivity_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if not (0 <= self.initial_photons <= self.n_max):
             raise ValueError("initial_photons must lie in [0, n_max]")
-        for name in ("rel_tol", "abs_tol", "top_level_tol", "trace_tol", "herm_tol", "positivity_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.top_level_tol <= 0:
+            raise ValueError("top_level_tol must be positive")
 
 
 class _Operators:
@@ -230,7 +231,7 @@ def evolve_exact(
     times = output_grid(config)
     # the density matrix is complex, which scipy's LSODA does not accept
     rows, _ = _segmented_solve(
-        rhs, rho0, times, pulse, oracle.rel_tol, oracle.abs_tol, "RK45", reduce=_sampler(ops, oracle)
+        rhs, rho0, times, pulse, REL_TOL, ABS_TOL, "RK45", reduce=_sampler(ops)
     )
     return _oracle_result(rows, times, ops, oracle)
 
@@ -255,14 +256,14 @@ def _moment_operators(ops: _Operators) -> dict:
     return named
 
 
-def _sampler(ops: _Operators, oracle: OracleConfig):
+def _sampler(ops: _Operators):
     """``reduce(t, states)``, which ``evolve_exact`` applies to its samples as they are taken.
 
     It turns the row-major vec(rho) at the times ``t`` into one row per
     sample: the moments in ``_moment_operators`` order, then the trace, the
     top Fock population and the smallest eigenvalue.  It raises
     OracleInvariantError at the first sample whose Hermiticity is off by
-    more than ``oracle.herm_tol``.
+    more than ``HERM_TOL``.
     """
     dim = ops.dim
     # tr(O rho) = vec(O^T) . vec(rho) on the row-major vec
@@ -272,7 +273,7 @@ def _sampler(ops: _Operators, oracle: OracleConfig):
         rho = states.reshape(-1, dim, dim)
         rho_h = rho.conj().transpose(0, 2, 1)
         herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
-        bad = np.flatnonzero(herm > oracle.herm_tol)
+        bad = np.flatnonzero(herm > HERM_TOL)
         if bad.size:
             raise OracleInvariantError(
                 f"Hermiticity violated by {herm[bad[0]]:.2e} at t = {t[bad[0]]:g} ps"
@@ -302,9 +303,9 @@ def _oracle_result(rows, times, ops: _Operators, oracle: OracleConfig) -> Oracle
             f"top Fock level reached population {np.max(top_pop):.2e} "
             f"(tolerance {oracle.top_level_tol:.0e}); raise n_max"
         )
-    if np.max(trace_err) > oracle.trace_tol:
+    if np.max(trace_err) > TRACE_TOL:
         raise OracleInvariantError(f"trace drifted by {np.max(trace_err):.2e}")
-    if np.min(min_eig) < -oracle.positivity_tol:
+    if np.min(min_eig) < -POSITIVITY_TOL:
         raise OracleInvariantError(f"negative eigenvalue {np.min(min_eig):.2e}")
 
     return OracleResult(
@@ -320,7 +321,6 @@ def _oracle_result(rows, times, ops: _Operators, oracle: OracleConfig) -> Oracle
 
 @dataclass(frozen=True)
 class ComparisonNorms:
-    max_abs_error: float
     max_rel_error: float
 
 
@@ -354,26 +354,5 @@ def compare_cumulant(
         re, im = (np.interp(t_cmp, trace.times_ps, part) for part in (approx.real, approx.imag))
         diff = np.max(np.abs(re + 1j * im - exact))
         scale = np.max(np.abs(exact))
-        out[name] = ComparisonNorms(
-            max_abs_error=float(diff),
-            max_rel_error=float(diff / scale) if scale > 0 else 0.0,
-        )
+        out[name] = ComparisonNorms(max_rel_error=float(diff / scale) if scale > 0 else 0.0)
     return out
-
-
-def write_oracle_csv(path, result: OracleResult, omega_a_mev: float) -> None:
-    """Trace table matching the cumulant export plus truncation diagnostics."""
-    energy = result.energy_mev(omega_a_mev)
-    cz = np.real(result.moments["c_z"])
-    cn = np.real(result.moments["c_n"])
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# exact propagation: n_molecules={result.n_molecules} n_max={result.n_max}\n"
-        )
-        fh.write("t_ps,E_meV,Cz,n_photons,n_over_N,top_fock_pop,trace_err,min_eig\n")
-        for i, t in enumerate(result.times_ps):
-            fh.write(
-                f"{t:.6f},{energy[i]:.10e},{cz[i]:.10e},{cn[i]:.10e},"
-                f"{cn[i] / result.n_molecules:.10e},{result.top_fock_pop[i]:.3e},"
-                f"{result.trace_error[i]:.3e},{result.min_eigenvalue[i]:.3e}\n"
-            )

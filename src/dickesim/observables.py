@@ -46,7 +46,6 @@ class EnergyTrace:
 
     times_ps: np.ndarray
     energy_mev: np.ndarray
-    n_molecules: float | None = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times_ps, dtype=float)
@@ -88,11 +87,7 @@ def convolve_response(trace: EnergyTrace, response_ps: float) -> EnergyTrace:
     kernel /= kernel.sum()
     padded = np.pad(trace.energy_mev, k, mode="edge")
     smeared = np.convolve(padded, kernel, mode="valid")
-    return EnergyTrace(
-        times_ps=trace.times_ps,
-        energy_mev=smeared,
-        n_molecules=trace.n_molecules,
-    )
+    return EnergyTrace(times_ps=trace.times_ps, energy_mev=smeared)
 
 
 @dataclass(frozen=True)
@@ -172,7 +167,6 @@ class RegimeReport:
     """
 
     regime: str
-    effective_coupling_mev: float
     thresholds: dict
     n_kappa: float
     n_gammaz: float
@@ -223,7 +217,6 @@ def classify_regime(
 
     return RegimeReport(
         regime=regime,
-        effective_coupling_mev=x,
         thresholds={
             "kappa_mev": params.kappa_mev,
             "gamma_z_mev": gz,
@@ -351,15 +344,3 @@ def sweep(
     else:
         points = [_sweep_task(t) for t in tasks]
     return points
-
-
-def write_sweep_csv(path, points: list[SweepPoint], axis: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# axis={axis}\n")
-        fh.write("axis_value,tau_ps,Emax_meV,Pmax_meV_per_ps,regime,N_kappa,N_gammaz,N_sigma\n")
-        for p in points:
-            fh.write(
-                f"{p.axis_value:.8e},{p.tau_ps:.8e},{p.e_max_mev:.8e},"
-                f"{p.p_max_mev_per_ps:.8e},{p.regime},{p.n_kappa:.8e},"
-                f"{p.n_gammaz:.8e},{p.n_sigma:.8e}\n"
-            )

@@ -109,14 +109,3 @@ def absorption_spectrum(params: ModelParams, detunings_mev) -> SpectrumResult:
         overdamped=rabi.overdamped,
         gamma_tot_mev=gtot,
     )
-
-
-def write_spectrum_csv(path, result: SpectrumResult) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# omega_eff_meV={result.omega_eff_mev:.8e} overdamped={result.overdamped} "
-            f"gamma_tot_meV={result.gamma_tot_mev:.8e}\n"
-        )
-        fh.write("delta_nu_meV,absorption\n")
-        for d, a in zip(result.detunings_mev, result.absorption):
-            fh.write(f"{d:.8e},{a:.8e}\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import logging
 import math
@@ -530,8 +531,38 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         sections = parse_config(cfg, "fit")
         (dataset,) = cli._fit_datasets(sections, *cli._build_common(cfg, sections), seed=0)
         assert dataset.response_ps == response_ps
-        window = fit.trace_window([dataset], 0.185, 0.020, (-400.0, 400.0))
-        assert window[1] == pytest.approx(times[-1] * 1e-3 + 0.4 + 5.0 * (response_ps or 0.185) + 0.05)
+        grid = fit.FitGrid(np.array([10.6]), np.array([1.68]), np.array([0.0141]))
+        tasks = fit._member_tasks([dataset], grid, 185.0, 0.020, 8.08e10, None, (-400.0, 400.0))
+        ((_, pulse, solver),) = tasks.values()
+        assert pulse.response_ps == pytest.approx(response_ps or 0.185)
+        assert solver.t_end_ps == pytest.approx(times[-1] * 1e-3 + 0.4 + 5.0 * (response_ps or 0.185) + 0.05)
+
+    def test_map_csv_round_trips_the_chi2_map(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
+fit.grid_points = 3
+fit.g_bounds_neV = 8.153846153846153, 13.78
+fit.gamma0z_bounds_meV = 1.2923076923076922, 2.184
+fit.gammaminus_bounds_meV = 0.010846153846153846, 0.01833
+""")
+        results = []
+        global_fit = cli.global_fit
+
+        def recording_global_fit(*args, **kwargs):
+            results.append(global_fit(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "global_fit", recording_global_fit)
+        path = tmp_path / "out" / "chi2_map.csv"
+        assert main(["fit", "--config", cfg, "--out", str(path.parent)]) == EXIT_OK
+        capsys.readouterr()
+        (result,) = results
+        rows = np.loadtxt(path, delimiter=",", skiprows=2)
+        assert rows.shape == (27, 4)
+        np.testing.assert_allclose(
+            rows[:, 3].reshape(3, 3, 3), result.chi2_reduced_map, rtol=1e-7
+        )
+        header = path.read_text().splitlines()[0]
+        assert "k_eff" in header and "lifetime_fs=120" in header
 
     def test_log_level_info_reports_each_batch(self, tmp_path, capsys, caplog):
         cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
@@ -605,6 +636,35 @@ oracle.n_max = 8
         assert "FAIL" not in stdout
         report = (out / "oracle_report.txt").read_text()
         assert report.count("PASS") == 3
+
+
+def _file_writes(path: Path) -> list[int]:
+    """Lines of ``path`` that open a file for writing or call a write-a-file method."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes", "savetxt", "tofile"):
+            lines.append(node.lineno)
+        elif name == "open":
+            # open(path, mode) or Path.open(mode)
+            position = 0 if isinstance(func, ast.Attribute) else 1
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None and len(node.args) > position:
+                mode = node.args[position]
+            if mode is not None and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_cli_writes_files():
+    # file names, column orders and number formats are decided in one module
+    package = Path(cli.__file__).parent
+    assert _file_writes(package / "cli.py")
+    writes = {p.name: _file_writes(p) for p in sorted(package.glob("*.py")) if p.name != "cli.py"}
+    assert {name: lines for name, lines in writes.items() if lines} == {}
 
 
 def test_console_script_shows_all_subcommands():

@@ -25,7 +25,6 @@ from dickesim.fit import (
     make_synthetic_dataset,
     model_traces,
     residuals,
-    write_map_csv,
 )
 from dickesim.cumulant import simulate_energy
 from dickesim.fit import _member_tasks, _window_sigma
@@ -446,12 +445,10 @@ class TestTraceWindow:
         grid = FitGrid(g_nev=np.array([10.6]), gamma0z_mev=np.array([1.68]), gamma_minus_mev=np.array([0.0141]))
         t0_range_fs = (-400.0, 400.0)
         table = model_traces([ds], grid, 120.0, t0_range_fs=t0_range_fs)[(0, 0, 0, 0)]
-        params, pulse, solver, response_ps = _member_tasks([ds], grid, 120.0, 0.020, 8.08e10, None, t0_range_fs)[
-            (0, 0, 0, 0)
-        ]
+        params, pulse, solver = _member_tasks([ds], grid, 120.0, 0.020, 8.08e10, None, t0_range_fs)[(0, 0, 0, 0)]
         # the same start, so the same output grid, and 3 ps more at the end
         wide = convolve_response(
-            simulate_energy(params, pulse, replace(solver, t_end_ps=solver.t_end_ps + 3.0)), response_ps
+            simulate_energy(params, pulse, replace(solver, t_end_ps=solver.t_end_ps + 3.0)), pulse.response_ps
         )
         assert np.array_equal(wide.times_ps[: table.times_ps.size], table.times_ps)
         used = (table.times_ps >= (times_fs[0] + t0_range_fs[0]) * 1e-3) & (
@@ -688,16 +685,3 @@ class TestBatches:
         for word in ("gamma_tot/kappa", "rhs calls", "jacobians", "steps"):
             assert word in message
 
-
-def test_map_csv_round_trips_the_chi2_map(tmp_path):
-    ds, grid = synthetic_problem()
-    result = global_fit([ds], grid, lifetime_fs=120.0)
-    path = tmp_path / "map.csv"
-    write_map_csv(path, result)
-    rows = np.loadtxt(path, delimiter=",", skiprows=2)
-    assert rows.shape == (27, 4)
-    np.testing.assert_allclose(
-        rows[:, 3].reshape(3, 3, 3), result.chi2_reduced_map, rtol=1e-7
-    )
-    header = path.read_text().splitlines()[0]
-    assert "k_eff" in header and "lifetime_fs=120" in header

@@ -209,7 +209,7 @@ def test_batched_moments_match_per_sample_traces(n):
 
 def reduce_in_steps(data, times, ops, oracle, cuts=()):
     """``evolve_exact``'s reduction of the sampled states ``data``, cut into steps at ``cuts``."""
-    sample = _sampler(ops, oracle)
+    sample = _sampler(ops)
     edges = (0, *cuts, len(times))
     rows = np.concatenate([sample(times[a:b], data[a:b]) for a, b in zip(edges[:-1], edges[1:])])
     return _oracle_result(rows, times, ops, oracle)
