@@ -9,6 +9,7 @@ validation oracle throughout.
 """
 
 from .cumulant import (
+    EnergyTrace,
     IntegrationError,
     MomentTrace,
     SolverConfig,
@@ -47,7 +48,6 @@ from .model import (
 )
 from .observables import (
     ChargingMetrics,
-    EnergyTrace,
     RegimeReport,
     UndefinedMetricError,
     charging_metrics,

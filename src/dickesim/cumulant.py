@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from multiprocessing import Pool
 from typing import Callable, Sequence
 
 import numpy as np
@@ -159,6 +160,35 @@ class MomentTrace:
         if name in _SLOTS:
             return moment(self.data, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+@dataclass(frozen=True)
+class EnergyTrace:
+    """Stored energy per molecule (meV) on a uniform time grid (ps)."""
+
+    times_ps: np.ndarray
+    energy_mev: np.ndarray
+
+    def __post_init__(self) -> None:
+        t = np.asarray(self.times_ps, dtype=float)
+        e = np.asarray(self.energy_mev, dtype=float)
+        if t.ndim != 1 or t.size < 2:
+            raise ValueError("need at least two samples")
+        if e.shape != t.shape:
+            raise ValueError("energy and time arrays must match")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
+            raise ValueError("trace contains non-finite values")
+        dt = np.diff(t)
+        if dt.min() <= 0:
+            raise ValueError("times must be strictly increasing")
+        if (dt.max() - dt.min()) > 1e-7 * dt.max():
+            raise ValueError("time grid must be uniform")
+        object.__setattr__(self, "times_ps", t)
+        object.__setattr__(self, "energy_mev", e)
+
+    @property
+    def dt_ps(self) -> float:
+        return float(self.times_ps[1] - self.times_ps[0])
 
 
 def _meanfield_slots(values) -> np.ndarray:
@@ -621,10 +651,8 @@ def integrate(
     return MomentTrace(times_ps=times, data=data)
 
 
-def energy_trace(trace: MomentTrace, params: ModelParams):
+def energy_trace(trace: MomentTrace, params: ModelParams) -> EnergyTrace:
     """Reduce a moment trace to the stored-energy trace of ``simulate_energy``."""
-    from .observables import EnergyTrace
-
     return EnergyTrace(
         times_ps=trace.times_ps,
         energy_mev=energy_density_from_inversion(trace.c_z, params.omega_a_mev),
@@ -635,8 +663,8 @@ def simulate_energy(
     params: ModelParams,
     pulse: PulseParams,
     config: SolverConfig,
-):
-    """Integrate and reduce to an ``observables.EnergyTrace``, energy per molecule in meV."""
+) -> EnergyTrace:
+    """Integrate and reduce to an ``EnergyTrace``, energy per molecule in meV."""
     return energy_trace(integrate(params, pulse, config), params)
 
 
@@ -660,8 +688,6 @@ def simulate_energies(
     sigma/4 step cap, or ValueError is raised.  Returns the traces and the
     solver's work.
     """
-    from .observables import EnergyTrace
-
     if not params or len(params) != len(pulses):
         raise ValueError("need one pulse per member and at least one member")
     shape = (pulses[0].center_ps, pulses[0].sigma_ps)
@@ -699,3 +725,11 @@ def simulate_energies(
         for m, p in enumerate(params)
     ]
     return traces, stats
+
+
+def process_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
+    """``[fn(x) for x in items]``, mapped by at most one process per item."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with Pool(processes=min(workers, len(items))) as pool:
+        return pool.map(fn, items)

@@ -23,11 +23,10 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 
 import numpy as np
 
-from .cumulant import IntegrationError, SolverConfig, simulate_energies, simulate_energy
+from .cumulant import IntegrationError, SolverConfig, process_map, simulate_energies, simulate_energy
 from .model import (
     HBAR_MEV_PS,
     N_REF_DEFAULT,
@@ -568,13 +567,9 @@ def _member_tasks(
 
 
 def _integrate(tasks: dict, labels: list[str], workers: int) -> dict:
-    """Traces of ``tasks`` integrated batch by batch; the pool maps over batches."""
+    """Traces of ``tasks`` integrated batch by batch; ``process_map`` maps over batches."""
     batches = [[(key, tasks[key]) for key in keys] for keys in _batches(tasks)]
-    if workers > 1 and len(batches) > 1:
-        with Pool(processes=min(workers, len(batches))) as pool:
-            results = pool.map(_fit_batch_task, batches)
-    else:
-        results = [_fit_batch_task(batch) for batch in batches]
+    results = process_map(_fit_batch_task, batches, workers)
     out = {}
     for batch, (traces, stats, wall) in zip(batches, results):
         regimes = np.array([_regime(task[0]) for _, task in batch])

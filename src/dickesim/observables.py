@@ -9,15 +9,13 @@ applied explicitly.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 
 import numpy as np
 
-from .cumulant import SolverConfig, simulate_energy
+from .cumulant import EnergyTrace, IntegrationError, SolverConfig, process_map, simulate_energy
 from .model import (
     HBAR_MEV_PS,
     ModelParams,
@@ -25,8 +23,6 @@ from .model import (
     drive_amplitude_from_photon_ratio,
     effective_dephasing,
 )
-
-logger = logging.getLogger(__name__)
 
 DECAY_DOMINATED = "decay-dominated"
 COUPLING_DOMINATED = "coupling-dominated"
@@ -38,35 +34,6 @@ SWEEP_AXES = ("N", "r")
 
 class UndefinedMetricError(RuntimeError):
     """A charging metric does not exist for this trace (e.g. no energy at all)."""
-
-
-@dataclass(frozen=True)
-class EnergyTrace:
-    """Stored energy per molecule (meV) on a uniform time grid (ps)."""
-
-    times_ps: np.ndarray
-    energy_mev: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times_ps, dtype=float)
-        e = np.asarray(self.energy_mev, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("need at least two samples")
-        if e.shape != t.shape:
-            raise ValueError("energy and time arrays must match")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
-            raise ValueError("trace contains non-finite values")
-        dt = np.diff(t)
-        if dt.min() <= 0:
-            raise ValueError("times must be strictly increasing")
-        if (dt.max() - dt.min()) > 1e-7 * dt.max():
-            raise ValueError("time grid must be uniform")
-        object.__setattr__(self, "times_ps", t)
-        object.__setattr__(self, "energy_mev", e)
-
-    @property
-    def dt_ps(self) -> float:
-        return float(self.times_ps[1] - self.times_ps[0])
 
 
 def convolve_response(trace: EnergyTrace, response_ps: float) -> EnergyTrace:
@@ -260,35 +227,13 @@ class SweepPoint:
     error: str | None = None
 
 
-def _sweep_task(args) -> SweepPoint:
-    params, pulse, config, axis, value, photon_ratio, lower_polariton = args
+def _sweep_point(task) -> SweepPoint:
+    """Metrics and regime of one (value, params, pulse, config, r) sweep point."""
+    value, params, pulse, config, r = task
     try:
-        if axis == "N":
-            point_params = replace(params, n_molecules=value)
-            r = photon_ratio
-        else:
-            point_params = params
-            r = value
-        if lower_polariton:
-            split = point_params.g_mev * math.sqrt(point_params.n_molecules)
-            point_params = replace(point_params, delta_a_mev=split, delta_c_mev=split)
-        amplitude = drive_amplitude_from_photon_ratio(r, point_params.n_molecules)
-        point_pulse = replace(pulse, amplitude=amplitude)
-        trace = simulate_energy(point_params, point_pulse, config)
-        metrics = charging_metrics(trace, point_pulse.center_ps)
-        report = classify_regime(point_params, r, point_pulse.sigma_ps)
-        return SweepPoint(
-            axis_value=value,
-            tau_ps=metrics.tau_ps,
-            e_max_mev=metrics.e_max_mev,
-            p_max_mev_per_ps=metrics.p_max_mev_per_ps,
-            regime=report.regime,
-            n_kappa=report.n_kappa,
-            n_gammaz=report.n_gammaz,
-            n_sigma=report.n_sigma,
-        )
-    except Exception as exc:
-        logger.warning("sweep point %s = %g failed: %s", axis, value, exc)
+        trace = simulate_energy(params, pulse, config)
+        metrics = charging_metrics(trace, pulse.center_ps)
+    except (IntegrationError, UndefinedMetricError) as exc:
         return SweepPoint(
             axis_value=value,
             tau_ps=math.nan,
@@ -300,6 +245,17 @@ def _sweep_task(args) -> SweepPoint:
             n_sigma=math.nan,
             error=str(exc),
         )
+    report = classify_regime(params, r, pulse.sigma_ps)
+    return SweepPoint(
+        axis_value=value,
+        tau_ps=metrics.tau_ps,
+        e_max_mev=metrics.e_max_mev,
+        p_max_mev_per_ps=metrics.p_max_mev_per_ps,
+        regime=report.regime,
+        n_kappa=report.n_kappa,
+        n_gammaz=report.n_gammaz,
+        n_sigma=report.n_sigma,
+    )
 
 
 def sweep(
@@ -316,9 +272,9 @@ def sweep(
 
     For ``axis="N"`` the per-point pulse area is recomputed as sqrt(r N), so
     ``photon_ratio`` is required; for ``axis="r"`` the grid itself supplies
-    r.  Rows come back in grid order regardless of worker count, and a
-    failing point is reported in its ``error`` field instead of aborting the
-    rest of the sweep.
+    r.  Rows come back in grid order regardless of worker count.  An
+    ``IntegrationError`` or ``UndefinedMetricError`` makes its point a "failed"
+    row with the message in ``error``; other errors propagate, unlogged.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -334,13 +290,17 @@ def sweep(
         if any(v < 0 for v in grid):
             raise ValueError("photon ratios must be non-negative")
 
-    tasks = [
-        (params, pulse, config, axis, value, photon_ratio, lower_polariton)
-        for value in grid
-    ]
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            points = pool.map(_sweep_task, tasks)
-    else:
-        points = [_sweep_task(t) for t in tasks]
-    return points
+    tasks = []
+    for value in grid:
+        if axis == "N":
+            point_params = replace(params, n_molecules=value)
+            r = photon_ratio
+        else:
+            point_params = params
+            r = value
+        if lower_polariton:
+            split = point_params.g_mev * math.sqrt(point_params.n_molecules)
+            point_params = replace(point_params, delta_a_mev=split, delta_c_mev=split)
+        amplitude = drive_amplitude_from_photon_ratio(r, point_params.n_molecules)
+        tasks.append((value, point_params, replace(pulse, amplitude=amplitude), config, r))
+    return process_map(_sweep_point, tasks, workers)

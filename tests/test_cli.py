@@ -34,6 +34,7 @@ from dickesim.model import (
     PulseParams,
     wavelength_nm_to_mev,
 )
+from test_golden import CASES as GOLDEN_CASES
 
 A1_CFG = """\
 # best-fit configuration, highest concentration run
@@ -368,6 +369,35 @@ sweep.points = 2
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_threads_give_byte_identical_outputs(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GOLDEN_CASES["sweep"][1])
+        outs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads]) == EXIT_OK
+            outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        capsys.readouterr()
+        assert "sweep.csv" in outs["1"]
+        assert outs["1"] == outs["2"]
+
+    def test_a_failed_point_is_reported_once(self, tmp_path, capsys, caplog):
+        cfg = write_cfg(tmp_path, """\
+model.N = 8.08e10
+model.g_neV = 10.6
+model.lifetime_fs = 120
+model.gamma0z_meV = 1.68
+model.gamma_minus_meV = 0.0141
+pulse.sigma_fs = 20
+solver.t_start_ps = -0.3
+solver.t_end_ps = 1.5
+sweep.axis = r
+sweep.grid = 0, 0.1
+""")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "(1 failed)" in capsys.readouterr().out
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert [(r.name, "r=0 failed" in r.getMessage()) for r in warnings] == [("dickesim.cli", True)]
+
 
 class TestFit:
     def test_threads_give_byte_identical_outputs(self, tmp_path, capsys):
@@ -615,6 +645,8 @@ spectrum.points = 4001
 
 
 class TestOracleCheck:
+    GOLDEN_CFG = GOLDEN_CASES["oracle-check"][1]
+
     def test_single_molecule_report_passes(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """\
 model.N = 1
@@ -636,6 +668,23 @@ oracle.n_max = 8
         assert "FAIL" not in stdout
         report = (out / "oracle_report.txt").read_text()
         assert report.count("PASS") == 3
+
+    def test_no_excitation_exits_2_before_writing_the_trace(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.GOLDEN_CFG.replace("pulse.eta0 = 0.1", "pulse.eta0 = 1e-300"))
+        out = tmp_path / "oracle_out"
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "no excitation" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.txt"]
+
+    def test_bracket_forms_run_on_the_cumulant_closure(self, tmp_path, capsys):
+        # mean field has no <a sx> equation, so a bracket check on it could not fail
+        cfg = write_cfg(tmp_path, self.GOLDEN_CFG + "solver.closure = meanfield\n")
+        out = tmp_path / "oracle_out"
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        report = (out / "oracle_report.txt").read_text()
+        consistent, variant = re.search(r"consistent rel err (\S+) vs variant (\S+)", report).groups()
+        assert float(variant) >= 100.0 * float(consistent)
 
 
 def _file_writes(path: Path) -> list[int]:
@@ -665,6 +714,31 @@ def test_only_the_cli_writes_files():
     assert _file_writes(package / "cli.py")
     writes = {p.name: _file_writes(p) for p in sorted(package.glob("*.py")) if p.name != "cli.py"}
     assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+def _function_level_imports(path: Path) -> list[str]:
+    """``function:line`` of every import of a package module inside a function body."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else ["dickesim"]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m == "dickesim" or m.startswith("dickesim.") for m in modules):
+                found.append(f"{func.name}:{node.lineno}")
+    return found
+
+
+def test_package_modules_are_imported_at_module_level():
+    # an import hidden in a function body hides a dependency cycle between modules
+    package = Path(cli.__file__).parent
+    imports = {p.name: _function_level_imports(p) for p in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in imports.items() if found} == {}
 
 
 def test_console_script_shows_all_subcommands():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dickesim import cumulant, observables
 from dickesim.cumulant import SolverConfig, simulate_energy
 from dickesim.model import HBAR_MEV_PS, ModelParams, PulseParams
 from dickesim.observables import (
@@ -194,6 +195,47 @@ def test_sweep_reports_per_point_failures():
     assert points[0].error is not None
     assert math.isnan(points[0].tau_ps)
     assert points[1].error is None
+
+
+def test_sweep_lets_other_errors_propagate(monkeypatch):
+    # only a failed integration or an undefined metric becomes a row
+    def broken(*args):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr(observables, "simulate_energy", broken)
+    params = regime_params(1e10)
+    with pytest.raises(TypeError, match="programming error"):
+        sweep(params, "r", [0.1], PulseParams(amplitude=1.0, sigma_ps=0.020), SWEEP_CONFIG)
+
+
+class _SerialPool:
+    """Stands in for ``multiprocessing.Pool``: records its size, maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+def test_sweep_starts_only_the_processes_it_needs(monkeypatch):
+    monkeypatch.setattr(cumulant, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    params = regime_params(1e10)
+    pulse = PulseParams(amplitude=1.0, sigma_ps=0.020)
+    one = sweep(params, "r", [0.1], pulse, SWEEP_CONFIG, workers=2)
+    assert _SerialPool.sizes == []
+    two = sweep(params, "r", [0.05, 0.1], pulse, SWEEP_CONFIG, workers=8)
+    assert _SerialPool.sizes == [2]
+    assert two[1] == one[0]
 
 
 def test_lower_polariton_drive_detunes_both_resonances():
