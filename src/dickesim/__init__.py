@@ -19,7 +19,6 @@ from .cumulant import (
 from .fit import (
     DataError,
     ExperimentDataset,
-    FitBoundaryError,
     FitGrid,
     FitResult,
     estimate_noise,
@@ -66,7 +65,6 @@ __all__ = [
     "DataError",
     "EnergyTrace",
     "ExperimentDataset",
-    "FitBoundaryError",
     "FitGrid",
     "FitResult",
     "HBAR_MEV_PS",

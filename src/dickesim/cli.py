@@ -45,7 +45,6 @@ import numpy as np
 from .cumulant import IntegrationError, SolverConfig, energy_trace, integrate
 from .fit import (
     DataError,
-    FitBoundaryError,
     FitGrid,
     estimate_noise,
     global_fit,
@@ -91,7 +90,6 @@ _NUMERIC_ERRORS = (
     UndefinedMetricError,
     OracleTruncationError,
     OracleInvariantError,
-    FitBoundaryError,
     ZeroDivisionError,
     FloatingPointError,
 )

@@ -74,17 +74,6 @@ class DataError(RuntimeError):
     """A dataset file or its metadata cannot be used."""
 
 
-class FitBoundaryError(RuntimeError):
-    """The best fit sits on the edge of the search grid."""
-
-
-@dataclass(frozen=True)
-class NoiseWindow:
-    lo_fs: float
-    hi_fs: float
-    sigma: float
-
-
 @dataclass(frozen=True)
 class ExperimentDataset:
     """One measured transient with the metadata the fit needs.
@@ -101,7 +90,6 @@ class ExperimentDataset:
     photon_ratio: float
     response_ps: float | None = None
     sigma: np.ndarray | None = None
-    windows: tuple[NoiseWindow, ...] | None = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times_fs, dtype=float)
@@ -242,7 +230,6 @@ def estimate_noise(
     d = dataset.signal
     sigma = np.empty_like(d)
     covered = np.zeros(t.size, dtype=bool)
-    windows = []
     for lo, hi in window_bounds:
         mask = (t >= lo) & (t < hi) & ~covered
         idx = np.nonzero(mask)[0]
@@ -259,13 +246,12 @@ def estimate_noise(
             s = SIGMA_FLOOR
         sigma[idx] = s
         covered[idx] = True
-        windows.append(NoiseWindow(lo_fs=lo, hi_fs=hi, sigma=s))
     if not covered.all():
         missing = t[~covered]
         raise DataError(
             f"noise windows do not cover {missing.size} samples (first at {missing[0]:g} fs)"
         )
-    return replace(dataset, sigma=sigma, windows=tuple(windows))
+    return replace(dataset, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -680,10 +666,8 @@ def global_fit(
     argmin = np.unravel_index(np.argmin(chi2_map), shape)
     i, j, k = (int(v) for v in argmin)
 
-    try:
-        confidence = confidence_intervals(chi2_map, grid, k_eff, (i, j, k))
-    except FitBoundaryError:
-        confidence = None
+    confidence = confidence_intervals(chi2_map, grid, k_eff, (i, j, k))
+    if confidence is None:
         warnings.warn(
             "best fit sits on the grid boundary; confidence intervals are "
             "unavailable until the grid is extended",
@@ -729,14 +713,14 @@ def confidence_intervals(
     grid: FitGrid,
     k_eff: int,
     argmin: tuple[int, int, int],
-) -> dict:
+) -> dict | None:
     """Per-axis 68% intervals from the joint chi^2 region.
 
     The region is every grid point with chi2_reduced within 3.51/k_eff of
     the minimum (three jointly estimated parameters); each axis reports the
     extent of the region's projection.  A region touching the grid edge
     only bounds the interval from one side, which is flagged as a warning;
-    a minimum on the edge bounds nothing and raises instead.
+    a minimum on the edge bounds nothing and returns None instead.
     """
     i, j, k = argmin
     shape = chi2_reduced_map.shape
@@ -745,9 +729,7 @@ def confidence_intervals(
         or j in (0, shape[1] - 1)
         or k in (0, shape[2] - 1)
     ):
-        raise FitBoundaryError(
-            "chi^2 minimum lies on the search-grid boundary; extend the grid"
-        )
+        return None
     threshold = chi2_reduced_map[i, j, k] + DELTA_CHI2_68 / k_eff
     region = chi2_reduced_map <= threshold
     out = {}

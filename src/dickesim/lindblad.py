@@ -34,6 +34,7 @@ from .model import (
     PulseParams,
     effective_dephasing,
     energy_density_from_inversion,
+    pulse_shape,
 )
 
 MAX_DIM = 64
@@ -215,9 +216,7 @@ def evolve_exact(
     ops = _operators(_molecule_count(params), oracle.n_max)
 
     drift, drive = _superoperators(*_hamiltonian_and_jumps(params, ops), ops.ad - ops.a)
-    amp = pulse.amplitude / (pulse.sigma_ps * math.sqrt(2.0 * math.pi))
-    t0 = pulse.center_ps
-    inv_sig = 1.0 / pulse.sigma_ps
+    amp, t0, inv_sig = pulse_shape(pulse)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         arg = (t - t0) * inv_sig
@@ -321,6 +320,8 @@ def _oracle_result(rows, times, ops: _Operators, oracle: OracleConfig) -> Oracle
 
 @dataclass(frozen=True)
 class ComparisonNorms:
+    """A type, not a float: ``benchmarks/workloads.py`` reads ``.max_rel_error``."""
+
     max_rel_error: float
 
 

@@ -119,14 +119,20 @@ class PulseParams:
             raise ValueError("center_ps must be finite")
 
 
+def pulse_shape(pulse: PulseParams) -> tuple[float, float, float]:
+    """(peak, centre, 1/sigma) of eta(t); the right-hand sides evaluate its exponential per call."""
+    peak = pulse.amplitude / (pulse.sigma_ps * math.sqrt(2.0 * math.pi))
+    return peak, pulse.center_ps, 1.0 / pulse.sigma_ps
+
+
 def pulse_envelope(pulse: PulseParams, t_ps):
     """Drive rate eta(t) in 1/ps; accepts scalars or arrays.
 
     The envelope integrates to ``pulse.amplitude`` over all time, which is
     what ties the pulse area to the injected photon number.
     """
-    arg = (np.asarray(t_ps, dtype=float) - pulse.center_ps) / pulse.sigma_ps
-    peak = pulse.amplitude / (pulse.sigma_ps * math.sqrt(2.0 * math.pi))
+    peak, t0, inv_sig = pulse_shape(pulse)
+    arg = (np.asarray(t_ps, dtype=float) - t0) * inv_sig
     out = peak * np.exp(-0.5 * arg * arg)
     if np.ndim(t_ps) == 0:
         return float(out)
@@ -181,37 +187,3 @@ def energy_density_from_inversion(c_z, omega_a_mev: float):
     if np.ndim(c_z) == 0:
         return float(out)
     return out
-
-
-def estimate_molecule_count(
-    fractional_transmission: float,
-    thickness_cm: float,
-    cross_section_cm2: float,
-    beam_area_cm2: float,
-) -> float:
-    """Molecules in the pumped volume from a Beer-Lambert transmission ratio.
-
-    N = -ln(T/T0) * A / sigma_abs.  The film thickness cancels (it enters the
-    density and the column length with opposite powers) but is kept as an
-    argument so callers state the geometry they measured explicitly.
-    """
-    if not (0.0 < fractional_transmission <= 1.0):
-        raise ValueError(
-            f"fractional_transmission must lie in (0, 1], got {fractional_transmission}"
-        )
-    if thickness_cm <= 0:
-        raise ValueError(f"thickness_cm must be positive, got {thickness_cm}")
-    if cross_section_cm2 <= 0:
-        raise ValueError(f"cross_section_cm2 must be positive, got {cross_section_cm2}")
-    if beam_area_cm2 <= 0:
-        raise ValueError(f"beam_area_cm2 must be positive, got {beam_area_cm2}")
-    return -math.log(fractional_transmission) * beam_area_cm2 / cross_section_cm2
-
-
-def photons_in_cavity(pump_photons: float, reflectivity: float) -> float:
-    """Photons entering the cavity, N_p * (1 - R)."""
-    if pump_photons < 0:
-        raise ValueError(f"pump_photons must be non-negative, got {pump_photons}")
-    if not (0.0 <= reflectivity <= 1.0):
-        raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
-    return pump_photons * (1.0 - reflectivity)

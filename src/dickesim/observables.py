@@ -134,7 +134,6 @@ class RegimeReport:
     """
 
     regime: str
-    thresholds: dict
     n_kappa: float
     n_gammaz: float
     n_sigma: float
@@ -184,12 +183,6 @@ def classify_regime(
 
     return RegimeReport(
         regime=regime,
-        thresholds={
-            "kappa_mev": params.kappa_mev,
-            "gamma_z_mev": gz,
-            "gamma_minus_mev": params.gamma_minus_mev,
-            "pulse_bandwidth_mev": bandwidth,
-        },
         n_kappa=n_kappa,
         n_gammaz=n_gammaz,
         n_sigma=n_sigma,

@@ -14,7 +14,6 @@ from dickesim.cumulant import SolverConfig
 from dickesim.fit import (
     DataError,
     ExperimentDataset,
-    FitBoundaryError,
     FitGrid,
     LABEL_INFO,
     confidence_intervals,
@@ -161,19 +160,18 @@ class TestNoise:
         ds = ExperimentDataset("A2", t, d, n_dye=8.08e10, photon_ratio=0.12)
         est = estimate_noise(ds)
         assert est.sigma is not None and np.all(est.sigma > 0)
-        assert len(est.windows) == 5
-        for w in est.windows:
-            assert w.sigma == pytest.approx(levels[(w.lo_fs, w.hi_fs)], rel=0.4)
-        # per-sample array agrees with its window
-        for w in est.windows:
-            mask = (t >= w.lo_fs) & (t < w.hi_fs)
-            assert np.all(est.sigma[mask] == w.sigma)
+        assert np.unique(est.sigma).size == 5
+        # one level per window, close to the noise drawn there
+        for (lo, hi), level in levels.items():
+            window = est.sigma[(t >= lo) & (t < hi)]
+            assert np.all(window == window[0])
+            assert window[0] == pytest.approx(level, rel=0.4)
 
     def test_four_window_labels_use_four_windows(self):
         t = np.arange(-500.0, 1500.0, 4.0)
         ds = ExperimentDataset("B1", t, np.sin(t / 200.0), n_dye=1.62e10, photon_ratio=2.8)
         est = estimate_noise(ds)
-        assert len(est.windows) == 4
+        assert np.unique(est.sigma).size == 4
 
     def test_silent_window_is_clamped_to_the_floor(self):
         t = np.arange(-500.0, 1500.0, 4.0)
@@ -493,10 +491,9 @@ class TestGlobalFit:
             result = global_fit([ds], shifted, lifetime_fs=120.0)
         assert result.argmin[0] == 2
         assert result.confidence is None
-        with pytest.raises(FitBoundaryError, match="boundary"):
-            confidence_intervals(
-                result.chi2_reduced_map, shifted, result.k_eff, result.argmin
-            )
+        assert confidence_intervals(
+            result.chi2_reduced_map, shifted, result.k_eff, result.argmin
+        ) is None
 
     def test_precomputed_traces_give_the_same_answer(self):
         ds, grid = synthetic_problem()

@@ -18,10 +18,8 @@ from dickesim.model import (
     effective_dephasing,
     empty_cavity_amplitude,
     energy_density_from_inversion,
-    estimate_molecule_count,
     gamma_total,
     lifetime_ps_to_mev,
-    photons_in_cavity,
     pulse_envelope,
     wavelength_nm_to_mev,
 )
@@ -134,20 +132,3 @@ def test_energy_density_endpoints():
     assert energy_density_from_inversion(1.0, 2357.0) == pytest.approx(2357.0)
     arr = energy_density_from_inversion(np.array([-1.0, 0.0]), 2357.0)
     assert arr == pytest.approx([0.0, 1178.5])
-
-
-def test_molecule_count_from_transmission():
-    # 10% transmitted through sigma = 1e-16 cm^2 dye over a 1e-5 cm^2 spot
-    n = estimate_molecule_count(0.1, 1e-5, 1e-16, 1e-5)
-    assert n == pytest.approx(-math.log(0.1) * 1e-5 / 1e-16, rel=1e-12)
-    with pytest.raises(ValueError):
-        estimate_molecule_count(0.0, 1e-5, 1e-16, 1e-5)
-    with pytest.raises(ValueError):
-        estimate_molecule_count(1.1, 1e-5, 1e-16, 1e-5)
-
-
-def test_photons_in_cavity_reflection_correction():
-    assert photons_in_cavity(1e10, 0.84) == pytest.approx(1.6e9)
-    with pytest.raises(ValueError):
-        photons_in_cavity(1e10, 1.5)
-

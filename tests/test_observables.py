@@ -131,7 +131,6 @@ def test_non_resonant_takes_precedence():
 def test_pulse_bandwidth_threshold_value():
     report = classify_regime(regime_params(1e10), 0.0, 0.020)
     expected = (0.4 ** 0.25) * HBAR_MEV_PS / 0.020
-    assert report.thresholds["pulse_bandwidth_mev"] == pytest.approx(expected)
     assert report.n_sigma == pytest.approx((expected / 10.6e-6) ** 2)
 
 
