@@ -508,6 +508,10 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
         for name in sorted(result.confidence):
             lo, hi = result.confidence[name]
             lines.append(f"ci68[{name}] = {_fmt(lo)} .. {_fmt(hi)}")
+    for name, scan in (("failed_coarse", result.coarse), ("failed", result)):
+        for (i, j, k), reason in (scan.failed.items() if scan is not None else ()):
+            g, gz, gm = scan.grid.g_nev[i], scan.grid.gamma0z_mev[j], scan.grid.gamma_minus_mev[k]
+            lines.append(f"{name}[{_fmt(g)}, {_fmt(gz)}, {_fmt(gm)}] = {reason}")
     _report(out_dir, "fit_report.txt", lines)
 
     for ds in datasets:
@@ -645,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for synthetic noise")
     common.add_argument(
         "--log-level", default="WARNING", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-        help="log threshold on stderr; INFO reports the solver work of every fit batch",
+        help="log threshold on stderr; INFO reports every fit batch and chi^2 reduction pass",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

@@ -3,9 +3,10 @@
 Each measured pump-probe transient is compared against the model energy
 trace through two per-dataset nuisance parameters, an overall scale S and a
 time shift T_0, both eliminated inside the objective: S in closed form, T_0
-by a bracketed golden-section search.  The three physical rates are shared
-by all datasets and scanned on a logarithmic grid; every dataset keeps its
-own molecule number and pump photon ratio.
+by a scan over the model's whole time steps, for every grid point at once,
+refined by a bounded Brent search.  The three physical rates are shared by
+all datasets and scanned on a logarithmic grid; every dataset keeps its own
+molecule number and pump photon ratio.
 
 chi^2 = sum_i [ (S * d_i - E(t_i + T_0)) / (S * sigma_i) ]^2
       = sum_i w_i (d_i - a E(t_i + T_0))^2,   w_i = 1/sigma_i^2,  a = 1/S
@@ -25,6 +26,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import linalg, optimize
 
 from .cumulant import IntegrationError, SolverConfig, process_map, simulate_energies, simulate_energy
 from .model import (
@@ -284,20 +286,49 @@ def _chi2_at(
     return float(w @ (r * r)), (1.0 / a if a != 0.0 else math.inf)
 
 
-def inner_fit(
-    model: EnergyTrace,
+def _lattice_chi2(energies, t_model, dt, t_data_ps, w, wd, d, k_lo, k_hi) -> np.ndarray:
+    """chi^2 = sum(w d^2) - sum(w d E)^2 / sum(w E^2) of each member at shifts k dt, k_lo..k_hi.
+
+    A whole-step shift keeps each sample's interpolation weight f, so the two
+    sums are the member rows E, E^2 and E E[+1] times one Toeplitz matrix
+    each.  chi^2 is inf where sum(w E^2) <= 0.
+    """
+    u = (t_data_ps - t_model[0]) / dt
+    node = np.clip(np.floor(u).astype(int), -k_lo, t_model.size - 1 - k_hi)
+    f = np.clip(u - node, 0.0, 1.0)
+    i = node - node.min()
+    span, n_shifts = int(i.max()) + 2, k_hi - k_lo + 1
+
+    def toeplitz(at, after):
+        # column c is shift k_lo + c: the node weights moved down by c rows
+        col = np.bincount(i, at, span) + np.bincount(i + 1, after, span)
+        return linalg.toeplitz(np.r_[col, np.zeros(n_shifts - 1)], np.r_[col[0], np.zeros(n_shifts - 1)])
+
+    # rows from node min + k_lo on; a row past the grid's end is 0, with weight 0
+    first, rows = int(node.min()) + k_lo, span + n_shifts - 1
+    e = np.stack([energy[first:first + rows + 1] for energy in energies])
+    e = np.pad(e, ((0, 0), (0, rows + 1 - e.shape[1])))
+    s1 = e[:, :-1] @ toeplitz(wd * (1.0 - f), wd * f)
+    s2 = e[:, :-1] ** 2 @ toeplitz(w * (1.0 - f) ** 2, w * f * f)
+    s2 += (e[:, :-1] * e[:, 1:]) @ toeplitz(2.0 * w * f * (1.0 - f), np.zeros_like(f))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s2 > 0.0, float(wd @ d) - s1 * s1 / s2, np.inf)
+
+
+def inner_fits(
+    models: list[EnergyTrace],
     dataset: ExperimentDataset,
     t0_range_fs: tuple[float, float] = (-400.0, 400.0),
-    coarse_points: int = 17,
-) -> InnerFit:
-    """Best scale and time shift of one dataset against one model trace.
+) -> tuple[list, int, int]:
+    """Best scale and time shift of one dataset against each of ``models``.
 
-    At fixed shift chi^2 = sum w (d - a E)^2 with a = 1/S, minimised by the
-    weighted projection a = sum(w d E) / sum(w E^2); a trace with no
-    amplitude over the data raises ValueError.  The shift is found by a
-    coarse scan over the allowed range followed by golden-section
-    refinement of the best bracket; ties on the coarse scan resolve toward
-    the smaller |T_0|.
+    At fixed shift chi^2 = sum w (d - a E)^2 is least at a = 1/S = sum(w d E)
+    / sum(w E^2).  ``_lattice_chi2`` takes it at every whole step of the
+    models' one uniform grid; the near-least steps are evaluated directly,
+    ties going to the smaller |T_0|, and a bounded Brent search within a step
+    either side converges T_0 to 1e-3 fs unless the valley is flat.  Returns
+    per model an ``InnerFit`` or the ValueError of a trace without amplitude,
+    and the counts of lattice shifts and direct evaluations.
     """
     if dataset.sigma is None:
         raise DataError(f"dataset {dataset.label!r} has no noise estimate yet")
@@ -307,54 +338,64 @@ def inner_fit(
     t_data_ps = dataset.times_fs * 1e-3
     lo = lo_fs * 1e-3
     hi = hi_fs * 1e-3
-    t_model = model.times_ps
+    t_model = models[0].times_ps
+    dt = (t_model[-1] - t_model[0]) / (t_model.size - 1)
+    uniform = np.max(np.abs(t_model - t_model[0] - dt * np.arange(t_model.size))) <= 1e-6 * dt
+    if not uniform or any(not np.array_equal(model.times_ps, t_model) for model in models):
+        raise ValueError("the model traces of one dataset must share one uniform time grid")
     if t_data_ps[0] + lo < t_model[0] or t_data_ps[-1] + hi > t_model[-1]:
         raise ValueError(
             "model trace does not span the dataset over the full shift range: "
             f"need [{t_data_ps[0] + lo:g}, {t_data_ps[-1] + hi:g}] ps, "
             f"have [{t_model[0]:g}, {t_model[-1]:g}] ps"
         )
+    k_lo, k_hi = math.ceil(lo / dt - 1e-9), math.floor(hi / dt + 1e-9)
+    if k_hi < k_lo:
+        raise ValueError(f"t0 range holds no whole model step of {dt * 1e3:g} fs")
+    shifts = np.clip(dt * np.arange(k_lo, k_hi + 1), lo, hi)
     d = dataset.signal
     w = 1.0 / dataset.sigma ** 2
     wd = w * d
     if float(wd @ d) <= 0.0:
         raise DataError(f"dataset {dataset.label!r} has no signal to scale")
-    e_model = model.energy_mev
+    lattice = _lattice_chi2([m.energy_mev for m in models], t_model, dt, t_data_ps, w, wd, d, k_lo, k_hi)
+    dust = 1e-10 * float(wd @ d)  # the lattice form's rounding: about 2e-15 of sum(w d^2)
 
-    args = (t_data_ps, d, w, wd, t_model, e_model)
+    out, evaluations = [], 0
+    for model, row in zip(models, lattice):
+        args = (t_data_ps, d, w, wd, t_model, model.energy_mev)
+        try:
+            # nearest |T_0| first; a row without a finite value makes _chi2_at raise
+            near = sorted(shifts[row <= row.min() + dust], key=abs)
+            exact = [_chi2_at(s, *args) for s in near]
+            best = min(chi2 for chi2, _ in exact)
+            pick = next(n for n, (chi2, _) in enumerate(exact) if chi2 <= best * (1.0 + 1e-12))
+            shift, (chi2, scale) = near[pick], exact[pick]
+            search = optimize.minimize_scalar(
+                lambda s: _chi2_at(s, *args)[0], method="bounded",
+                bounds=(max(lo, shift - dt), min(hi, shift + dt)), options={"xatol": 1e-6},
+            )
+            refined = _chi2_at(search.x, *args)
+        except ValueError as exc:
+            out.append(exc)
+            continue
+        if refined[0] < best * (1.0 - 1e-12):  # else a flat valley: the lattice shift stands
+            shift, (chi2, scale) = search.x, refined
+        evaluations += len(near) + search.nfev + 1
+        out.append(InnerFit(scale=scale, t0_fs=shift * 1e3, chi2=chi2))
+    return out, shifts.size, evaluations
 
-    shifts = np.linspace(lo, hi, coarse_points)
-    chi2s = np.array([_chi2_at(s, *args)[0] for s in shifts])
-    best = np.min(chi2s)
-    # ties (within numerical dust) resolve toward the smallest |shift|
-    tied = np.nonzero(chi2s <= best * (1.0 + 1e-12))[0]
-    i = int(tied[np.argmin(np.abs(shifts[tied]))])
 
-    a = shifts[max(i - 1, 0)]
-    b = shifts[min(i + 1, coarse_points - 1)]
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1 = _chi2_at(x1, *args)[0]
-    f2 = _chi2_at(x2, *args)[0]
-    while (b - a) > 1e-4:  # 0.1 fs
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = _chi2_at(x1, *args)[0]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = _chi2_at(x2, *args)[0]
-    shift = 0.5 * (a + b)
-    chi2, scale = _chi2_at(shift, *args)
-    if not chi2 < best * (1.0 - 1e-12):
-        # a flat valley gives the refinement nothing to improve on, and the
-        # search would otherwise drift across the bracket; stay on the
-        # tie-resolved coarse point
-        shift = shifts[i]
-        chi2, scale = _chi2_at(shift, *args)
-    return InnerFit(scale=scale, t0_fs=shift * 1e3, chi2=chi2)
+def inner_fit(
+    model: EnergyTrace,
+    dataset: ExperimentDataset,
+    t0_range_fs: tuple[float, float] = (-400.0, 400.0),
+) -> InnerFit:
+    """``inner_fits`` of one model: its scale and shift, or the ValueError raised."""
+    fit = inner_fits([model], dataset, t0_range_fs)[0][0]
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
 
 
 @dataclass(frozen=True)
@@ -416,7 +457,8 @@ class FitResult:
 
     ``inner`` maps each dataset label to its scale and shift at the best
     point, and ``traces`` to the convolved model trace they were fitted
-    against.
+    against.  ``failed`` maps each grid point left out of the map (its
+    chi^2 stays inf) to the first dataset's reason.
     """
 
     g_nev: float
@@ -430,6 +472,7 @@ class FitResult:
     chi2_reduced_map: np.ndarray
     argmin: tuple[int, int, int]
     confidence: dict | None
+    failed: dict[tuple[int, int, int], str]
     lifetime_fs: float
     coarse: "FitResult | None" = None
 
@@ -642,24 +685,32 @@ def global_fit(
             t0_range_fs=t0_range_fs, workers=workers,
         )
 
+    start = time.perf_counter()
     shape = (grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size)
+    points = list(np.ndindex(shape))
+    runs = []
+    for di, ds in enumerate(datasets):
+        try:
+            runs.append(inner_fits([traces[(*p, di)] for p in points], ds, t0_range_fs))
+        except (ValueError, DataError) as exc:
+            runs.append(([exc] * len(points), 0, 0))
+    columns, shifts, evaluations = zip(*runs)
     chi2_map = np.full(shape, np.inf)
-    inner: dict[tuple[int, int, int], list[InnerFit]] = {}
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            for k in range(shape[2]):
-                total = 0.0
-                fits = []
-                try:
-                    for di, ds in enumerate(datasets):
-                        f = inner_fit(traces[(i, j, k, di)], ds, t0_range_fs=t0_range_fs)
-                        total += f.chi2
-                        fits.append(f)
-                except (ValueError, DataError) as exc:
-                    logger.warning("grid point (%d, %d, %d) failed: %s", i, j, k, exc)
-                    continue
-                chi2_map[i, j, k] = total / k_eff
-                inner[(i, j, k)] = fits
+    inner, failed = {}, {}
+    for point, fits in zip(points, zip(*columns)):
+        errors = [f"{ds.label}: {f}" for ds, f in zip(datasets, fits) if not isinstance(f, InnerFit)]
+        if errors:
+            logger.warning("grid point %s failed: %s", point, errors[0])
+            failed[point] = errors[0]
+        else:
+            chi2_map[point] = sum(f.chi2 for f in fits) / k_eff
+            inner[point] = fits
+    members = len(points) * len(datasets)
+    logger.info(
+        "chi^2 reduction: %d members, %d lattice shifts, %.1f direct evaluations per member, "
+        "%d failed grid points, %.3f s",
+        members, sum(shifts), sum(evaluations) / members, len(failed), time.perf_counter() - start,
+    )
 
     if not np.any(np.isfinite(chi2_map)):
         raise RuntimeError("every grid point failed; check the model window and data")
@@ -687,6 +738,7 @@ def global_fit(
         chi2_reduced_map=chi2_map,
         argmin=(i, j, k),
         confidence=confidence,
+        failed=failed,
         lifetime_fs=lifetime_fs,
     )
     if not refine:

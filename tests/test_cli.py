@@ -25,7 +25,7 @@ from dickesim.cli import (
     parse_config,
     read_config_file,
 )
-from dickesim.cumulant import SolverConfig
+from dickesim.cumulant import EnergyTrace, SolverConfig
 from dickesim.lindblad import OracleConfig
 from dickesim.model import (
     HBAR_MEV_PS,
@@ -418,6 +418,32 @@ fit.refine = true
         assert "chi2_map_coarse.csv" in outs["1"] and "residuals_synthetic.csv" in outs["1"]
         assert outs["1"] == outs["2"]
 
+    def test_failed_grid_points_are_listed_in_the_report(self, tmp_path, capsys, monkeypatch):
+        build = fit.model_traces
+
+        def with_a_flat_member(*args, **kwargs):
+            table = build(*args, **kwargs)
+            trace = table[(0, 0, 0, 0)]
+            table[(0, 0, 0, 0)] = EnergyTrace(trace.times_ps, np.zeros(trace.times_ps.size))
+            return table
+
+        monkeypatch.setattr(fit, "model_traces", with_a_flat_member)
+        cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
+fit.grid_points = 3
+fit.g_bounds_neV = 8.153846153846153, 13.78
+fit.gamma0z_bounds_meV = 1.2923076923076922, 2.184
+fit.gammaminus_bounds_meV = 0.010846153846153846, 0.01833
+""")
+        out = tmp_path / "fit_out"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        report = (out / "fit_report.txt").read_text().splitlines()
+        assert [line for line in report if line.startswith("failed")] == [
+            "failed[8.15385, 1.29231, 0.0108462] = "
+            "synthetic: model trace has no amplitude over the data at shift 0 fs"
+        ]
+        assert "g_neV = 10.6" in report
+
     def test_synthetic_single_point_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """\
 model.N = 8.08e10
@@ -613,9 +639,12 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         finally:
             package.setLevel(logging.WARNING)
         capsys.readouterr()
-        batches = [r.getMessage() for r in caplog.records if r.name == "dickesim.fit" and r.levelname == "INFO"]
-        assert len(batches) == 1 and batches[0].startswith("synthetic: 1 members")
-        assert "rhs calls" in batches[0]
+        # one line per integrated batch, then one per chi^2 reduction pass
+        infos = [r.getMessage() for r in caplog.records if r.name == "dickesim.fit" and r.levelname == "INFO"]
+        assert len(infos) == 2 and infos[0].startswith("synthetic: 1 members")
+        assert "rhs calls" in infos[0]
+        assert infos[1].startswith("chi^2 reduction: 1 members, 401 lattice shifts, ")
+        assert ", 0 failed grid points, " in infos[1]
         for name in ("chi2_map.csv", "fit_report.txt", "residuals_synthetic.csv"):
             assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "loud" / name).read_bytes()
         with pytest.raises(SystemExit):

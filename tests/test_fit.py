@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -20,13 +21,14 @@ from dickesim.fit import (
     estimate_noise,
     global_fit,
     inner_fit,
+    inner_fits,
     load_dataset,
     make_synthetic_dataset,
     model_traces,
     residuals,
 )
 from dickesim.cumulant import simulate_energy
-from dickesim.fit import _member_tasks, _window_sigma
+from dickesim.fit import _chi2_at, _lattice_chi2, _member_tasks, _window_sigma
 from dickesim.model import ModelParams, PulseParams, drive_amplitude_from_photon_ratio
 from dickesim.observables import EnergyTrace, convolve_response
 
@@ -218,8 +220,8 @@ class TestInnerFit:
         fit = inner_fit(model, ds)
         assert fit.t0_fs == pytest.approx(30.0, abs=0.2)
         assert fit.scale == pytest.approx(1.25, rel=1e-4)
-        # the shift search stops at a 0.1 fs bracket, so the floor is set by
-        # (half-bracket * steepest slope / sigma)^2 summed over the rise
+        # the shift search converges to 1e-3 fs, so the floor is set by
+        # (shift error * steepest slope / sigma)^2 summed over the rise
         assert fit.chi2 < 1.0
 
     def test_negative_shift_is_found_too(self):
@@ -268,8 +270,71 @@ class TestInnerFit:
         fit = inner_fit(model, ds)
         r = residuals(model, ds, fit)
         assert r.shape == times_fs.shape
-        # bounded by the 0.1 fs shift resolution, well under the noise level
+        # bounded by the 1e-3 fs shift resolution, well under the noise level
         assert np.max(np.abs(r)) < 0.3
+
+    def test_converges_to_the_dense_scan_minimum_at_high_snr(self):
+        # SNR about 5e4: chi^2 rises by 0.2 at 1e-3 fs and by 23 at 0.01 fs
+        # off its minimum, so only a converged shift search gets within 1e-3
+        model = smooth_model()
+        times_fs = np.arange(-400.0, 1200.0, 8.0)
+        ds = noisy_dataset(model, times_fs, scale=1.25, shift_fs=30.37, noise=100.0 / 1.25 / 5e4, seed=5)
+        fit = inner_fit(model, ds)
+        w = 1.0 / ds.sigma ** 2
+        args = (ds.times_fs * 1e-3, ds.signal, w, w * ds.signal, model.times_ps, model.energy_mev)
+        coarse = np.arange(-400.0, 400.0 + 0.125, 0.25) * 1e-3
+        best = coarse[np.argmin([_chi2_at(s, *args)[0] for s in coarse])]
+        dense = np.arange(best - 0.25e-3, best + 0.25e-3, 1e-7)
+        dense_min = min(_chi2_at(s, *args)[0] for s in dense)
+        assert fit.chi2 <= dense_min + 1e-3
+        assert fit.t0_fs == pytest.approx(30.37, abs=0.05)
+
+    def test_models_must_share_one_uniform_grid(self):
+        model = smooth_model()
+        ds = dataset_from_model(model, np.arange(-400.0, 1200.0, 8.0), 1.0, 0.0)
+        # every step within EnergyTrace's 1e-7 tolerance, yet the middle of
+        # the grid sits 4.5e-5 of a step off the whole-step lattice
+        n = model.times_ps.size
+        steps = 0.002 * np.where(np.arange(n - 1) < (n - 1) // 2, 1.0 + 5e-8, 1.0 - 4e-8)
+        drifting = EnergyTrace(np.r_[-1.0, -1.0 + np.cumsum(steps)], model.energy_mev)
+        with pytest.raises(ValueError, match="one uniform time grid"):
+            inner_fit(drifting, ds)
+        later = EnergyTrace(model.times_ps + 0.001, model.energy_mev)
+        with pytest.raises(ValueError, match="one uniform time grid"):
+            inner_fits([model, later], ds)
+
+
+class TestShiftLattice:
+    """chi^2 on the model's own time steps, for several members at once."""
+
+    @pytest.mark.parametrize(
+        "spacing_fs, offset_fs, ends_on_last_node",
+        [(2.0, 0.0, False), (3.0, 0.7, False), (8.0, 0.0, True)],
+        ids=["aligned-2fs", "offset-3fs", "last-node"],
+    )
+    def test_lattice_matches_direct_chi2_at_every_shift(self, spacing_fs, offset_fs, ends_on_last_node):
+        dt = 0.002
+        t_model = -1.0 + dt * np.arange(2001)
+        base = smooth_model().energy_mev
+        energies = [base, base * (1.0 + 0.3 * np.sin(t_model)), 0.5 * base ** 1.2]
+        k_lo, k_hi = -50, 50
+        n = 300
+        start = -0.4 + offset_fs * 1e-3
+        if ends_on_last_node:
+            start = t_model[-1] - k_hi * dt - (n - 1) * spacing_fs * 1e-3
+        t_data = start + spacing_fs * 1e-3 * np.arange(n)
+        if ends_on_last_node:
+            assert t_data[-1] + k_hi * dt == pytest.approx(t_model[-1], abs=1e-12)
+        rng = np.random.default_rng(3)
+        d = np.interp(t_data + 0.013, t_model, base) / 1.3 + rng.normal(scale=2.0, size=n)
+        w = 1.0 / rng.uniform(0.5, 2.0, size=n) ** 2
+        step = (t_model[-1] - t_model[0]) / (t_model.size - 1)
+        lattice = _lattice_chi2(energies, t_model, step, t_data, w, w * d, d, k_lo, k_hi)
+        direct = [
+            [_chi2_at(k * step, t_data, d, w, w * d, t_model, e)[0] for k in range(k_lo, k_hi + 1)]
+            for e in energies
+        ]
+        np.testing.assert_allclose(lattice, direct, rtol=1e-10)
 
 
 def noisy_dataset(model, times_fs, scale, shift_fs, noise, seed, label="synthetic"):
@@ -581,6 +646,22 @@ class TestGlobalFit:
                 for name, value in truth.items()
             )
         assert covered >= 0.68 * trials, covered
+
+    def test_a_member_without_amplitude_is_a_failed_grid_point(self, caplog):
+        ds, grid = synthetic_problem(known_sigma=True)
+        table = model_traces([ds], grid, lifetime_fs=120.0)
+        flat = table[(0, 2, 0, 0)]
+        table[(0, 2, 0, 0)] = EnergyTrace(flat.times_ps, np.zeros(flat.times_ps.size))
+        with caplog.at_level(logging.INFO, logger="dickesim.fit"):
+            result = global_fit([ds], grid, lifetime_fs=120.0, traces=table)
+        assert result.failed == {(0, 2, 0): "A2: model trace has no amplitude over the data at shift 0 fs"}
+        assert np.isinf(result.chi2_reduced_map[0, 2, 0])
+        assert np.sum(np.isfinite(result.chi2_reduced_map)) == 26
+        assert result.argmin == (1, 1, 1)
+        reductions = [r.getMessage() for r in caplog.records if r.getMessage().startswith("chi^2 reduction")]
+        assert len(reductions) == 1
+        assert reductions[0].startswith("chi^2 reduction: 27 members, 401 lattice shifts, ")
+        assert ", 1 failed grid points, " in reductions[0]
 
     def test_duplicate_labels_are_rejected(self):
         ds, grid = synthetic_problem(known_sigma=True)
