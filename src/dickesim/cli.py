@@ -284,12 +284,11 @@ def _report(out_dir: Path, name: str, lines: list[str]) -> None:
     print(text)
 
 
-def _trace_table(times_ps, c_z, c_n, n_molecules: float, omega_a_mev: float) -> tuple[str, list[str]]:
+def _trace_table(times_ps, energy_mev, c_z, c_n, n_molecules: float) -> tuple[str, list[str]]:
     """Header and rows of the five columns that ``trace.csv`` and ``oracle_trace.csv`` share."""
-    energy = energy_density_from_inversion(c_z, omega_a_mev)
     return "t_ps,E_meV,Cz,n_photons,n_over_N", [
         f"{t:.6f},{e:.10e},{cz:.10e},{cn:.10e},{cn / n_molecules:.10e}"
-        for t, e, cz, cn in zip(times_ps, energy, c_z, c_n)
+        for t, e, cz, cn in zip(times_ps, energy_mev, c_z, c_n)
     ]
 
 
@@ -313,13 +312,13 @@ def cmd_simulate(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Pat
     common = params, pulse, solver = _build_common(cfg, sections)
     _echo_config(out_dir, "simulate", *common)
     trace = integrate(params, pulse, solver)
+    energy = energy_trace(trace, params)
     _write_table(
         out_dir / "trace.csv",
         " ".join(f"{name}={value!r}" for obj in common for name, value in sorted(vars(obj).items())),
-        *_trace_table(trace.times_ps, trace.c_z, trace.c_n, params.n_molecules, params.omega_a_mev),
+        *_trace_table(trace.times_ps, energy.energy_mev, trace.c_z, trace.c_n, params.n_molecules),
     )
 
-    energy = energy_trace(trace, params)
     smoothed = convolve_response(energy, pulse.response_ps)
     _write_table(
         out_dir / "trace_convolved.csv", f"response_ps={pulse.response_ps:g}", "t_ps,E_meV",
@@ -570,8 +569,8 @@ def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir:
     if peak <= 0.0:
         raise ConfigError("oracle trace has no excitation; increase pulse.eta0")
     header, rows = _trace_table(
-        exact.times_ps, np.real(exact.moments["c_z"]), np.real(exact.moments["c_n"]),
-        exact.n_molecules, params.omega_a_mev,
+        exact.times_ps, e_exact, np.real(exact.moments["c_z"]), np.real(exact.moments["c_n"]),
+        exact.n_molecules,
     )
     diagnostics = zip(rows, exact.top_fock_pop, exact.trace_error, exact.min_eigenvalue)
     _write_table(

@@ -22,14 +22,14 @@ fast rather than decay, so the step stays bound to the Rabi period there.
 
 The equations are written once (``_moment_equations``) and run on plain
 floats for one trace or on (B,) arrays for a batch of members.
-``simulate_energies`` integrates a batch as one stacked member-major
-state, with one evaluation of the equations per step for all members and
-a banded block Jacobian central-differenced in one evaluation; LSODA's
-error test is a weighted max-norm, so each member keeps its own
-tolerance.  The fit's model table uses it; the single-trace path
-(``integrate``, ``simulate_energy``) stays scalar.  One stepping loop,
-``_segmented_solve``, serves every integration: it hands each step's
-samples to the caller's reduction and reports the solver's work.
+``simulate_energies`` integrates members under one pulse as one stacked
+member-major state, with one evaluation of the equations per step for all
+members and a banded block Jacobian central-differenced in one
+evaluation; LSODA's error test is a weighted max-norm, so each member
+keeps its own tolerance.  The fit's model table uses it; the single-trace
+path (``integrate``, ``simulate_energy``) stays scalar.  One stepping
+loop, ``_segmented_solve``, serves every integration: one cursor over
+the output grid hands each step's samples to the caller's reduction.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from multiprocessing import Pool
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import LSODA, RK45
+from scipy.integrate import LSODA
 
 from .model import (
     HBAR_MEV_PS,
@@ -219,23 +219,23 @@ def _make_rhs(
     ax_bracket: str = "consistent",
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """Right-hand side of one member, evaluated on plain floats."""
-    return _moment_equations([params], [pulse], closure, ax_bracket)
+    return _moment_equations([params], pulse, closure, ax_bracket)
 
 
 def _moment_equations(
     params: Sequence[ModelParams],
-    pulses: Sequence[PulseParams],
+    pulse: PulseParams,
     closure: str,
     ax_bracket: str = "consistent",
 ) -> Callable:
-    """The moment equations of one member, or of a batch sharing one pulse shape.
+    """The moment equations of one member, or of a batch driven by one pulse.
 
     All rates are pre-divided by hbar.  For one member every coefficient is a
     float and the returned ``rhs(t, y)`` is the member's right-hand side.
-    For a batch every coefficient is a (B,) array; the same body then runs
-    with ``y`` holding one array per state component (any shape that
-    broadcasts against (B,)), ``pair`` building a complex moment from its
-    (re, im) arrays and ``finish`` stacking the 20 derivative arrays.
+    For a batch every coefficient but the shared drive is a (B,) array; the
+    same body then runs with ``y`` holding one array per state component
+    (any shape that broadcasts against (B,)), ``pair`` building a complex
+    moment from its (re, im) arrays and ``finish`` stacking the 20 arrays.
 
     ``ax_bracket`` selects the saturation bracket in the <a sx> equation:
     "consistent" uses 1 + (N-1) c_xx, the form its companion <a sy> and
@@ -248,15 +248,15 @@ def _moment_equations(
     rows = [
         (
             p.delta_c_mev, p.delta_a_mev, p.g_mev, p.kappa_mev, p.gamma_minus_mev,
-            gamma_total(p), p.n_molecules, pulse_shape(q)[0],
+            gamma_total(p), p.n_molecules,
         )
-        for p, q in zip(params, pulses)
+        for p in params
     ]
     if len(rows) == 1:
         columns = rows[0]
     else:
         columns = tuple(np.array(column) for column in zip(*rows))
-    dc_mev, da_mev, g_mev, kap_mev, gm_mev, gtot_mev, n, amp = columns
+    dc_mev, da_mev, g_mev, kap_mev, gm_mev, gtot_mev, n = columns
     dc = dc_mev / HBAR_MEV_PS
     da = da_mev / HBAR_MEV_PS
     g = g_mev / HBAR_MEV_PS
@@ -264,7 +264,7 @@ def _moment_equations(
     gm = gm_mev / HBAR_MEV_PS
     gtot = gtot_mev / HBAR_MEV_PS
     nm1 = n - 1.0
-    _, t0, inv_sig = pulse_shape(pulses[0])
+    amp, t0, inv_sig = pulse_shape(pulse)
     exp = math.exp
     variant = ax_bracket == "variant"
 
@@ -406,7 +406,7 @@ _JAC_I, _JAC_C = np.meshgrid(np.arange(STATE_SIZE), np.arange(STATE_SIZE), index
 
 def _batch_system(
     params: Sequence[ModelParams],
-    pulses: Sequence[PulseParams],
+    pulse: PulseParams,
     closure: str,
 ) -> tuple[Callable, Callable]:
     """Right-hand side and banded Jacobian of B members stacked member-major.
@@ -418,7 +418,7 @@ def _batch_system(
     over all 20 components of all members in one evaluation of the
     equations.
     """
-    body = _moment_equations(params, pulses, closure)
+    body = _moment_equations(params, pulse, closure)
     size = len(params)
     width = 2 * STATE_SIZE - 1
     # state slot c of perturbation column c (+h) and STATE_SIZE + c (-h)
@@ -476,7 +476,6 @@ class SolverStats:
         )
 
 
-_METHODS = {"LSODA": LSODA, "RK45": RK45}
 # grid points pending before ``_segmented_solve`` reduces them: a strongly
 # driven oracle run samples once per short step, and one call each costs more
 _REDUCE_BATCH = 32
@@ -505,7 +504,7 @@ def _segmented_solve(
     pulse: PulseParams,
     rel_tol: float,
     abs_tol: float,
-    method: str,
+    stepper: type,
     max_step_ps: float = math.inf,
     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda t, states: states,
     jac: Callable | None = None,
@@ -515,11 +514,12 @@ def _segmented_solve(
 
     The window is split at the pulse edges so a step-size cap of sigma/4
     applies only while the drive is appreciable; outside it the solver is
-    free to take long steps.  ``method`` names the scipy stepper: "LSODA"
-    for the real moment state, "RK45" for the complex density matrix, which
-    LSODA does not accept.  After each step the step's dense output is
-    evaluated at the grid points it covers (as ``solve_ivp(t_eval=...)``
-    does).  Once ``_REDUCE_BATCH`` grid points are pending, and at the end,
+    free to take long steps.  ``stepper`` is the scipy stepper class:
+    ``LSODA`` for the real moment state, ``RK45`` for the complex density
+    matrix, which LSODA does not accept.  One cursor walks ``times``: each
+    step's dense output gives the grid points up to the step's end, and a
+    segment ends exactly on its edge, where the next starts from its state.
+    Once ``_REDUCE_BATCH`` grid points are pending, and at the end,
     ``reduce(t, states)`` maps them and their (len(t), state size) states
     to the rows the caller keeps (default: the whole state), so no
     interpolant outlives its step and no state outlives its reduction.
@@ -531,15 +531,13 @@ def _segmented_solve(
     Returns the rows of all grid points and the solver's work summed over
     the segments.
     """
-    t_start = float(times[0])
-    t_end = float(times[-1])
     pulse_lo = pulse.center_ps - PULSE_SUPPORT_SIGMAS * pulse.sigma_ps
     pulse_hi = pulse.center_ps + PULSE_SUPPORT_SIGMAS * pulse.sigma_ps
-    edges = [t_start]
+    edges = [float(times[0])]
     for edge in (pulse_lo, pulse_hi):
-        if t_start < edge < t_end:
+        if times[0] < edge < times[-1]:
             edges.append(edge)
-    edges.append(t_end)
+    edges.append(float(times[-1]))
 
     def checked_rhs(t: float, y: np.ndarray) -> np.ndarray:
         # LSODA never returns once a derivative overflows (a finite-time
@@ -562,8 +560,6 @@ def _segmented_solve(
     if jac is not None:
         band = y0.size // members - 1
         options.update(jac=jac, lband=band, uband=band)
-    stepper = _METHODS[method]
-    n_out = times.size
     rows = []
     pending = []
 
@@ -573,52 +569,35 @@ def _segmented_solve(
             rows.append(reduce(np.concatenate(t), np.concatenate(states)))
             pending.clear()
 
-    filled = 0
+    done = 0
     stats = SolverStats()
     y = y0
     for a, b in zip(edges[:-1], edges[1:]):
-        in_pulse = a >= pulse_lo - 1e-15 and b <= pulse_hi + 1e-15
         max_step = max_step_ps
-        if in_pulse:
+        if pulse_lo <= a and b <= pulse_hi:
             max_step = min(max_step, 0.25 * pulse.sigma_ps)
-        # grid points inside [a, b); the final segment also takes b itself.
-        # A point up to 1e-12 before b falls to the next segment and is
-        # clipped onto its start.
-        hi = int(np.searchsorted(times, b - 1e-12, side="left"))
-        if b == edges[-1]:
-            hi = n_out
-        t_eval = np.maximum(times[filled:hi], a)
-        if t_eval.size == 0 or t_eval[-1] < b:
-            t_eval = np.append(t_eval, b)
         solver = stepper(checked_rhs, a, y, b, max_step=max_step, **options)
-        done = 0
         steps = 0
         try:
             while solver.status == "running":
                 message = solver.step()
                 if solver.status == "failed":
-                    last = t_eval[done - 1] if done else a
                     raise IntegrationError(
                         f"integration failed in [{a:g}, {b:g}] ps: {message}",
-                        last_good_time_ps=float(last),
+                        last_good_time_ps=float(times[max(done - 1, 0)]),
                     )
                 steps += 1
-                reached = int(np.searchsorted(t_eval, solver.t, side="right"))
+                reached = int(np.searchsorted(times, solver.t, side="right"))
                 if reached > done:
-                    values = solver.dense_output()(t_eval[done:reached])
-                    count = min(reached, hi - filled) - done
-                    if count > 0:
-                        first = filled + done
-                        pending.append((times[first:first + count], values[:, :count].T))
-                        if sum(len(t) for t, _ in pending) >= _REDUCE_BATCH:
-                            flush()
-                    if reached == t_eval.size:
-                        y = values[:, -1]
+                    grid = times[done:reached]
+                    pending.append((grid, solver.dense_output()(grid).T))
+                    if sum(len(t) for t, _ in pending) >= _REDUCE_BATCH:
+                        flush()
                     done = reached
         finally:
             _release_lsoda_work(solver)
         stats += SolverStats(int(solver.nfev), int(solver.njev), steps)
-        filled = hi
+        y = solver.y
         if not np.all(np.isfinite(y)):
             raise IntegrationError(
                 f"state became non-finite near t = {b:g} ps",
@@ -646,7 +625,7 @@ def integrate(
     y0 = _initial_array(config.closure)
     times = output_grid(config)
     data, _ = _segmented_solve(
-        rhs, y0, times, pulse, config.rel_tol, config.abs_tol, "LSODA", config.max_step_ps
+        rhs, y0, times, pulse, config.rel_tol, config.abs_tol, LSODA, config.max_step_ps
     )
     return MomentTrace(times_ps=times, data=data)
 
@@ -670,10 +649,10 @@ def simulate_energy(
 
 def simulate_energies(
     params: Sequence[ModelParams],
-    pulses: Sequence[PulseParams],
+    pulse: PulseParams,
     config: SolverConfig,
 ):
-    """Energy traces of a batch of members integrated as one stacked system.
+    """Energy traces of a batch of members driven by one pulse, integrated as one stacked system.
 
     The B members become one member-major (B * 20) LSODA state with one
     evaluation of the equations per step for the whole batch and a banded
@@ -684,35 +663,26 @@ def simulate_energies(
     matches ``simulate_energy`` bit for bit and runs 4-6x faster than a
     batch of one on 4 ps traces.
 
-    The members share ``config`` (window, tolerances, closure); their
-    pulses must share centre and width, which set the segment edges and the
-    sigma/4 step cap, or ValueError is raised.  Returns the traces and the
-    solver's work.
+    The members share ``pulse`` and ``config`` (window, tolerances,
+    closure).  Returns the traces and the solver's work.
     """
-    if not params or len(params) != len(pulses):
-        raise ValueError("need one pulse per member and at least one member")
-    shape = (pulses[0].center_ps, pulses[0].sigma_ps)
-    for pulse in pulses:
-        if (pulse.center_ps, pulse.sigma_ps) != shape:
-            raise ValueError(
-                "members of a batch must share the pulse centre and width: "
-                f"({pulse.center_ps:g}, {pulse.sigma_ps:g}) ps against ({shape[0]:g}, {shape[1]:g}) ps"
-            )
+    if not params:
+        raise ValueError("need at least one member")
     size = len(params)
     if size == 1:
-        rhs, jac = _make_rhs(params[0], pulses[0], config.closure), None
+        rhs, jac = _make_rhs(params[0], pulse, config.closure), None
     else:
-        rhs, jac = _batch_system(params, pulses, config.closure)
+        rhs, jac = _batch_system(params, pulse, config.closure)
     times = output_grid(config)
     c_z = _SLOTS["c_z"][0] + STATE_SIZE * np.arange(size)
     data, stats = _segmented_solve(
         rhs,
         np.tile(_initial_array(config.closure), size),
         times,
-        pulses[0],
+        pulse,
         config.rel_tol,
         config.abs_tol,
-        "LSODA",
+        LSODA,
         config.max_step_ps,
         reduce=lambda t, states: states[:, c_z],
         jac=jac,

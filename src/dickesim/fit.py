@@ -214,27 +214,21 @@ def _window_sigma(t_fs: np.ndarray, d: np.ndarray) -> float:
     return best[1]
 
 
-def estimate_noise(
-    dataset: ExperimentDataset,
-    window_bounds=None,
-) -> ExperimentDataset:
+def estimate_noise(dataset: ExperimentDataset) -> ExperimentDataset:
     """Fill per-sample noise levels from quiet stretches of each window.
 
-    ``window_bounds`` is a sequence of (lo_fs, hi_fs) pairs partitioning the
-    time axis; by default the label picks the published partition (five
-    windows for the two high-concentration runs, four otherwise).  Every
-    window needs at least five samples.  A window quieter than the 1e-12
-    floor is clamped there, with a warning, so later weights stay finite.
+    The label picks the published partition of the time axis (five windows
+    for the two high-concentration runs, four otherwise).  Every window
+    needs at least five samples.  A window quieter than the 1e-12 floor is
+    clamped there, with a warning, so later weights stay finite.
     """
-    if window_bounds is None:
-        window_bounds = LABEL_WINDOWS.get(dataset.label, FOUR_WINDOWS)
     t = dataset.times_fs
     d = dataset.signal
     sigma = np.empty_like(d)
-    covered = np.zeros(t.size, dtype=bool)
-    for lo, hi in window_bounds:
-        mask = (t >= lo) & (t < hi) & ~covered
-        idx = np.nonzero(mask)[0]
+    # the windows tile the real line and the times are finite, so every
+    # sample falls in exactly one
+    for lo, hi in LABEL_WINDOWS.get(dataset.label, FOUR_WINDOWS):
+        idx = np.nonzero((t >= lo) & (t < hi))[0]
         if idx.size < 5:
             raise DataError(
                 f"noise window [{lo:g}, {hi:g}) fs has {idx.size} samples; need at least 5"
@@ -247,12 +241,6 @@ def estimate_noise(
             )
             s = SIGMA_FLOOR
         sigma[idx] = s
-        covered[idx] = True
-    if not covered.all():
-        missing = t[~covered]
-        raise DataError(
-            f"noise windows do not cover {missing.size} samples (first at {missing[0]:g} fs)"
-        )
     return replace(dataset, sigma=sigma)
 
 
@@ -536,11 +524,10 @@ def _batches(tasks: dict) -> list[list]:
 def _fit_batch_task(batch: list) -> tuple[list, object, float]:
     """Convolved traces of one batch of (key, task) pairs, its solver work and wall time."""
     start = time.perf_counter()
+    # a batch holds one dataset, to which _member_tasks gives one pulse and one solver
+    _, (_, pulse, solver) = batch[0]
     try:
-        # _member_tasks gives every member of a table the same solver
-        traces, stats = simulate_energies(
-            [task[0] for _, task in batch], [task[1] for _, task in batch], batch[0][1][2]
-        )
+        traces, stats = simulate_energies([task[0] for _, task in batch], pulse, solver)
     except IntegrationError as exc:
         if exc.member is None:
             raise
@@ -551,7 +538,7 @@ def _fit_batch_task(batch: list) -> tuple[list, object, float]:
             exc.last_good_time_ps,
             member=exc.member,
         ) from None
-    convolved = [convolve_response(trace, task[1].response_ps) for trace, (_, task) in zip(traces, batch)]
+    convolved = [convolve_response(trace, pulse.response_ps) for trace in traces]
     return convolved, stats, time.perf_counter() - start
 
 
@@ -573,10 +560,16 @@ def _member_tasks(
     solver = replace(solver or SolverConfig(), t_start_ps=t_start, t_end_ps=t_end)
 
     tasks = {}
-    for i, g in enumerate(grid.g_nev):
-        for j, gz in enumerate(grid.gamma0z_mev):
-            for k, gm in enumerate(grid.gamma_minus_mev):
-                for di, ds in enumerate(datasets):
+    for di, ds in enumerate(datasets):
+        pulse = PulseParams(
+            amplitude=drive_amplitude_from_photon_ratio(ds.photon_ratio, ds.n_dye),
+            center_ps=0.0,
+            sigma_ps=pulse_sigma_ps,
+            response_ps=ds.response_ps,
+        )
+        for i, g in enumerate(grid.g_nev):
+            for j, gz in enumerate(grid.gamma0z_mev):
+                for k, gm in enumerate(grid.gamma_minus_mev):
                     params = ModelParams(
                         n_molecules=ds.n_dye,
                         g_mev=g * 1e-6,
@@ -584,12 +577,6 @@ def _member_tasks(
                         gamma0z_mev=gz,
                         n_ref=n_ref,
                         gamma_minus_mev=gm,
-                    )
-                    pulse = PulseParams(
-                        amplitude=drive_amplitude_from_photon_ratio(ds.photon_ratio, ds.n_dye),
-                        center_ps=0.0,
-                        sigma_ps=pulse_sigma_ps,
-                        response_ps=ds.response_ps,
                     )
                     tasks[(i, j, k, di)] = (params, pulse, solver)
     return tasks

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.integrate import RK45
 
 from .cumulant import MOMENT_NAMES, MomentTrace, SolverConfig, _segmented_solve, output_grid
 from .model import (
@@ -33,7 +34,6 @@ from .model import (
     ModelParams,
     PulseParams,
     effective_dephasing,
-    energy_density_from_inversion,
     pulse_shape,
 )
 
@@ -139,10 +139,11 @@ def _operators(n_molecules: int, n_max: int) -> _Operators:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact moments on the output grid plus per-time diagnostics."""
+    """Exact moments, excited population per molecule and per-time diagnostics on the output grid."""
 
     times_ps: np.ndarray
     moments: dict
+    excited: np.ndarray
     top_fock_pop: np.ndarray
     trace_error: np.ndarray
     min_eigenvalue: np.ndarray
@@ -150,7 +151,8 @@ class OracleResult:
     n_max: int
 
     def energy_mev(self, omega_a_mev: float) -> np.ndarray:
-        return energy_density_from_inversion(np.real(self.moments["c_z"]), omega_a_mev)
+        """(omega_a/2)(<sigma_z> + 1) per molecule, read without that sum's cancellation."""
+        return omega_a_mev * self.excited
 
 
 def _molecule_count(params: ModelParams) -> int:
@@ -230,7 +232,7 @@ def evolve_exact(
     times = output_grid(config)
     # the density matrix is complex, which scipy's LSODA does not accept
     rows, _ = _segmented_solve(
-        rhs, rho0, times, pulse, REL_TOL, ABS_TOL, "RK45", reduce=_sampler(ops)
+        rhs, rho0, times, pulse, REL_TOL, ABS_TOL, RK45, reduce=_sampler(ops)
     )
     return _oracle_result(rows, times, ops, oracle)
 
@@ -259,14 +261,16 @@ def _sampler(ops: _Operators):
     """``reduce(t, states)``, which ``evolve_exact`` applies to its samples as they are taken.
 
     It turns the row-major vec(rho) at the times ``t`` into one row per
-    sample: the moments in ``_moment_operators`` order, then the trace, the
-    top Fock population and the smallest eigenvalue.  It raises
-    OracleInvariantError at the first sample whose Hermiticity is off by
-    more than ``HERM_TOL``.
+    sample: the moments in ``_moment_operators`` order, then the excited
+    population per molecule, the trace, the top Fock population and the
+    smallest eigenvalue.  It raises OracleInvariantError at the first
+    sample whose Hermiticity is off by more than ``HERM_TOL``.
     """
     dim = ops.dim
     # tr(O rho) = vec(O^T) . vec(rho) on the row-major vec
-    columns = np.stack([op.T.ravel() for op in _moment_operators(ops).values()], axis=1)
+    excited = sum(sp @ sm for sp, sm in zip(ops.sp, ops.sm)) / ops.n_molecules
+    operators = [*_moment_operators(ops).values(), excited]
+    columns = np.stack([op.T.ravel() for op in operators], axis=1)
 
     def reduce(t: np.ndarray, states: np.ndarray) -> np.ndarray:
         rho = states.reshape(-1, dim, dim)
@@ -292,7 +296,8 @@ def _oracle_result(rows, times, ops: _Operators, oracle: OracleConfig) -> Oracle
     """The result held in ``_sampler``'s rows, once the run's diagnostics pass their checks."""
     # pair moments stay NaN for one molecule
     moments = {name: np.full(times.size, np.nan, dtype=complex) for name in MOMENT_NAMES}
-    moments.update(zip(_moment_operators(ops), rows[:, :-3].T))
+    moments.update(zip(_moment_operators(ops), rows[:, :-4].T))
+    excited = rows[:, -4].real
     trace_err = np.abs(rows[:, -3] - 1.0)
     top_pop = rows[:, -2].real
     min_eig = rows[:, -1].real
@@ -310,6 +315,7 @@ def _oracle_result(rows, times, ops: _Operators, oracle: OracleConfig) -> Oracle
     return OracleResult(
         times_ps=times,
         moments=moments,
+        excited=excited,
         top_fock_pop=top_pop,
         trace_error=trace_err,
         min_eigenvalue=min_eig,

@@ -555,9 +555,9 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         monkeypatch.setattr(fit, "simulate_energy", counting)
         assert not hasattr(cli, "simulate_energy")
 
-        def counting_batch(params, pulses, solver, _original=fit.simulate_energies):
+        def counting_batch(params, pulse, solver, _original=fit.simulate_energies):
             calls.extend(params)
-            return _original(params, pulses, solver)
+            return _original(params, pulse, solver)
 
         monkeypatch.setattr(fit, "simulate_energies", counting_batch)
         cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import LSODA, RK45
 from scipy.special import erfc
 
 from dickesim import cumulant
@@ -217,23 +218,45 @@ def test_stiff_dephasing_corner_is_cheap_and_accurate(monkeypatch):
         pulse,
         1e-10,
         config.abs_tol,
-        "RK45",
+        RK45,
     )[0])
     ref_energy = 0.5 * params.omega_a_mev * (reference.c_z + 1.0)
     assert np.max(np.abs(energy - ref_energy)) <= 1e-6 * np.max(ref_energy)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("method", ["LSODA", "RK45"])
-def test_finite_time_blow_up_raises(method):
+@pytest.mark.parametrize("stepper", [LSODA, RK45])
+def test_finite_time_blow_up_raises(stepper):
     # y' = y^2 from y(0) = 1 diverges at t = 1; LSODA alone would never return
     pulse = PulseParams(amplitude=0.0, center_ps=5.0, sigma_ps=0.020)
     with pytest.raises(IntegrationError) as info:
         cumulant._segmented_solve(
             lambda t, y: y * y, np.array([1.0]), np.linspace(0.0, 2.0, 201),
-            pulse, 1e-8, 1e-10, method,
+            pulse, 1e-8, 1e-10, stepper,
         )
     assert 0.99 < info.value.last_good_time_ps <= 1.0
+
+
+@pytest.mark.parametrize("stepper", [LSODA, RK45])
+def test_grid_points_on_the_segment_edges_are_sampled_once(stepper):
+    # the pulse's 8 sigma edges (-1 and 1 ps) and t_end (4 ps) are grid
+    # points; every value here is exact in binary
+    pulse = PulseParams(amplitude=0.0, center_ps=0.0, sigma_ps=0.125)
+    times = np.arange(-16, 33) * 0.125
+    sampled = []
+
+    def reduce(t, states):
+        sampled.extend(t)
+        return states
+
+    data, _ = cumulant._segmented_solve(
+        lambda t, y: -y, np.array([1.0]), times, pulse, 1e-8, 1e-10, stepper, reduce=reduce,
+    )
+    np.testing.assert_array_equal(sampled, times)
+    assert data.shape == (times.size, 1)
+    exact = np.exp(-(times - times[0]))
+    # ten times rtol, for the global error the steps accumulate
+    assert np.max(np.abs(data[:, 0] - exact)) <= 1e-7
 
 
 def _b2_members(closure="cumulant"):
@@ -249,28 +272,28 @@ def _b2_members(closure="cumulant"):
         )
         for g in (5.3, 10.6, 21.2) for gz in (0.336, 1.68, 8.4, 42.0) for gm in (0.00705, 0.0141)
     ]
-    return params, [pulse] * len(params), SolverConfig(closure=closure, t_start_ps=-0.65, t_end_ps=1.9)
+    return params, pulse, SolverConfig(closure=closure, t_start_ps=-0.65, t_end_ps=1.9)
 
 
 @pytest.mark.parametrize("closure", CLOSURES)
 def test_stacked_members_match_their_scalar_traces(closure):
-    params, pulses, config = _b2_members(closure)
-    traces, stats = cumulant.simulate_energies(params, pulses, config)
+    params, pulse, config = _b2_members(closure)
+    traces, stats = cumulant.simulate_energies(params, pulse, config)
     assert stats.jacobians > 0 and stats.steps > 0 and stats.rhs_calls > 0
-    for p, q, trace in zip(params, pulses, traces):
-        ref = simulate_energy(p, q, config).energy_mev
+    for p, trace in zip(params, traces):
+        ref = simulate_energy(p, pulse, config).energy_mev
         np.testing.assert_array_equal(trace.times_ps, output_grid(config))
         assert np.max(np.abs(trace.energy_mev - ref)) <= 1e-6 * np.max(ref), p
 
 
 def test_lone_member_takes_the_scalar_path_bit_for_bit():
-    params, pulses, config = _b2_members()
-    (trace,), _ = cumulant.simulate_energies(params[:1], pulses[:1], config)
-    np.testing.assert_array_equal(trace.energy_mev, simulate_energy(params[0], pulses[0], config).energy_mev)
+    params, pulse, config = _b2_members()
+    (trace,), _ = cumulant.simulate_energies(params[:1], pulse, config)
+    np.testing.assert_array_equal(trace.energy_mev, simulate_energy(params[0], pulse, config).energy_mev)
 
 
 def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
-    params, pulses, _ = _b2_members()
+    params, pulse, _ = _b2_members()
     params = params[::7]
     size = len(params)
     rng = np.random.default_rng(3)
@@ -278,10 +301,10 @@ def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
     states = np.tile(GROUND, (size, 1)) + rng.normal(size=(size, STATE_SIZE)) * 1e-3
     states[:, :2] *= 1e7
     states[:, 5] = 1e9
-    rhs, jac = cumulant._batch_system(params, pulses, "cumulant")
+    rhs, jac = cumulant._batch_system(params, pulse, "cumulant")
     np.testing.assert_allclose(
         rhs(0.01, states.ravel()).reshape(size, STATE_SIZE),
-        [cumulant._make_rhs(p, q, "cumulant")(0.01, y) for p, q, y in zip(params, pulses, states)],
+        [cumulant._make_rhs(p, pulse, "cumulant")(0.01, y) for p, y in zip(params, states)],
         rtol=1e-12, atol=0.0,
     )
     packed = jac(0.01, states.ravel())
@@ -291,8 +314,8 @@ def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
     for r in range(full.shape[0]):
         for q in range(max(0, r - band), min(full.shape[1], r + band + 1)):
             full[r, q] = packed[band + r - q, q]
-    for m, (p, q, y) in enumerate(zip(params, pulses, states)):
-        scalar = cumulant._make_rhs(p, q, "cumulant")
+    for m, (p, y) in enumerate(zip(params, states)):
+        scalar = cumulant._make_rhs(p, pulse, "cumulant")
         dense = np.empty((STATE_SIZE, STATE_SIZE))
         for c in range(STATE_SIZE):
             h = 1e-2 * max(abs(y[c]), 1.0)
@@ -315,30 +338,23 @@ def test_blow_up_in_one_member_raises_and_names_it():
     with pytest.raises(IntegrationError, match="member 1") as info:
         cumulant._segmented_solve(
             lambda t, y: mask * y * y - (1.0 - mask) * y, np.ones(3), np.linspace(0.0, 2.0, 201),
-            pulse, 1e-8, 1e-10, "LSODA", members=3,
+            pulse, 1e-8, 1e-10, LSODA, members=3,
         )
     assert info.value.member == 1
     assert 0.99 < info.value.last_good_time_ps <= 1.0
 
 
-def test_batch_members_must_share_the_pulse_shape():
-    params, pulses, config = _b2_members()
-    wider = PulseParams(amplitude=pulses[0].amplitude, center_ps=0.0, sigma_ps=0.030)
-    with pytest.raises(ValueError, match="centre and width"):
-        cumulant.simulate_energies(params[:2], [pulses[0], wider], config)
-
-
 def test_lsoda_work_arrays_do_not_outlive_the_solve():
     # scipy's LSODA wrapper keeps its work arrays alive after the solver is
     # gone; repeated batch solves must not accumulate them
-    params, pulses, _ = _b2_members()
+    params, pulse, _ = _b2_members()
     config = SolverConfig(t_start_ps=-0.2, t_end_ps=0.3)
-    cumulant.simulate_energies(params[:4], pulses[:4], config)
+    cumulant.simulate_energies(params[:4], pulse, config)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(3):
-            cumulant.simulate_energies(params[:4], pulses[:4], config)
+            cumulant.simulate_energies(params[:4], pulse, config)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -189,13 +189,6 @@ class TestNoise:
         with pytest.raises(DataError, match="need at least 5"):
             estimate_noise(ds)
 
-    @pytest.mark.filterwarnings("ignore:noise window")
-    def test_custom_bounds_must_cover_the_data(self):
-        t = np.arange(-500.0, 1500.0, 4.0)
-        ds = ExperimentDataset("B1", t, np.ones_like(t), n_dye=1.62e10, photon_ratio=2.8)
-        with pytest.raises(DataError, match="do not cover"):
-            estimate_noise(ds, window_bounds=[(-np.inf, 0.0)])
-
 
 def smooth_model(t_lo=-1.0, t_hi=3.0, dt=0.002) -> EnergyTrace:
     t = np.arange(t_lo, t_hi + dt / 2, dt)
@@ -593,9 +586,9 @@ class TestGlobalFit:
         batches = []
         simulate = fit_module.simulate_energies
 
-        def counting(params, pulses, solver):
+        def counting(params, pulse, solver):
             batches.append(list(params))
-            return simulate(params, pulses, solver)
+            return simulate(params, pulse, solver)
 
         monkeypatch.setattr(fit_module, "simulate_energies", counting)
         result = global_fit([ds], grid, lifetime_fs=120.0, refine=True)
@@ -723,11 +716,10 @@ class TestBatches:
         for keys in batches:
             assert len({key[3] for key in keys}) == 1
             params = [tasks[key][0] for key in keys]
-            pulses = [tasks[key][1] for key in keys]
-            solver = tasks[keys[0]][2]
-            traces, _ = fit_module.simulate_energies(params, pulses, solver)
-            for p, q, trace in zip(params, pulses, traces):
-                ref = fit_module.simulate_energy(p, q, solver).energy_mev
+            _, pulse, solver = tasks[keys[0]]
+            traces, _ = fit_module.simulate_energies(params, pulse, solver)
+            for p, trace in zip(params, traces):
+                ref = fit_module.simulate_energy(p, pulse, solver).energy_mev
                 assert np.max(np.abs(trace.energy_mev - ref)) <= 1e-6 * np.max(ref), p
 
     def test_batches_are_cut_from_each_dataset_in_regime_order(self, monkeypatch):

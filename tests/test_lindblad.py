@@ -198,6 +198,10 @@ def test_batched_moments_match_per_sample_traces(n):
         reference = np.array([np.trace(op @ row.reshape(ops.dim, ops.dim)) for row in data])
         np.testing.assert_allclose(result.moments[name], reference, rtol=0, atol=1e-13)
     rhos = data.reshape(count, ops.dim, ops.dim)
+    excited = sum(sp @ sm for sp, sm in zip(ops.sp, ops.sm)) / n
+    np.testing.assert_allclose(
+        result.excited, [np.real(np.trace(excited @ r)) for r in rhos], rtol=0, atol=1e-15
+    )
     np.testing.assert_allclose(
         result.top_fock_pop, [np.real(np.trace(ops.top_proj @ r)) for r in rhos], atol=1e-15
     )
