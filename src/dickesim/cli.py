@@ -150,7 +150,6 @@ CONFIG_KEYS = {
     "solver.output_dt_fs": ("solver", "output_dt_ps", _scaled(1e-3)),
     "solver.rel_tol": ("solver", "rel_tol", float),
     "solver.abs_tol": ("solver", "abs_tol", float),
-    "solver.max_step_fs": ("solver", "max_step_ps", _scaled(1e-3)),
     "sweep.axis": ("sweep", "axis", str),
     "sweep.grid": ("sweep", "grid", _parse_floats),
     "sweep.start": ("sweep", "start", float),
@@ -163,7 +162,6 @@ CONFIG_KEYS = {
     "fit.n_dye": ("fit", "n_dye", _parse_floats),
     "fit.photon_ratio": ("fit", "photon_ratio", _parse_floats),
     "fit.lifetime_fs": ("fit", "lifetime_fs", float),
-    "fit.pulse_sigma_fs": ("fit", "pulse_sigma_fs", float),
     "fit.grid_points": ("fit", "grid_points", int),
     "fit.g_bounds_neV": ("fit", "g_bounds_nev", _parse_floats),
     "fit.gamma0z_bounds_meV": ("fit", "gamma0z_bounds_mev", _parse_floats),
@@ -454,7 +452,6 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
     grid = _checked(FitGrid.logspace, points=points, **bounds)
 
     lifetime_fs = section.get("lifetime_fs", 120.0)
-    sigma_fs = section.get("pulse_sigma_fs", pulse.sigma_ps * 1e3)
     t0_pair = section.get("t0_range_fs", (-400.0, 400.0))
     if len(t0_pair) != 2 or t0_pair[1] <= t0_pair[0]:
         raise ConfigError("fit.t0_range_fs must be lo, hi with hi > lo")
@@ -462,17 +459,16 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
 
     _echo_config(out_dir, "fit", *common, {
         "datasets": [ds.label for ds in datasets],
-        "lifetime_fs": lifetime_fs, "pulse_sigma_fs": sigma_fs,
-        "grid_points": points,
-        "g_bounds_neV": (grid.g_nev[0], grid.g_nev[-1]),
-        "gamma0z_bounds_meV": (grid.gamma0z_mev[0], grid.gamma0z_mev[-1]),
-        "gammaminus_bounds_meV": (grid.gamma_minus_mev[0], grid.gamma_minus_mev[-1]),
+        "lifetime_fs": lifetime_fs, "grid_points": points,
+        "g_bounds_neV": (float(grid.g_nev[0]), float(grid.g_nev[-1])),
+        "gamma0z_bounds_meV": (float(grid.gamma0z_mev[0]), float(grid.gamma0z_mev[-1])),
+        "gammaminus_bounds_meV": (float(grid.gamma_minus_mev[0]), float(grid.gamma_minus_mev[-1])),
         "t0_range_fs": tuple(t0_pair), "refine": refine, "seed": args.seed,
     })
 
-    result = global_fit(
-        datasets, grid, lifetime_fs=lifetime_fs,
-        pulse_sigma_ps=sigma_fs * 1e-3, n_ref=params.n_ref, solver=solver,
+    result = _checked(
+        global_fit, datasets, grid, lifetime_fs=lifetime_fs,
+        pulse_sigma_ps=pulse.sigma_ps, n_ref=params.n_ref, solver=solver,
         t0_range_fs=(t0_pair[0], t0_pair[1]), workers=args.threads, refine=refine,
     )
 
@@ -563,7 +559,7 @@ def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir:
     lines = []
     ok = True
 
-    exact = evolve_exact(params, pulse, solver, oracle)
+    exact = _checked(evolve_exact, params, pulse, solver, oracle)
     e_exact = exact.energy_mev(params.omega_a_mev)
     peak = float(np.max(np.abs(e_exact)))
     if peak <= 0.0:
@@ -584,9 +580,7 @@ def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir:
     closure_runs = {}
     for closure in ("cumulant", "meanfield"):
         trace = closure_runs[closure] = integrate(params, pulse, replace(solver, closure=closure))
-        e_model = energy_density_from_inversion(
-            np.interp(exact.times_ps, trace.times_ps, trace.c_z), params.omega_a_mev
-        )
+        e_model = energy_density_from_inversion(trace.c_z, params.omega_a_mev)
         errors[closure] = float(np.max(np.abs(e_model - e_exact))) / peak
     passed = errors["cumulant"] <= 0.02
     ok &= passed

@@ -127,7 +127,6 @@ class SolverConfig:
     output_dt_ps: float = 0.002
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step_ps: float = math.inf
 
     def __post_init__(self) -> None:
         if self.closure not in CLOSURES:
@@ -138,8 +137,6 @@ class SolverConfig:
             raise ValueError("output_dt_ps must be positive")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_step_ps <= 0:
-            raise ValueError("max_step_ps must be positive")
 
 
 @dataclass(frozen=True)
@@ -505,7 +502,6 @@ def _segmented_solve(
     rel_tol: float,
     abs_tol: float,
     stepper: type,
-    max_step_ps: float = math.inf,
     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda t, states: states,
     jac: Callable | None = None,
     members: int = 1,
@@ -569,13 +565,12 @@ def _segmented_solve(
             rows.append(reduce(np.concatenate(t), np.concatenate(states)))
             pending.clear()
 
-    done = 0
+    done = pending_points = 0
     stats = SolverStats()
     y = y0
     for a, b in zip(edges[:-1], edges[1:]):
-        max_step = max_step_ps
-        if pulse_lo <= a and b <= pulse_hi:
-            max_step = min(max_step, 0.25 * pulse.sigma_ps)
+        in_pulse = pulse_lo <= a and b <= pulse_hi
+        max_step = 0.25 * pulse.sigma_ps if in_pulse else math.inf
         solver = stepper(checked_rhs, a, y, b, max_step=max_step, **options)
         steps = 0
         try:
@@ -591,8 +586,10 @@ def _segmented_solve(
                 if reached > done:
                     grid = times[done:reached]
                     pending.append((grid, solver.dense_output()(grid).T))
-                    if sum(len(t) for t, _ in pending) >= _REDUCE_BATCH:
+                    pending_points += reached - done
+                    if pending_points >= _REDUCE_BATCH:
                         flush()
+                        pending_points = 0
                     done = reached
         finally:
             _release_lsoda_work(solver)
@@ -624,9 +621,7 @@ def integrate(
     rhs = _make_rhs(params, pulse, config.closure, ax_bracket=ax_bracket)
     y0 = _initial_array(config.closure)
     times = output_grid(config)
-    data, _ = _segmented_solve(
-        rhs, y0, times, pulse, config.rel_tol, config.abs_tol, LSODA, config.max_step_ps
-    )
+    data, _ = _segmented_solve(rhs, y0, times, pulse, config.rel_tol, config.abs_tol, LSODA)
     return MomentTrace(times_ps=times, data=data)
 
 
@@ -683,7 +678,6 @@ def simulate_energies(
         config.rel_tol,
         config.abs_tol,
         LSODA,
-        config.max_step_ps,
         reduce=lambda t, states: states[:, c_z],
         jac=jac,
         members=size,

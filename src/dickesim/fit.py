@@ -650,6 +650,10 @@ def global_fit(
     reduced chi^2 uses k_eff = (total samples) - 3: only the shared rates
     count as parameters, matching how the per-dataset scale and shift are
     treated as nuisances.
+
+    A member ``inner_fits`` cannot fit fails its grid point (logged, listed
+    in ``failed``); a DataError is raised when every point fails, and an
+    error of a whole dataset propagates.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -675,12 +679,10 @@ def global_fit(
     start = time.perf_counter()
     shape = (grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size)
     points = list(np.ndindex(shape))
-    runs = []
-    for di, ds in enumerate(datasets):
-        try:
-            runs.append(inner_fits([traces[(*p, di)] for p in points], ds, t0_range_fs))
-        except (ValueError, DataError) as exc:
-            runs.append(([exc] * len(points), 0, 0))
+    runs = [
+        inner_fits([traces[(*p, di)] for p in points], ds, t0_range_fs)
+        for di, ds in enumerate(datasets)
+    ]
     columns, shifts, evaluations = zip(*runs)
     chi2_map = np.full(shape, np.inf)
     inner, failed = {}, {}
@@ -700,7 +702,7 @@ def global_fit(
     )
 
     if not np.any(np.isfinite(chi2_map)):
-        raise RuntimeError("every grid point failed; check the model window and data")
+        raise DataError(f"every grid point failed; grid point {points[0]}: {failed[points[0]]}")
     argmin = np.unravel_index(np.argmin(chi2_map), shape)
     i, j, k = (int(v) for v in argmin)
 

@@ -77,10 +77,6 @@ class _Operators:
     """Dense operators on the joint spin-field space, field factor last."""
 
     def __init__(self, n_molecules: int, n_max: int):
-        if not (1 <= n_molecules <= MAX_MOLECULES):
-            raise ValueError(
-                f"exact propagation supports 1..{MAX_MOLECULES} molecules, got {n_molecules}"
-            )
         dim = (2 ** n_molecules) * (n_max + 1)
         if dim > MAX_DIM:
             raise ValueError(
@@ -338,28 +334,22 @@ def compare_cumulant(
 ) -> dict[str, ComparisonNorms]:
     """Error norms of a cumulant trace against the exact moments.
 
-    The cumulant trace is interpolated onto the oracle grid over the window
-    both cover.  The relative norm divides the worst absolute deviation by
-    the largest magnitude the exact observable reaches, so a quantity that
-    stays near zero does not blow the ratio up.
+    The trace must lie on the oracle's own output grid, as it does when both
+    come from one ``SolverConfig``; the moments are compared sample by
+    sample.  The relative norm divides the worst absolute deviation by the
+    largest magnitude the exact observable reaches, so a quantity that stays
+    near zero does not blow the ratio up.
     """
-    lo = max(result.times_ps[0], trace.times_ps[0])
-    hi = min(result.times_ps[-1], trace.times_ps[-1])
-    if hi <= lo:
-        raise ValueError("oracle and cumulant traces do not overlap in time")
-    mask = (result.times_ps >= lo) & (result.times_ps <= hi)
-    t_cmp = result.times_ps[mask]
-
+    if not np.array_equal(result.times_ps, trace.times_ps):
+        raise ValueError("the cumulant trace is not on the oracle's output grid")
     out = {}
     for name in observables:
         if name not in MOMENT_NAMES:
             raise ValueError(f"unknown observable {name!r}")
-        exact = result.moments[name][mask]
+        exact = result.moments[name]
         if np.all(np.isnan(exact)):
             raise ValueError(f"{name} is undefined for a single molecule")
-        approx = np.asarray(getattr(trace, name))
-        re, im = (np.interp(t_cmp, trace.times_ps, part) for part in (approx.real, approx.imag))
-        diff = np.max(np.abs(re + 1j * im - exact))
+        diff = np.max(np.abs(getattr(trace, name) - exact))
         scale = np.max(np.abs(exact))
         out[name] = ComparisonNorms(max_rel_error=float(diff / scale) if scale > 0 else 0.0)
     return out

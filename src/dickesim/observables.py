@@ -207,16 +207,16 @@ def scaling_exponent(q_i: float, q_j: float, n_i: float, n_j: float) -> float:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One row of a charging sweep; ``error`` holds the failure if any."""
+    """One row of a charging sweep; a failed row keeps the defaults and its failure in ``error``."""
 
     axis_value: float
-    tau_ps: float
-    e_max_mev: float
-    p_max_mev_per_ps: float
-    regime: str
-    n_kappa: float
-    n_gammaz: float
-    n_sigma: float
+    tau_ps: float = math.nan
+    e_max_mev: float = math.nan
+    p_max_mev_per_ps: float = math.nan
+    regime: str = "failed"
+    n_kappa: float = math.nan
+    n_gammaz: float = math.nan
+    n_sigma: float = math.nan
     error: str | None = None
 
 
@@ -227,17 +227,7 @@ def _sweep_point(task) -> SweepPoint:
         trace = simulate_energy(params, pulse, config)
         metrics = charging_metrics(trace, pulse.center_ps)
     except (IntegrationError, UndefinedMetricError) as exc:
-        return SweepPoint(
-            axis_value=value,
-            tau_ps=math.nan,
-            e_max_mev=math.nan,
-            p_max_mev_per_ps=math.nan,
-            regime="failed",
-            n_kappa=math.nan,
-            n_gammaz=math.nan,
-            n_sigma=math.nan,
-            error=str(exc),
-        )
+        return SweepPoint(axis_value=value, error=str(exc))
     report = classify_regime(params, r, pulse.sigma_ps)
     return SweepPoint(
         axis_value=value,

@@ -245,8 +245,15 @@ class TestExitCodes:
         [
             ("oracle-check", A1_CFG + "oracle.n_max = 0\n", "n_max must be at least 1"),
             ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 0\n", "points must be at least 1"),
+            ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 1\nfit.t0_range_fs = 0.5, 1.5\n",
+             "t0 range holds no whole model step"),
+            ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 2.5"),
+             "exact propagation needs an integer molecule count in 1..3, got 2.5"),
+            ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 3") + "oracle.n_max = 8\n",
+             "Hilbert dimension 72 exceeds 64"),
         ],
-        ids=["oracle-n-max", "fit-grid-points"],
+        ids=["oracle-n-max", "fit-grid-points", "fit-t0-range-without-a-step", "oracle-fractional-n",
+             "oracle-hilbert-dimension"],
     )
     def test_bad_command_configuration_exits_2(self, tmp_path, capsys, command, cfg_text, message):
         cfg = write_cfg(tmp_path, cfg_text)
@@ -320,6 +327,25 @@ fit.labels = A2
         err = capsys.readouterr().err
         assert line.split(" = ")[0] in err and "not supported by fit" in err
         assert not (tmp_path / "out" / "fit_report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "signal, extra, message",
+        [
+            (0.0, "", "dataset 'A2' has no signal to scale"),
+            (1.0, "fit.photon_ratio = 0\n", "every grid point failed"),
+        ],
+        ids=["zero-signal", "zero-photon-ratio"],
+    )
+    @pytest.mark.filterwarnings("ignore:noise window")
+    def test_data_the_fit_cannot_scale_exits_4(self, tmp_path, capsys, signal, extra, message):
+        times = np.arange(-500.0, 1500.0, 8.0)
+        data = signal * np.exp(-(((times - 200.0) / 300.0) ** 2))
+        data += signal * np.random.default_rng(5).normal(scale=0.01, size=times.size)
+        path = tmp_path / "A2.csv"
+        np.savetxt(path, np.column_stack([times, data]), delimiter=",")
+        cfg = write_cfg(tmp_path, f"pulse.sigma_fs = 20\nfit.datasets = {path}\nfit.grid_points = 1\n" + extra)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestSweep:

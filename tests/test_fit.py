@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dickesim.fit as fit_module
-from dickesim.cumulant import SolverConfig
+from dickesim.cumulant import IntegrationError, SolverConfig
 from dickesim.fit import (
     DataError,
     ExperimentDataset,
@@ -743,6 +743,23 @@ class TestBatches:
         assert list(one) == list(two) == list(tasks)
         for key in tasks:
             np.testing.assert_array_equal(one[key].energy_mev, two[key].energy_mev)
+
+    def test_a_member_failure_is_relabelled_with_its_grid_point(self, monkeypatch):
+        _, tasks = five_label_tasks()
+        batch = [(key, task) for key, task in tasks.items() if key[3] == 2][:3]
+
+        def fail_in_member_1(params, pulse, solver):
+            raise IntegrationError("derivative became non-finite in member 1 at t = 0.1 ps", 0.1, member=1)
+
+        monkeypatch.setattr(fit_module, "simulate_energies", fail_in_member_1)
+        with pytest.raises(IntegrationError) as info:
+            fit_module._fit_batch_task(batch)
+        key, (params, _, _) = batch[1]
+        message = str(info.value)
+        assert message.startswith(f"grid point {key[:3]} of dataset 2 (g = {params.g_mev * 1e6:g} neV, ")
+        assert message.endswith("): derivative became non-finite in member 1 at t = 0.1 ps")
+        assert info.value.member == 1
+        assert info.value.last_good_time_ps == 0.1
 
     def test_a_batch_logs_its_solver_work(self, caplog):
         datasets, tasks = five_label_tasks()
