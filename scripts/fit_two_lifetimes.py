@@ -14,20 +14,19 @@ A1.csv, A2.csv, A3.csv, B1.csv and B2.csv (time in fs, differential
 reflectivity; `#` comments allowed); molecule and photon numbers for these
 labels are built in.
 
-Expect about 18 minutes per lifetime on one core with the default 9-point
+Expect about 6.5 minutes per lifetime on one core with the default 9-point
 grid; --threads spreads the fit's batches of stacked traces over workers.
 That figure is extrapolated from timed samples, not from a whole run: on a
 2-core machine, the five labels' traces (samples from -500 to 1500 fs, the
 default +-400 fs shift range) over all 81 (g, gamma0z) pairs at the middle
-gamma_minus take 112 s (206 s one trace at a time, timed on the same
-machine), so the coarse pass takes about 17 minutes if every gamma_minus
-slice costs the same, as the costliest g row did when timed at both
-gamma_minus ends; the refined pass around the coarse cell nearest the
-bundled best fit integrates 3,510 new members in 59 s.  Most of the coarse
+gamma_minus take 41 s, so the coarse pass takes about 6 minutes if every
+gamma_minus slice costs the same, as the costliest g row did when timed at
+both gamma_minus ends; the refined pass around the coarse cell nearest the
+bundled best fit integrates 3,510 new members in 21 s.  Most of the coarse
 pass goes to each label's batch of strongly coupled members (the upper
-half of the g axis), which holds the g = 5000 neV corners: those oscillate at the collective
-Rabi frequency, so the whole batch steps at that period (33 s of the A1
-label's 37 s).
+half of the g axis), which holds the g = 5000 neV corners: those oscillate
+at the collective Rabi frequency, so the whole batch steps at that period
+(8.4-9.7 s of the A1 label's 9.4-10.5 s).
 """
 
 from __future__ import annotations

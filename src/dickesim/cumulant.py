@@ -14,26 +14,29 @@ Both closures are integrated with LSODA, which switches between Adams and
 BDF steps on its own.  Dephasing scales as N_ref/N, so at low molecule
 number and strong dephasing the moments can decay a thousand times
 faster than the cavity and an explicit method is held to tiny steps; a
-B2-like trace at gamma0z = 300 meV needs about 3,000 right-hand-side calls
+B2-like trace at gamma0z = 300 meV needs about 1,600 right-hand-side calls
 with LSODA against 79,000 with RK45.  The exact Lindblad oracle stays on
 RK45 because scipy's LSODA accepts only real state vectors.  What remains
 costly are the strongly coupled corners (g near 5000 neV): they oscillate
 fast rather than decay, so the step stays bound to the Rabi period there.
 
-The equations are written once (``_moment_equations``) and run on plain
-floats for one trace or on (B,) arrays for a batch of members.
-``simulate_energies`` integrates members under one pulse as one stacked
-member-major state, with one evaluation of the equations per step for all
-members and a banded block Jacobian central-differenced in one
-evaluation; LSODA's error test is a weighted max-norm, so each member
-keeps its own tolerance.  The fit's model table uses it; the single-trace
-path (``integrate``, ``simulate_energy``) stays scalar.  One stepping
-loop, ``_segmented_solve``, serves every integration: one cursor over
-the output grid hands each step's samples to the caller's reduction.
+The equations are written once (``_moment_equations``).  ``_batch_system``
+traces them once through a small polynomial type into dy/dt = P0(y) +
+eta(t) P1(y) with one coefficient per member (for the cumulant closure at
+resonance 83 monomials of degree at most three in 133 terms, for mean
+field 12 in 18), then evaluates the right-hand side by gather, multiply and
+sum, and the exact Jacobian from the same terms, banded for LSODA.  That
+system serves one member (``integrate``, ``simulate_energy``) and a batch
+under one pulse, stacked member-major (``simulate_energies``, the fit's
+table), alike; LSODA's max-norm error test holds each member to its own
+tolerance.  One stepping loop, ``_segmented_solve``, runs them all: one
+cursor over the output grid hands each step's samples to the caller's
+reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -189,50 +192,31 @@ class EnergyTrace:
         return float(self.times_ps[1] - self.times_ps[0])
 
 
-def _meanfield_slots(values) -> np.ndarray:
-    """One member's mean-field derivative: the six propagated slots, zero after them."""
-    out = np.zeros(STATE_SIZE)
-    out[0], out[1], out[2], out[3], out[4], out[5] = values
-    return out
-
-
-def _pair(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return re + 1j * im
-
-
-def _stack_last(values) -> np.ndarray:
-    """A batch's derivatives, slots along the last axis; slots past ``values`` are zero."""
-    arrays = np.broadcast_arrays(*values)
-    out = np.zeros(arrays[0].shape + (STATE_SIZE,))
-    for slot, value in enumerate(arrays):
-        out[..., slot] = value
-    return out
-
-
 def _make_rhs(
     params: ModelParams,
     pulse: PulseParams,
     closure: str,
     ax_bracket: str = "consistent",
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Right-hand side of one member, evaluated on plain floats."""
-    return _moment_equations([params], pulse, closure, ax_bracket)
+    """Right-hand side of one member."""
+    return _batch_system([params], pulse, closure, ax_bracket)[0]
 
 
 def _moment_equations(
     params: Sequence[ModelParams],
-    pulse: PulseParams,
     closure: str,
     ax_bracket: str = "consistent",
 ) -> Callable:
-    """The moment equations of one member, or of a batch driven by one pulse.
+    """The moment equations of one member, or of a batch of members.
 
     All rates are pre-divided by hbar.  For one member every coefficient is a
-    float and the returned ``rhs(t, y)`` is the member's right-hand side.
-    For a batch every coefficient but the shared drive is a (B,) array; the
-    same body then runs with ``y`` holding one array per state component
-    (any shape that broadcasts against (B,)), ``pair`` building a complex
-    moment from its (re, im) arrays and ``finish`` stacking the 20 arrays.
+    float, for a batch a (B,) array.  The returned ``rhs(eta, y, pair,
+    finish)`` is the derivative at drive rate ``eta``: ``y`` holds the 20
+    state components, ``pair`` builds a complex moment from its (re, im)
+    components and ``finish`` receives the derivatives in storage order (for
+    mean field only the first six; the others are zero).  On plain floats
+    with ``pair=complex`` it is one member's right-hand side;
+    ``_batch_system`` runs it once on ``_Poly`` components instead.
 
     ``ax_bracket`` selects the saturation bracket in the <a sx> equation:
     "consistent" uses 1 + (N-1) c_xx, the form its companion <a sy> and
@@ -261,18 +245,13 @@ def _moment_equations(
     gm = gm_mev / HBAR_MEV_PS
     gtot = gtot_mev / HBAR_MEV_PS
     nm1 = n - 1.0
-    amp, t0, inv_sig = pulse_shape(pulse)
-    exp = math.exp
     variant = ax_bracket == "variant"
 
     cav = -(1j * dc + 0.5 * kap)
     cav1 = cav - gtot          # decay of <a sx>, <a sy>
     half_g = 0.5 * g
 
-    def rhs_cumulant(t: float, y, pair=complex, finish=np.array):
-        arg = (t - t0) * inv_sig
-        eta = amp * exp(-0.5 * arg * arg)
-
+    def rhs_cumulant(eta, y, pair, finish):
         ca = pair(y[0], y[1])
         cx = y[2]
         cy = y[3]
@@ -373,10 +352,7 @@ def _moment_equations(
             )
         )
 
-    def rhs_meanfield(t: float, y, pair=complex, finish=_meanfield_slots):
-        arg = (t - t0) * inv_sig
-        eta = amp * exp(-0.5 * arg * arg)
-
+    def rhs_meanfield(eta, y, pair, finish):
         ca = pair(y[0], y[1])
         cx = y[2]
         cy = y[3]
@@ -393,49 +369,107 @@ def _moment_equations(
     return rhs_meanfield if closure == "meanfield" else rhs_cumulant
 
 
-# relative step of the batched Jacobian's central differences.  Every
-# monomial of either closure is at most quadratic in any one component, so
-# a central difference is exact up to rounding whatever the step; a large
-# step keeps that rounding small.
-_JAC_STEP = 2.0 ** -10
-_JAC_I, _JAC_C = np.meshgrid(np.arange(STATE_SIZE), np.arange(STATE_SIZE), indexing="ij")
+class _Poly(dict):
+    """A polynomial in the state components and the drive rate eta.
+
+    It maps a monomial, the sorted tuple of its factors' slots (slot
+    STATE_SIZE is eta), to its coefficient: a float, a complex or a (B,)
+    array over members.  The components are real, so ``real``, ``imag`` and
+    ``conjugate`` act on the coefficients, and a real one has no ``imag``.
+    """
+
+    __array_ufunc__ = None  # an array coefficient times a _Poly defers to __rmul__
+
+    def __add__(self, other) -> "_Poly":
+        out = _Poly(self)
+        for m, c in (other if isinstance(other, _Poly) else {(): other}).items():
+            out[m] = out[m] + c if m in out else c
+        return out
+
+    def __mul__(self, other) -> "_Poly":
+        if not isinstance(other, _Poly):
+            return _Poly({m: c * other for m, c in self.items()})
+        out = _Poly()
+        for (m1, c1), (m2, c2) in itertools.product(self.items(), other.items()):
+            m = tuple(sorted(m1 + m2))
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+        return out
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self) -> "_Poly":
+        return self * -1.0
+
+    def __sub__(self, other) -> "_Poly":
+        return self + -other
+
+    def __rsub__(self, other) -> "_Poly":
+        return -self + other
+
+    real = property(lambda self: _Poly({m: c.real for m, c in self.items()}))
+    imag = property(lambda self: _Poly({m: c.imag for m, c in self.items() if np.iscomplexobj(c)}))
+
+    def conjugate(self) -> "_Poly":
+        return _Poly({m: c.conjugate() for m, c in self.items()})
 
 
 def _batch_system(
     params: Sequence[ModelParams],
     pulse: PulseParams,
     closure: str,
+    ax_bracket: str = "consistent",
 ) -> tuple[Callable, Callable]:
     """Right-hand side and banded Jacobian of B members stacked member-major.
 
     The state is (B * STATE_SIZE,) with member m in slots [20 m, 20 m + 20).
-    Members do not couple, so the Jacobian is block diagonal and LSODA gets
-    it packed with lband = uband = STATE_SIZE - 1: ``packed[19 + i - c,
-    20 m + c]`` is d(dy_i)/d(y_c) of member m.  It is central-differenced
-    over all 20 components of all members in one evaluation of the
-    equations.
+    ``_moment_equations`` runs once on ``_Poly`` components, which expands
+    each derivative into terms coef * f0 * f1 * f2 of three factors from
+    (y, eta(t), 1) and one coefficient per member.  Members do not couple,
+    so LSODA gets the Jacobian packed with lband = uband = STATE_SIZE - 1:
+    ``packed[19 + i - c, 20 m + c]`` is d(dy_i)/d(y_c) of member m.
     """
-    body = _moment_equations(params, pulse, closure)
-    size = len(params)
-    width = 2 * STATE_SIZE - 1
-    # state slot c of perturbation column c (+h) and STATE_SIZE + c (-h)
-    comp = np.tile(np.arange(STATE_SIZE), 2)
-    probe = np.arange(2 * STATE_SIZE)
+    size, n, width = len(params), len(params) * STATE_SIZE, 2 * STATE_SIZE - 1
+    eta_slot, one_slot = STATE_SIZE, STATE_SIZE + 1
+    body = _moment_equations(params, closure, ax_bracket)
+    components = [_Poly({(slot,): 1.0}) for slot in range(STATE_SIZE)]
+    derivatives = body(_Poly({(eta_slot,): 1.0}), components, lambda re, im: re + 1j * im, list)
+    raw = [(row, m, c) for row, d in enumerate(derivatives) for m, c in d.items()]
+    coef = np.empty((len(raw), size))
+    for t, (_, _, c) in enumerate(raw):
+        coef[t] = c.real
+    # a term whose coefficient is zero for every member is dropped; the others pad their
+    # factor slots to three with the constant
+    keep = coef.any(axis=1)
+    coef = coef[keep]                                                 # (T, B)
+    terms = [(row, m + (one_slot,) * (3 - len(m))) for (row, m, _), k in zip(raw, keep) if k]
+    # d(dy_row)/d(y_col) collects coef times the other two factors of each factor slot holding y_col
+    entries = [(row, m[k], t, m[:k] + m[k + 1:]) for t, (row, m) in enumerate(terms) for k in range(3)]
+    entries = [entry for entry in entries if entry[1] < STATE_SIZE]
+    # where the products of each term and each entry land, member by member: in dy, in the flat band
+    member = STATE_SIZE * np.arange(size)
+    term_slot = (np.array([row for row, _ in terms])[:, None] + member).ravel()
+    entry_slot = np.array([(STATE_SIZE - 1 + row - col) * n + col for row, col, _, _ in entries])
+    entry_slot = (entry_slot[:, None] + member).ravel()
+    factors = np.array([m for _, m in terms]).T                       # (3, T)
+    cofactors = np.array([other for *_, other in entries]).T          # (2, E)
+    entry_coef = coef[[t for _, _, t, _ in entries]]                  # (E, B)
+    amp, t0, inv_sig = pulse_shape(pulse)
+
+    def extended(t: float, y: np.ndarray) -> np.ndarray:
+        arg = (t - t0) * inv_sig
+        ext = np.empty((STATE_SIZE + 2, size))
+        ext[:STATE_SIZE] = y.reshape(size, STATE_SIZE).T
+        ext[eta_slot] = amp * math.exp(-0.5 * arg * arg)
+        ext[one_slot] = 1.0
+        return ext
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        columns = y.reshape(size, STATE_SIZE).T.copy()
-        return body(t, columns, _pair, _stack_last).ravel()
+        f = np.take(extended(t, y), factors, axis=0)
+        return np.bincount(term_slot, (coef * f[0] * f[1] * f[2]).ravel(), n)
 
     def jac(t: float, y: np.ndarray) -> np.ndarray:
-        columns = y.reshape(size, STATE_SIZE).T
-        step = _JAC_STEP * np.maximum(np.abs(columns), 1.0)          # (20, B)
-        shifted = np.repeat(columns[:, None, :], 2 * STATE_SIZE, axis=1)
-        shifted[comp, probe] += np.concatenate([step, -step])
-        f = body(t, shifted, _pair, _stack_last)                      # (40, B, 20)
-        d = (f[:STATE_SIZE] - f[STATE_SIZE:]) / (2.0 * step[:, :, None])  # [c, m, i]
-        packed = np.zeros((width, size, STATE_SIZE))
-        packed[STATE_SIZE - 1 + _JAC_I - _JAC_C, :, _JAC_C] = d[_JAC_C, :, _JAC_I]
-        return packed.reshape(width, size * STATE_SIZE)
+        f = np.take(extended(t, y), cofactors, axis=0)
+        return np.bincount(entry_slot, (entry_coef * f[0] * f[1]).ravel(), width * n).reshape(width, n)
 
     return rhs, jac
 
@@ -478,20 +512,22 @@ class SolverStats:
 _REDUCE_BATCH = 32
 
 
-def _release_lsoda_work(solver) -> None:
-    """Free the work arrays of a finished LSODA solver.
+def _release_solver(solver) -> None:
+    """Free what a finished scipy solver holds, without waiting for the cycle collector.
 
-    scipy's LSODA wrapper (1.17) takes a reference to its rwork and iwork
-    arrays on every step and never drops it, so the arrays outlive the
-    solver: about 5 kB per segment of one trace, and 0.4 MB per segment of a
-    36-member batch.  No dense output reads them (it copies what it needs),
-    so shrinking them in place once the segment is done returns the memory.
+    A solver references itself through its ``fun`` wrapper, so it and what
+    it holds (the system and its coefficient arrays) would wait for the
+    cycle collector; dropping its attributes frees them now.  scipy's LSODA
+    wrapper (1.17) also keeps a reference to its rwork and iwork arrays
+    (about 5 kB per segment of one trace, 0.4 MB of a 36-member batch), which
+    no dense output reads, so those are shrunk in place first.
     """
     integrator = getattr(getattr(solver, "_lsoda_solver", None), "_integrator", None)
     for name in ("rwork", "iwork"):
         work = getattr(integrator, name, None)
         if isinstance(work, np.ndarray):
             work.resize(0, refcheck=False)
+    vars(solver).clear()
 
 
 def _segmented_solve(
@@ -591,10 +627,10 @@ def _segmented_solve(
                         flush()
                         pending_points = 0
                     done = reached
+            stats += SolverStats(int(solver.nfev), int(solver.njev), steps)
+            y = solver.y
         finally:
-            _release_lsoda_work(solver)
-        stats += SolverStats(int(solver.nfev), int(solver.njev), steps)
-        y = solver.y
+            _release_solver(solver)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(
                 f"state became non-finite near t = {b:g} ps",
@@ -618,10 +654,10 @@ def integrate(
     ax_bracket: str = "consistent",
 ) -> MomentTrace:
     """Integrate the moment equations over the configured window."""
-    rhs = _make_rhs(params, pulse, config.closure, ax_bracket=ax_bracket)
+    rhs, jac = _batch_system([params], pulse, config.closure, ax_bracket)
     y0 = _initial_array(config.closure)
     times = output_grid(config)
-    data, _ = _segmented_solve(rhs, y0, times, pulse, config.rel_tol, config.abs_tol, LSODA)
+    data, _ = _segmented_solve(rhs, y0, times, pulse, config.rel_tol, config.abs_tol, LSODA, jac=jac)
     return MomentTrace(times_ps=times, data=data)
 
 
@@ -654,9 +690,8 @@ def simulate_energies(
     block Jacobian (see ``_batch_system``).  LSODA's error test is a
     weighted max-norm, so every member keeps its own tolerance; the steps
     follow the hardest member, which is why the fit batches similar members.
-    Only <sigma_z> is kept.  A lone member takes the scalar path, which
-    matches ``simulate_energy`` bit for bit and runs 4-6x faster than a
-    batch of one on 4 ps traces.
+    Only <sigma_z> is kept.  A lone member runs the system of
+    ``simulate_energy`` and matches it bit for bit.
 
     The members share ``pulse`` and ``config`` (window, tolerances,
     closure).  Returns the traces and the solver's work.
@@ -664,10 +699,7 @@ def simulate_energies(
     if not params:
         raise ValueError("need at least one member")
     size = len(params)
-    if size == 1:
-        rhs, jac = _make_rhs(params[0], pulse, config.closure), None
-    else:
-        rhs, jac = _batch_system(params, pulse, config.closure)
+    rhs, jac = _batch_system(params, pulse, config.closure)
     times = output_grid(config)
     c_z = _SLOTS["c_z"][0] + STATE_SIZE * np.arange(size)
     data, stats = _segmented_solve(

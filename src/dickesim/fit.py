@@ -303,6 +303,21 @@ def _lattice_chi2(energies, t_model, dt, t_data_ps, w, wd, d, k_lo, k_hi) -> np.
         return np.where(s2 > 0.0, float(wd @ d) - s1 * s1 / s2, np.inf)
 
 
+def _shift_steps(dataset: ExperimentDataset, t0_range_fs: tuple, dt_ps: float) -> tuple[int, int]:
+    """Whole steps k_lo..k_hi of ``dt_ps`` in the shift range, after the checks that need no trace."""
+    if dataset.sigma is None:
+        raise DataError(f"dataset {dataset.label!r} has no noise estimate; run estimate_noise")
+    lo_fs, hi_fs = t0_range_fs
+    if not hi_fs > lo_fs:
+        raise ValueError("t0 range must have positive width")
+    k_lo, k_hi = math.ceil(lo_fs * 1e-3 / dt_ps - 1e-9), math.floor(hi_fs * 1e-3 / dt_ps + 1e-9)
+    if k_hi < k_lo:
+        raise ValueError(f"t0 range holds no whole model step of {dt_ps * 1e3:g} fs")
+    if float(dataset.signal ** 2 @ (1.0 / dataset.sigma ** 2)) <= 0.0:
+        raise DataError(f"dataset {dataset.label!r} has no signal to scale")
+    return k_lo, k_hi
+
+
 def inner_fits(
     models: list[EnergyTrace],
     dataset: ExperimentDataset,
@@ -318,16 +333,11 @@ def inner_fits(
     per model an ``InnerFit`` or the ValueError of a trace without amplitude,
     and the counts of lattice shifts and direct evaluations.
     """
-    if dataset.sigma is None:
-        raise DataError(f"dataset {dataset.label!r} has no noise estimate yet")
-    lo_fs, hi_fs = t0_range_fs
-    if not hi_fs > lo_fs:
-        raise ValueError("t0 range must have positive width")
-    t_data_ps = dataset.times_fs * 1e-3
-    lo = lo_fs * 1e-3
-    hi = hi_fs * 1e-3
     t_model = models[0].times_ps
     dt = (t_model[-1] - t_model[0]) / (t_model.size - 1)
+    k_lo, k_hi = _shift_steps(dataset, t0_range_fs, dt)
+    t_data_ps = dataset.times_fs * 1e-3
+    lo, hi = t0_range_fs[0] * 1e-3, t0_range_fs[1] * 1e-3
     uniform = np.max(np.abs(t_model - t_model[0] - dt * np.arange(t_model.size))) <= 1e-6 * dt
     if not uniform or any(not np.array_equal(model.times_ps, t_model) for model in models):
         raise ValueError("the model traces of one dataset must share one uniform time grid")
@@ -337,15 +347,10 @@ def inner_fits(
             f"need [{t_data_ps[0] + lo:g}, {t_data_ps[-1] + hi:g}] ps, "
             f"have [{t_model[0]:g}, {t_model[-1]:g}] ps"
         )
-    k_lo, k_hi = math.ceil(lo / dt - 1e-9), math.floor(hi / dt + 1e-9)
-    if k_hi < k_lo:
-        raise ValueError(f"t0 range holds no whole model step of {dt * 1e3:g} fs")
     shifts = np.clip(dt * np.arange(k_lo, k_hi + 1), lo, hi)
     d = dataset.signal
     w = 1.0 / dataset.sigma ** 2
     wd = w * d
-    if float(wd @ d) <= 0.0:
-        raise DataError(f"dataset {dataset.label!r} has no signal to scale")
     lattice = _lattice_chi2([m.energy_mev for m in models], t_model, dt, t_data_ps, w, wd, d, k_lo, k_hi)
     dust = 1e-10 * float(wd @ d)  # the lattice form's rounding: about 2e-15 of sum(w d^2)
 
@@ -489,8 +494,10 @@ def trace_window(
 # solve steps at the pace of its hardest member, so very large batches
 # lose, while small ones pay the per-call overhead of the array equations
 # more often.  Criterion 6's 729-member A2 table on a 2-core machine (one
-# BLAS thread) took 64 s one member at a time; in near-equal batches of at
-# most 27, 48, 64, 81 and 128 members it took 20, 19, 12-17, 17-18 and 18 s.
+# BLAS thread) took 3.6-4.1, 4.3-4.8, 4.6-6.3, 5.5-6.4 and 8.8-10.5 s in
+# near-equal batches of at most 27, 48, 64, 81 and 128 members (four runs
+# each); over eight alternating runs of 27 and 64 the median gain of 27
+# was 0.4 s, inside the 1.3 s spread of the runs at 64.
 BATCH_CAP = 64
 
 
@@ -644,7 +651,8 @@ def global_fit(
     """Scan the rate grid, minimise chi^2 jointly over all datasets.
 
     Every dataset must already carry a noise estimate and a label of its
-    own.  ``refine`` runs one extra pass on a four-times-finer grid around
+    own, checked with the rest of ``_shift_steps`` before the table.
+    ``refine`` runs one extra pass on a four-times-finer grid around
     the coarse minimum; its members on coarse nodes reuse the coarse
     traces instead of integrating them again.  The
     reduced chi^2 uses k_eff = (total samples) - 3: only the shared rates
@@ -659,8 +667,7 @@ def global_fit(
         raise ValueError("need at least one dataset")
     labels = [ds.label for ds in datasets]
     for ds in datasets:
-        if ds.sigma is None:
-            raise DataError(f"dataset {ds.label!r} has no noise estimate; run estimate_noise")
+        _shift_steps(ds, t0_range_fs, (solver or SolverConfig()).output_dt_ps)
         if labels.count(ds.label) > 1:
             # labels key the inner fits, the traces and the residual files
             raise DataError(f"dataset label {ds.label!r} is used by {labels.count(ds.label)} datasets")

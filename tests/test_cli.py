@@ -223,6 +223,16 @@ fit.noise_rms = 0.02
 """
 
 
+def _a2_fit_config(tmp_path, signal: float, extra: str) -> str:
+    """A one-point fit of one measured A2 file: a Gaussian bump of height ``signal`` plus noise."""
+    times = np.arange(-500.0, 1500.0, 8.0)
+    data = signal * np.exp(-(((times - 200.0) / 300.0) ** 2))
+    data += signal * np.random.default_rng(5).normal(scale=0.01, size=times.size)
+    path = tmp_path / "A2.csv"
+    np.savetxt(path, np.column_stack([times, data]), delimiter=",")
+    return write_cfg(tmp_path, f"pulse.sigma_fs = 20\nfit.datasets = {path}\nfit.grid_points = 1\n" + extra)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "cfg_text",
@@ -338,13 +348,28 @@ fit.labels = A2
     )
     @pytest.mark.filterwarnings("ignore:noise window")
     def test_data_the_fit_cannot_scale_exits_4(self, tmp_path, capsys, signal, extra, message):
-        times = np.arange(-500.0, 1500.0, 8.0)
-        data = signal * np.exp(-(((times - 200.0) / 300.0) ** 2))
-        data += signal * np.random.default_rng(5).normal(scale=0.01, size=times.size)
-        path = tmp_path / "A2.csv"
-        np.savetxt(path, np.column_stack([times, data]), delimiter=",")
-        cfg = write_cfg(tmp_path, f"pulse.sigma_fs = 20\nfit.datasets = {path}\nfit.grid_points = 1\n" + extra)
+        cfg = _a2_fit_config(tmp_path, signal, extra)
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "signal, extra, code, message",
+        [
+            (0.0, "", EXIT_DATA, "dataset 'A2' has no signal to scale"),
+            (1.0, "fit.t0_range_fs = 0.5, 1.5\n", EXIT_CONFIG, "t0 range holds no whole model step"),
+        ],
+        ids=["zero-signal", "t0-range-without-a-step"],
+    )
+    @pytest.mark.filterwarnings("ignore:noise window")
+    def test_checks_of_the_data_alone_fail_before_the_table(
+        self, tmp_path, capsys, monkeypatch, signal, extra, code, message
+    ):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the model table was integrated")
+
+        monkeypatch.setattr(fit, "model_traces", no_table)
+        cfg = _a2_fit_config(tmp_path, signal, extra)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == code
         assert f"error: {message}" in capsys.readouterr().err
 
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import math
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from dickesim.model import (
     ModelParams,
     PulseParams,
     drive_amplitude_from_photon_ratio,
+    pulse_shape,
 )
 
 SMALL_N = ModelParams(
@@ -194,25 +199,26 @@ def test_stiff_dephasing_corner_is_cheap_and_accurate(monkeypatch):
     config = SolverConfig(t_start_ps=-1.15, t_end_ps=1.9)
 
     calls = 0
-    make_rhs = cumulant._make_rhs
+    batch_system = cumulant._batch_system
 
-    def counting_make_rhs(*args, **kwargs):
-        rhs = make_rhs(*args, **kwargs)
+    def counting_batch_system(*args, **kwargs):
+        rhs, jac = batch_system(*args, **kwargs)
 
         def counted(t, y):
             nonlocal calls
             calls += 1
             return rhs(t, y)
 
-        return counted
+        return counted, jac
 
-    monkeypatch.setattr(cumulant, "_make_rhs", counting_make_rhs)
+    monkeypatch.setattr(cumulant, "_batch_system", counting_batch_system)
     energy = simulate_energy(params, pulse, config).energy_mev
-    assert calls < 10_000, calls  # RK45 needs about 79,000 here
+    assert 0 < calls < 10_000, calls  # RK45 needs about 79,000 here
+    monkeypatch.undo()
 
     times = output_grid(config)
     reference = MomentTrace(times, cumulant._segmented_solve(
-        make_rhs(params, pulse, "cumulant"),
+        cumulant._make_rhs(params, pulse, "cumulant"),
         cumulant._initial_array("cumulant"),
         times,
         pulse,
@@ -328,6 +334,49 @@ def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
         off = full[block].copy()
         off[:, block] = 0.0
         assert not off.any(), m
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 0.0])
+@pytest.mark.parametrize("ax_bracket", ["consistent", "variant"])
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_polynomial_matches_the_equations_on_floats(closure, ax_bracket, amplitude):
+    # a detuned pair, whose terms are all of order one, stacked with a B2
+    # member; at random states, inside the pulse (5 fs) and past it (0.3 ps)
+    params = [replace(SMALL_N, delta_a_mev=0.3, delta_c_mev=-0.2), _b2_members()[0][9]]
+    pulse = PulseParams(amplitude=amplitude, center_ps=0.0, sigma_ps=0.020)
+    peak, t0, inv_sig = pulse_shape(pulse)
+    rhs, jac = cumulant._batch_system(params, pulse, closure, ax_bracket)
+    bodies = [cumulant._moment_equations([p], closure, ax_bracket) for p in params]
+    rows, columns = np.indices((STATE_SIZE, STATE_SIZE))
+    rng = np.random.default_rng(11)
+    for t in (0.005, 0.3):
+        eta = peak * math.exp(-0.5 * ((t - t0) * inv_sig) ** 2)
+        for _ in range(4):
+            y = rng.uniform(-1.0, 1.0, size=len(params) * STATE_SIZE)
+            dy = rhs(t, y).reshape(len(params), STATE_SIZE)
+            packed = jac(t, y)
+            # no term is cubic in one component, so central differences are
+            # exact up to rounding, and a unit step keeps that small
+            steps = np.eye(y.size)
+            diffs = np.array([(rhs(t, y + h) - rhs(t, y - h)) / 2.0 for h in steps]).T
+            for m, body in enumerate(bodies):
+                want = np.zeros(STATE_SIZE)
+                values = body(eta, y[m * STATE_SIZE:(m + 1) * STATE_SIZE], complex, np.array)
+                want[:values.size] = values
+                assert np.max(np.abs(dy[m] - want)) <= 1e-14 * np.max(np.abs(want)), (m, t)
+                block = slice(m * STATE_SIZE, (m + 1) * STATE_SIZE)
+                exact = packed[STATE_SIZE - 1 + rows - columns, m * STATE_SIZE + columns]
+                central = diffs[block, block]
+                assert np.max(np.abs(exact - central)) <= 1e-10 * np.max(np.abs(central)), (m, t)
+
+
+def test_import_does_not_load_sympy():
+    # the equations are traced by the package's own polynomial type; sympy
+    # is not a dependency, and importing it would slow every start-up
+    src = str(Path(cumulant.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import dickesim; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
