@@ -111,6 +111,13 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+def _parse_pair(raw: str) -> tuple[float, float]:
+    pair = _parse_floats(raw)
+    if len(pair) != 2:
+        raise ValueError(f"expected two numbers, got {len(pair)}")
+    return pair
+
+
 def _parse_strings(raw: str) -> tuple[str, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -163,10 +170,10 @@ CONFIG_KEYS = {
     "fit.photon_ratio": ("fit", "photon_ratio", _parse_floats),
     "fit.lifetime_fs": ("fit", "lifetime_fs", float),
     "fit.grid_points": ("fit", "grid_points", int),
-    "fit.g_bounds_neV": ("fit", "g_bounds_nev", _parse_floats),
-    "fit.gamma0z_bounds_meV": ("fit", "gamma0z_bounds_mev", _parse_floats),
-    "fit.gammaminus_bounds_meV": ("fit", "gamma_minus_bounds_mev", _parse_floats),
-    "fit.t0_range_fs": ("fit", "t0_range_fs", _parse_floats),
+    "fit.g_bounds_neV": ("fit", "g_bounds_nev", _parse_pair),
+    "fit.gamma0z_bounds_meV": ("fit", "gamma0z_bounds_mev", _parse_pair),
+    "fit.gammaminus_bounds_meV": ("fit", "gamma_minus_bounds_mev", _parse_pair),
+    "fit.t0_range_fs": ("fit", "t0_range_fs", _parse_pair),
     "fit.refine": ("fit", "refine", _parse_bool),
     "fit.synthetic": ("fit", "synthetic", _parse_bool),
     "fit.times_fs": ("fit", "times_fs", _parse_floats),
@@ -425,36 +432,31 @@ def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
 
 def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
     common = params, pulse, solver = _build_common(cfg, sections)
-    # the fit's table is built at the ModelParams defaults: resonant, omega_a = 2357 meV
+    # the fit's table is built at the ModelParams defaults: resonant, omega_a = 2357 meV;
+    # its window is each dataset's own (``fit.trace_window``)
     table = ModelParams()
     for key in cfg:
         section, field, _ = CONFIG_KEYS[key]
-        if (
+        if section == "solver" and field in ("t_start_ps", "t_end_ps"):
+            reason = "which integrates over the window its datasets and shift range need"
+        elif (
             section == "model" and field in ("delta_c_mev", "delta_a_mev", "omega_a_mev")
             and getattr(params, field) != getattr(table, field)
         ):
-            raise ConfigError(
-                f"{key} = {cfg[key]} is not supported by fit, whose model table is resonant "
-                f"with omega_a = {table.omega_a_mev:g} meV; remove the key"
-            )
+            reason = f"whose model table is resonant with omega_a = {table.omega_a_mev:g} meV"
+        else:
+            continue
+        raise ConfigError(f"{key} = {cfg[key]} is not supported by fit, {reason}; remove the key")
     datasets = _fit_datasets(sections, params, pulse, solver, args.seed)
 
     section = sections["fit"]
     points = section.get("grid_points", 9)
-    bounds = {}
-    for key in ("fit.g_bounds_neV", "fit.gamma0z_bounds_meV", "fit.gammaminus_bounds_meV"):
-        name = CONFIG_KEYS[key][1]
-        if name in section:
-            pair = section[name]
-            if len(pair) != 2:
-                raise ConfigError(f"{key} must be two numbers")
-            bounds[name] = (pair[0], pair[1])
+    axes = ("g_bounds_nev", "gamma0z_bounds_mev", "gamma_minus_bounds_mev")
+    bounds = {name: section[name] for name in axes if name in section}
     grid = _checked(FitGrid.logspace, points=points, **bounds)
 
     lifetime_fs = section.get("lifetime_fs", 120.0)
     t0_pair = section.get("t0_range_fs", (-400.0, 400.0))
-    if len(t0_pair) != 2 or t0_pair[1] <= t0_pair[0]:
-        raise ConfigError("fit.t0_range_fs must be lo, hi with hi > lo")
     refine = section.get("refine", False)
 
     _echo_config(out_dir, "fit", *common, {
@@ -463,13 +465,13 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
         "g_bounds_neV": (float(grid.g_nev[0]), float(grid.g_nev[-1])),
         "gamma0z_bounds_meV": (float(grid.gamma0z_mev[0]), float(grid.gamma0z_mev[-1])),
         "gammaminus_bounds_meV": (float(grid.gamma_minus_mev[0]), float(grid.gamma_minus_mev[-1])),
-        "t0_range_fs": tuple(t0_pair), "refine": refine, "seed": args.seed,
+        "t0_range_fs": t0_pair, "refine": refine, "seed": args.seed,
     })
 
     result = _checked(
         global_fit, datasets, grid, lifetime_fs=lifetime_fs,
         pulse_sigma_ps=pulse.sigma_ps, n_ref=params.n_ref, solver=solver,
-        t0_range_fs=(t0_pair[0], t0_pair[1]), workers=args.threads, refine=refine,
+        t0_range_fs=t0_pair, workers=args.threads, refine=refine,
     )
 
     for name, scan in (("chi2_map.csv", result), ("chi2_map_coarse.csv", result.coarse)):

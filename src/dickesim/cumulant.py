@@ -20,18 +20,18 @@ RK45 because scipy's LSODA accepts only real state vectors.  What remains
 costly are the strongly coupled corners (g near 5000 neV): they oscillate
 fast rather than decay, so the step stays bound to the Rabi period there.
 
-The equations are written once (``_moment_equations``).  ``_batch_system``
-traces them once through a small polynomial type into dy/dt = P0(y) +
-eta(t) P1(y) with one coefficient per member (for the cumulant closure at
-resonance 83 monomials of degree at most three in 133 terms, for mean
-field 12 in 18), then evaluates the right-hand side by gather, multiply and
-sum, and the exact Jacobian from the same terms, banded for LSODA.  That
-system serves one member (``integrate``, ``simulate_energy``) and a batch
-under one pulse, stacked member-major (``simulate_energies``, the fit's
-table), alike; LSODA's max-norm error test holds each member to its own
-tolerance.  One stepping loop, ``_segmented_solve``, runs them all: one
-cursor over the output grid hands each step's samples to the caller's
-reduction.
+The equations are written once (``_moment_equations``), reading and
+writing moments by name; ``_LAYOUT`` alone places the names in the state.
+``_batch_system`` traces them once through a small polynomial type into
+dy/dt = P0(y) + eta(t) P1(y) with one coefficient per member (for the
+cumulant closure at resonance 83 monomials of degree at most three in 133
+terms, for mean field 12 in 18), then evaluates the right-hand side by
+gather, multiply and sum, and the exact Jacobian from the same terms,
+banded for LSODA.  One set-up, ``_solve``, integrates any number of members
+under one pulse as one stacked system: ``integrate`` keeps one member's
+full state, ``simulate_energies`` (the fit's table, and ``simulate_energy``
+as a batch of one) only <sigma_z>.  One stepping loop,
+``_segmented_solve``, runs it and the exact oracle alike.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import LSODA
@@ -81,15 +81,31 @@ _SLOTS = {name: (offset, is_complex) for name, offset, is_complex in _LAYOUT}
 
 
 def moment(y: np.ndarray, name: str) -> np.ndarray:
-    """Moment ``name`` from states of shape (..., STATE_SIZE).
-
-    A complex moment comes back as re + i*im; a real one as a view of its
-    column.
-    """
+    """Moment ``name`` of states (..., STATE_SIZE): re + i*im if complex, else a view of its column."""
     offset, is_complex = _SLOTS[name]
     if is_complex:
         return y[..., offset] + 1j * y[..., offset + 1]
     return y[..., offset]
+
+
+def _named(components: Sequence) -> dict:
+    """Name -> moment of one state's STATE_SIZE components; a complex one is re + 1j * im."""
+    return {
+        name: components[offset] + 1j * components[offset + 1] if is_complex else components[offset]
+        for name, offset, is_complex in _LAYOUT
+    }
+
+
+def _stored(derivatives: Mapping) -> Iterator[tuple[int, object]]:
+    """(slot, component) of the named ``derivatives`` in storage order; a complex one gives re, im."""
+    for name, offset, is_complex in _LAYOUT:
+        if name in derivatives:
+            value = derivatives[name]
+            if is_complex:
+                yield offset, value.real
+                yield offset + 1, value.imag
+            else:
+                yield offset, value
 
 
 CLOSURES = ("cumulant", "meanfield")
@@ -121,7 +137,7 @@ class SolverConfig:
     (LSODA, see the module docstring) picks its own internal steps, capped
     at ``sigma/4`` while the pulse is on so a narrow pulse is never stepped
     over.  ``rel_tol`` and ``abs_tol`` hold for every member of a stacked
-    batch on its own, since LSODA's error norm is a max over components.
+    batch on its own (see ``_solve``).
     """
 
     closure: str = "cumulant"
@@ -192,31 +208,19 @@ class EnergyTrace:
         return float(self.times_ps[1] - self.times_ps[0])
 
 
-def _make_rhs(
-    params: ModelParams,
-    pulse: PulseParams,
-    closure: str,
-    ax_bracket: str = "consistent",
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Right-hand side of one member."""
-    return _batch_system([params], pulse, closure, ax_bracket)[0]
-
-
 def _moment_equations(
     params: Sequence[ModelParams],
     closure: str,
     ax_bracket: str = "consistent",
 ) -> Callable:
-    """The moment equations of one member, or of a batch of members.
+    """The moment equations of a batch of members, every coefficient a (B,) array.
 
-    All rates are pre-divided by hbar.  For one member every coefficient is a
-    float, for a batch a (B,) array.  The returned ``rhs(eta, y, pair,
-    finish)`` is the derivative at drive rate ``eta``: ``y`` holds the 20
-    state components, ``pair`` builds a complex moment from its (re, im)
-    components and ``finish`` receives the derivatives in storage order (for
-    mean field only the first six; the others are zero).  On plain floats
-    with ``pair=complex`` it is one member's right-hand side;
-    ``_batch_system`` runs it once on ``_Poly`` components instead.
+    All rates are pre-divided by hbar.  The returned ``rhs(eta, m)`` is the
+    derivative at drive rate ``eta``: ``m`` maps each name of
+    ``MOMENT_NAMES`` to its moment, complex for a complex one (``_named``
+    builds it from a state), and ``rhs`` returns the derivatives by the same
+    names; mean field, which carries first moments and <a'a> only, returns
+    those five.  ``_batch_system`` runs it once on ``_Poly`` components.
 
     ``ax_bracket`` selects the saturation bracket in the <a sx> equation:
     "consistent" uses 1 + (N-1) c_xx, the form its companion <a sy> and
@@ -226,24 +230,13 @@ def _moment_equations(
     """
     if ax_bracket not in ("consistent", "variant"):
         raise ValueError(f"unknown ax_bracket {ax_bracket!r}")
-    rows = [
-        (
-            p.delta_c_mev, p.delta_a_mev, p.g_mev, p.kappa_mev, p.gamma_minus_mev,
-            gamma_total(p), p.n_molecules,
-        )
-        for p in params
-    ]
-    if len(rows) == 1:
-        columns = rows[0]
-    else:
-        columns = tuple(np.array(column) for column in zip(*rows))
-    dc_mev, da_mev, g_mev, kap_mev, gm_mev, gtot_mev, n = columns
-    dc = dc_mev / HBAR_MEV_PS
-    da = da_mev / HBAR_MEV_PS
-    g = g_mev / HBAR_MEV_PS
-    kap = kap_mev / HBAR_MEV_PS
-    gm = gm_mev / HBAR_MEV_PS
-    gtot = gtot_mev / HBAR_MEV_PS
+    dc = np.array([p.delta_c_mev for p in params]) / HBAR_MEV_PS
+    da = np.array([p.delta_a_mev for p in params]) / HBAR_MEV_PS
+    g = np.array([p.g_mev for p in params]) / HBAR_MEV_PS
+    kap = np.array([p.kappa_mev for p in params]) / HBAR_MEV_PS
+    gm = np.array([p.gamma_minus_mev for p in params]) / HBAR_MEV_PS
+    gtot = np.array([gamma_total(p) for p in params]) / HBAR_MEV_PS
+    n = np.array([p.n_molecules for p in params])
     nm1 = n - 1.0
     variant = ax_bracket == "variant"
 
@@ -251,22 +244,12 @@ def _moment_equations(
     cav1 = cav - gtot          # decay of <a sx>, <a sy>
     half_g = 0.5 * g
 
-    def rhs_cumulant(eta, y, pair, finish):
-        ca = pair(y[0], y[1])
-        cx = y[2]
-        cy = y[3]
-        cz = y[4]
-        cn = y[5]
-        caa = pair(y[6], y[7])
-        cax = pair(y[8], y[9])
-        cay = pair(y[10], y[11])
-        caz = pair(y[12], y[13])
-        cxx = y[14]
-        cyy = y[15]
-        czz = y[16]
-        cxy = y[17]
-        cxz = y[18]
-        cyz = y[19]
+    def rhs_cumulant(eta, m):
+        ca, cn, caa = m["c_a"], m["c_n"], m["c_aa"]
+        cx, cy, cz = m["c_x"], m["c_y"], m["c_z"]
+        cax, cay, caz = m["c_ax"], m["c_ay"], m["c_az"]
+        cxx, cyy, czz = m["c_xx"], m["c_yy"], m["c_zz"]
+        cxy, cxz, cyz = m["c_xy"], m["c_xz"], m["c_yz"]
 
         # third moments with vanishing third cumulant
         ca2 = ca * ca
@@ -338,25 +321,17 @@ def _moment_equations(
             - gm * (cyz + cy)
         )
 
-        return finish(
-            (
-                d_ca.real, d_ca.imag,
-                d_cx, d_cy, d_cz,
-                d_cn,
-                d_caa.real, d_caa.imag,
-                d_cax.real, d_cax.imag,
-                d_cay.real, d_cay.imag,
-                d_caz.real, d_caz.imag,
-                d_cxx, d_cyy, d_czz,
-                d_cxy, d_cxz, d_cyz,
-            )
-        )
+        return {
+            "c_a": d_ca, "c_n": d_cn, "c_aa": d_caa,
+            "c_x": d_cx, "c_y": d_cy, "c_z": d_cz,
+            "c_ax": d_cax, "c_ay": d_cay, "c_az": d_caz,
+            "c_xx": d_cxx, "c_yy": d_cyy, "c_zz": d_czz,
+            "c_xy": d_cxy, "c_xz": d_cxz, "c_yz": d_cyz,
+        }
 
-    def rhs_meanfield(eta, y, pair, finish):
-        ca = pair(y[0], y[1])
-        cx = y[2]
-        cy = y[3]
-        cz = y[4]
+    def rhs_meanfield(eta, m):
+        ca = m["c_a"]
+        cx, cy, cz = m["c_x"], m["c_y"], m["c_z"]
 
         d_ca = cav * ca - half_g * n * (1j * cx + cy) + eta
         d_cx = -da * cy - 2.0 * g * cz * ca.imag - gtot * cx
@@ -364,7 +339,7 @@ def _moment_equations(
         d_cz = 2.0 * g * (ca.real * cy + ca.imag * cx) - gm * (cz + 1.0)
         # keep the factorised moments consistent for observers of <a'a> etc.
         d_cn = 2.0 * (ca.real * d_ca.real + ca.imag * d_ca.imag)
-        return finish((d_ca.real, d_ca.imag, d_cx, d_cy, d_cz, d_cn))
+        return {"c_a": d_ca, "c_x": d_cx, "c_y": d_cy, "c_z": d_cz, "c_n": d_cn}
 
     return rhs_meanfield if closure == "meanfield" else rhs_cumulant
 
@@ -431,9 +406,9 @@ def _batch_system(
     size, n, width = len(params), len(params) * STATE_SIZE, 2 * STATE_SIZE - 1
     eta_slot, one_slot = STATE_SIZE, STATE_SIZE + 1
     body = _moment_equations(params, closure, ax_bracket)
-    components = [_Poly({(slot,): 1.0}) for slot in range(STATE_SIZE)]
-    derivatives = body(_Poly({(eta_slot,): 1.0}), components, lambda re, im: re + 1j * im, list)
-    raw = [(row, m, c) for row, d in enumerate(derivatives) for m, c in d.items()]
+    moments = _named([_Poly({(slot,): 1.0}) for slot in range(STATE_SIZE)])
+    derivatives = body(_Poly({(eta_slot,): 1.0}), moments)
+    raw = [(row, m, c) for row, d in _stored(derivatives) for m, c in d.items()]
     coef = np.empty((len(raw), size))
     for t, (_, _, c) in enumerate(raw):
         coef[t] = c.real
@@ -475,13 +450,11 @@ def _batch_system(
 
 
 def _initial_array(closure: str) -> np.ndarray:
-    """All molecules down, empty cavity: <sz> = -1 and, pairwise, <sz sz> = +1."""
+    """All molecules down, empty cavity: <sz> = -1 and, pairwise, <sz sz> = +1 (mean field has no pairs)."""
+    ground = {"c_z": -1.0} if closure == "meanfield" else {"c_z": -1.0, "c_zz": 1.0}
     y0 = np.zeros(STATE_SIZE)
-    y0[_SLOTS["c_z"][0]] = -1.0
-    if closure != "meanfield":
-        # mean field carries only first moments: its <sz sz> factorises to
-        # <sz>^2 implicitly, so that slot stays zero and is not propagated
-        y0[_SLOTS["c_zz"][0]] = 1.0
+    for slot, value in _stored(ground):
+        y0[slot] = value
     return y0
 
 
@@ -498,13 +471,6 @@ class SolverStats:
     rhs_calls: int = 0
     jacobians: int = 0
     steps: int = 0
-
-    def __add__(self, other: "SolverStats") -> "SolverStats":
-        return SolverStats(
-            self.rhs_calls + other.rhs_calls,
-            self.jacobians + other.jacobians,
-            self.steps + other.steps,
-        )
 
 
 # grid points pending before ``_segmented_solve`` reduces them: a strongly
@@ -539,8 +505,8 @@ def _segmented_solve(
     abs_tol: float,
     stepper: type,
     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda t, states: states,
-    jac: Callable | None = None,
     members: int = 1,
+    **options,
 ) -> tuple[np.ndarray, SolverStats]:
     """Adaptive integration sampled at ``times``, one row per grid point.
 
@@ -555,10 +521,10 @@ def _segmented_solve(
     ``reduce(t, states)`` maps them and their (len(t), state size) states
     to the rows the caller keeps (default: the whole state), so no
     interpolant outlives its step and no state outlives its reduction.
-    The state of a batch holds ``members`` equal-sized, uncoupled members;
-    ``jac`` then hands LSODA their block-diagonal Jacobian, packed with
-    lband = uband = member size - 1, and a non-finite derivative names the
-    first offending member.
+    The state of a batch holds ``members`` equal-sized, uncoupled members,
+    and a non-finite derivative names the first offending member.
+    ``options`` go to the stepper as they are (``_solve`` hands LSODA its
+    banded Jacobian there).
 
     Returns the rows of all grid points and the solver's work summed over
     the segments.
@@ -588,10 +554,6 @@ def _segmented_solve(
             )
         return dy
 
-    options = {"rtol": rel_tol, "atol": abs_tol}
-    if jac is not None:
-        band = y0.size // members - 1
-        options.update(jac=jac, lband=band, uband=band)
     rows = []
     pending = []
 
@@ -601,14 +563,12 @@ def _segmented_solve(
             rows.append(reduce(np.concatenate(t), np.concatenate(states)))
             pending.clear()
 
-    done = pending_points = 0
-    stats = SolverStats()
+    done = pending_points = rhs_calls = jacobians = steps = 0
     y = y0
     for a, b in zip(edges[:-1], edges[1:]):
         in_pulse = pulse_lo <= a and b <= pulse_hi
         max_step = 0.25 * pulse.sigma_ps if in_pulse else math.inf
-        solver = stepper(checked_rhs, a, y, b, max_step=max_step, **options)
-        steps = 0
+        solver = stepper(checked_rhs, a, y, b, max_step=max_step, rtol=rel_tol, atol=abs_tol, **options)
         try:
             while solver.status == "running":
                 message = solver.step()
@@ -627,7 +587,8 @@ def _segmented_solve(
                         flush()
                         pending_points = 0
                     done = reached
-            stats += SolverStats(int(solver.nfev), int(solver.njev), steps)
+            rhs_calls += solver.nfev
+            jacobians += solver.njev
             y = solver.y
         finally:
             _release_solver(solver)
@@ -644,7 +605,36 @@ def _segmented_solve(
             f"non-finite state at t = {times[bad]:g} ps",
             last_good_time_ps=float(times[max(bad - 1, 0)]),
         )
-    return data, stats
+    return data, SolverStats(int(rhs_calls), int(jacobians), steps)
+
+
+def _solve(
+    params: Sequence[ModelParams],
+    pulse: PulseParams,
+    config: SolverConfig,
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ax_bracket: str = "consistent",
+) -> tuple[np.ndarray, np.ndarray, SolverStats]:
+    """Integrate B members from the ground state under one pulse, as one stacked system.
+
+    The members share ``config`` and become one member-major (B * 20) LSODA
+    state with a banded block Jacobian (see ``_batch_system``).  LSODA's
+    error test is a weighted max-norm, so every member keeps its own
+    tolerance; the steps follow the hardest member, which is why the fit
+    batches similar members.  Returns the output grid, the rows
+    ``reduce`` keeps (see ``_segmented_solve``) and the solver's work.
+    """
+    if not params:
+        raise ValueError("need at least one member")
+    rhs, jac = _batch_system(params, pulse, config.closure, ax_bracket)
+    times = output_grid(config)
+    y0 = np.tile(_initial_array(config.closure), len(params))
+    band = STATE_SIZE - 1
+    data, stats = _segmented_solve(
+        rhs, y0, times, pulse, config.rel_tol, config.abs_tol, LSODA, reduce, len(params),
+        jac=jac, lband=band, uband=band,
+    )
+    return times, data, stats
 
 
 def integrate(
@@ -654,10 +644,7 @@ def integrate(
     ax_bracket: str = "consistent",
 ) -> MomentTrace:
     """Integrate the moment equations over the configured window."""
-    rhs, jac = _batch_system([params], pulse, config.closure, ax_bracket)
-    y0 = _initial_array(config.closure)
-    times = output_grid(config)
-    data, _ = _segmented_solve(rhs, y0, times, pulse, config.rel_tol, config.abs_tol, LSODA, jac=jac)
+    times, data, _ = _solve([params], pulse, config, lambda t, states: states, ax_bracket)
     return MomentTrace(times_ps=times, data=data)
 
 
@@ -674,8 +661,8 @@ def simulate_energy(
     pulse: PulseParams,
     config: SolverConfig,
 ) -> EnergyTrace:
-    """Integrate and reduce to an ``EnergyTrace``, energy per molecule in meV."""
-    return energy_trace(integrate(params, pulse, config), params)
+    """Stored energy per molecule (meV) of one member: a batch of one of ``simulate_energies``."""
+    return simulate_energies([params], pulse, config)[0][0]
 
 
 def simulate_energies(
@@ -685,40 +672,17 @@ def simulate_energies(
 ):
     """Energy traces of a batch of members driven by one pulse, integrated as one stacked system.
 
-    The B members become one member-major (B * 20) LSODA state with one
-    evaluation of the equations per step for the whole batch and a banded
-    block Jacobian (see ``_batch_system``).  LSODA's error test is a
-    weighted max-norm, so every member keeps its own tolerance; the steps
-    follow the hardest member, which is why the fit batches similar members.
-    Only <sigma_z> is kept.  A lone member runs the system of
-    ``simulate_energy`` and matches it bit for bit.
-
-    The members share ``pulse`` and ``config`` (window, tolerances,
-    closure).  Returns the traces and the solver's work.
+    See ``_solve``.  Only <sigma_z> is kept; a lone member's energy is bit
+    for bit ``energy_trace`` of its ``integrate`` trace.  Returns the traces
+    and the solver's work.
     """
-    if not params:
-        raise ValueError("need at least one member")
-    size = len(params)
-    rhs, jac = _batch_system(params, pulse, config.closure)
-    times = output_grid(config)
-    c_z = _SLOTS["c_z"][0] + STATE_SIZE * np.arange(size)
-    data, stats = _segmented_solve(
-        rhs,
-        np.tile(_initial_array(config.closure), size),
-        times,
-        pulse,
-        config.rel_tol,
-        config.abs_tol,
-        LSODA,
-        reduce=lambda t, states: states[:, c_z],
-        jac=jac,
-        members=size,
-    )
+    def sigma_z(t: np.ndarray, states: np.ndarray) -> np.ndarray:
+        # a copy, since a view of the sampled states would keep them all alive
+        return moment(states.reshape(len(t), len(params), STATE_SIZE), "c_z").copy()
+
+    times, c_z, stats = _solve(params, pulse, config, sigma_z)
     traces = [
-        EnergyTrace(
-            times_ps=times,
-            energy_mev=energy_density_from_inversion(data[:, m], p.omega_a_mev),
-        )
+        EnergyTrace(times_ps=times, energy_mev=energy_density_from_inversion(c_z[:, m], p.omega_a_mev))
         for m, p in enumerate(params)
     ]
     return traces, stats

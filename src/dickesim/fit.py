@@ -474,20 +474,22 @@ def trace_window(
     datasets: list[ExperimentDataset],
     pulse_sigma_ps: float,
     t0_range_fs: tuple[float, float],
+    solver: SolverConfig | None,
     center_ps: float = 0.0,
-) -> tuple[float, float]:
-    """Simulation window (t_start_ps, t_end_ps) a model of ``datasets`` needs.
+) -> SolverConfig:
+    """``solver`` (default ``SolverConfig()``) over the simulation window a model of ``datasets`` needs.
 
-    It covers every sample over the whole shift range, padded by five
-    times the widest detector response plus 50 fs so the edges of the
+    The window covers every sample over the whole shift range, padded by
+    five times the widest detector response plus 50 fs so the edges of the
     response convolution stay outside it, and starts no later than the
     leading edge of the pulse centred at ``center_ps``.  Every dataset must
-    carry its ``response_ps``.
+    carry its ``response_ps``.  ``solver``'s own window is replaced.
     """
     lo_ps = min(ds.times_fs[0] for ds in datasets) * 1e-3 + t0_range_fs[0] * 1e-3
     hi_ps = max(ds.times_fs[-1] for ds in datasets) * 1e-3 + t0_range_fs[1] * 1e-3
     pad = 5.0 * max(ds.response_ps for ds in datasets) + 0.05
-    return min(lo_ps - pad, center_ps - PULSE_SUPPORT_SIGMAS * pulse_sigma_ps), hi_ps + pad
+    start_ps = min(lo_ps - pad, center_ps - PULSE_SUPPORT_SIGMAS * pulse_sigma_ps)
+    return replace(solver or SolverConfig(), t_start_ps=start_ps, t_end_ps=hi_ps + pad)
 
 
 # largest number of members integrated as one stacked system.  One LSODA
@@ -563,8 +565,7 @@ def _member_tasks(
     kappa = HBAR_MEV_PS / lifetime_ps
     # a dataset without its own detector response takes the cavity lifetime
     datasets = [replace(ds, response_ps=lifetime_ps) if ds.response_ps is None else ds for ds in datasets]
-    t_start, t_end = trace_window(datasets, pulse_sigma_ps, t0_range_fs)
-    solver = replace(solver or SolverConfig(), t_start_ps=t_start, t_end_ps=t_end)
+    solver = trace_window(datasets, pulse_sigma_ps, t0_range_fs, solver)
 
     tasks = {}
     for di, ds in enumerate(datasets):
@@ -832,10 +833,7 @@ def make_synthetic_dataset(
         label, times_fs, np.zeros(np.shape(times_fs)), params.n_molecules,
         pulse.amplitude ** 2 / params.n_molecules, response_ps=pulse.response_ps,
     )
-    t_start, t_end = trace_window(
-        [dataset], pulse.sigma_ps, (true_shift_fs, true_shift_fs), pulse.center_ps
-    )
-    solver = replace(solver or SolverConfig(), t_start_ps=t_start, t_end_ps=t_end)
+    solver = trace_window([dataset], pulse.sigma_ps, (true_shift_fs, true_shift_fs), solver, pulse.center_ps)
     trace = convolve_response(simulate_energy(params, pulse, solver), pulse.response_ps)
     clean = np.interp(dataset.times_fs * 1e-3 + true_shift_fs * 1e-3, trace.times_ps, trace.energy_mev)
     d = clean / true_scale

@@ -257,13 +257,17 @@ class TestExitCodes:
             ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 0\n", "points must be at least 1"),
             ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 1\nfit.t0_range_fs = 0.5, 1.5\n",
              "t0 range holds no whole model step"),
+            ("fit", SYNTHETIC_FIT_CFG + "fit.g_bounds_neV = 5, 10, 20\n",
+             "bad value for fit.g_bounds_neV: '5, 10, 20' (expected two numbers, got 3)"),
+            ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 1\nfit.t0_range_fs = 400, -400\n",
+             "t0 range must have positive width"),
             ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 2.5"),
              "exact propagation needs an integer molecule count in 1..3, got 2.5"),
             ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 3") + "oracle.n_max = 8\n",
              "Hilbert dimension 72 exceeds 64"),
         ],
-        ids=["oracle-n-max", "fit-grid-points", "fit-t0-range-without-a-step", "oracle-fractional-n",
-             "oracle-hilbert-dimension"],
+        ids=["oracle-n-max", "fit-grid-points", "fit-t0-range-without-a-step", "fit-three-numbers",
+             "fit-inverted-t0-range", "oracle-fractional-n", "oracle-hilbert-dimension"],
     )
     def test_bad_command_configuration_exits_2(self, tmp_path, capsys, command, cfg_text, message):
         cfg = write_cfg(tmp_path, cfg_text)
@@ -329,7 +333,7 @@ fit.labels = A2
     @pytest.mark.parametrize(
         "line",
         ["model.delta_a_meV = 20", "model.delta_c_meV = -3", "model.omega_a_meV = 2000",
-         "model.wavelength_nm = 600"],
+         "model.wavelength_nm = 600", "solver.t_start_ps = -0.5", "solver.t_end_ps = 3.5"],
     )
     def test_fit_rejects_model_keys_its_table_ignores(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + line + "\n")

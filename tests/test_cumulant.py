@@ -23,6 +23,7 @@ from dickesim.cumulant import (
     MomentTrace,
     STATE_SIZE,
     SolverConfig,
+    energy_trace,
     integrate,
     moment,
     output_grid,
@@ -68,19 +69,27 @@ def test_layout_tiles_the_state_vector_once():
     assert moment(GROUND, "c_z") == -1.0 and moment(GROUND, "c_zz") == 1.0
     with pytest.raises(AttributeError):
         trace.c_q
+    # the equations' view: naming the slots and storing the names back returns
+    # every slot once, in order, carrying its own index
+    named = cumulant._named(list(slots))
+    assert list(named) == list(MOMENT_NAMES)
+    assert list(cumulant._stored(named)) == [(slot, float(slot)) for slot in range(STATE_SIZE)]
+    # mean field's five names are the first six slots
+    first = {name: named[name] for name in ("c_a", "c_x", "c_y", "c_z", "c_n")}
+    assert [slot for slot, _ in cumulant._stored(first)] == list(range(6))
 
 
 def test_ground_state_is_stationary_without_drive():
     pulse = PulseParams(amplitude=0.0)
     for closure in CLOSURES:
-        dy = cumulant._make_rhs(SMALL_N, pulse, closure)(0.0, GROUND)
+        dy = cumulant._batch_system([SMALL_N], pulse, closure)[0](0.0, GROUND)
         assert np.all(dy == 0.0), closure
 
 
 def test_drive_enters_through_the_field_moments_only():
     pulse = PulseParams(amplitude=1.0, center_ps=0.0, sigma_ps=0.020)
     eta = pulse.amplitude / (pulse.sigma_ps * math.sqrt(2.0 * math.pi))
-    dy = cumulant._make_rhs(SMALL_N, pulse, "cumulant")(0.0, GROUND)
+    dy = cumulant._batch_system([SMALL_N], pulse, "cumulant")[0](0.0, GROUND)
     # eta pumps <a> directly and <a sz> through the factorised <sz> = -1
     assert moment(dy, "c_a") == pytest.approx(eta, rel=1e-12)
     assert moment(dy, "c_az") == pytest.approx(-eta, rel=1e-12)
@@ -91,13 +100,13 @@ def test_drive_enters_through_the_field_moments_only():
 
 def test_variant_pair_bracket_breaks_dark_state_stationarity():
     pulse = PulseParams(amplitude=0.0)
-    dy = cumulant._make_rhs(SMALL_N, pulse, "cumulant", ax_bracket="variant")(0.0, GROUND)
+    dy = cumulant._batch_system([SMALL_N], pulse, "cumulant", ax_bracket="variant")[0](0.0, GROUND)
     # the N c_xx reading drops the identity part of <sx sx>, leaving a
     # spurious g/(2 hbar) source in the field-spin correlation
     expected = SMALL_N.g_mev / (2.0 * HBAR_MEV_PS)
     assert abs(moment(dy, "c_ax")) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
-        cumulant._make_rhs(SMALL_N, pulse, "cumulant", ax_bracket="either")
+        cumulant._batch_system([SMALL_N], pulse, "cumulant", ax_bracket="either")
 
 
 def test_excitation_conserved_without_losses():
@@ -218,7 +227,7 @@ def test_stiff_dephasing_corner_is_cheap_and_accurate(monkeypatch):
 
     times = output_grid(config)
     reference = MomentTrace(times, cumulant._segmented_solve(
-        cumulant._make_rhs(params, pulse, "cumulant"),
+        cumulant._batch_system([params], pulse, "cumulant")[0],
         cumulant._initial_array("cumulant"),
         times,
         pulse,
@@ -293,9 +302,11 @@ def test_stacked_members_match_their_scalar_traces(closure):
 
 
 def test_lone_member_takes_the_scalar_path_bit_for_bit():
+    # the c_z-only reduction of a batch of one against the full state of ``integrate``
     params, pulse, config = _b2_members()
     (trace,), _ = cumulant.simulate_energies(params[:1], pulse, config)
-    np.testing.assert_array_equal(trace.energy_mev, simulate_energy(params[0], pulse, config).energy_mev)
+    full = energy_trace(integrate(params[0], pulse, config), params[0])
+    np.testing.assert_array_equal(trace.energy_mev, full.energy_mev)
 
 
 def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
@@ -310,7 +321,7 @@ def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
     rhs, jac = cumulant._batch_system(params, pulse, "cumulant")
     np.testing.assert_allclose(
         rhs(0.01, states.ravel()).reshape(size, STATE_SIZE),
-        [cumulant._make_rhs(p, pulse, "cumulant")(0.01, y) for p, y in zip(params, states)],
+        [cumulant._batch_system([p], pulse, "cumulant")[0](0.01, y) for p, y in zip(params, states)],
         rtol=1e-12, atol=0.0,
     )
     packed = jac(0.01, states.ravel())
@@ -321,7 +332,7 @@ def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
         for q in range(max(0, r - band), min(full.shape[1], r + band + 1)):
             full[r, q] = packed[band + r - q, q]
     for m, (p, y) in enumerate(zip(params, states)):
-        scalar = cumulant._make_rhs(p, pulse, "cumulant")
+        scalar = cumulant._batch_system([p], pulse, "cumulant")[0]
         dense = np.empty((STATE_SIZE, STATE_SIZE))
         for c in range(STATE_SIZE):
             h = 1e-2 * max(abs(y[c]), 1.0)
@@ -361,8 +372,9 @@ def test_polynomial_matches_the_equations_on_floats(closure, ax_bracket, amplitu
             diffs = np.array([(rhs(t, y + h) - rhs(t, y - h)) / 2.0 for h in steps]).T
             for m, body in enumerate(bodies):
                 want = np.zeros(STATE_SIZE)
-                values = body(eta, y[m * STATE_SIZE:(m + 1) * STATE_SIZE], complex, np.array)
-                want[:values.size] = values
+                derivatives = body(eta, cumulant._named(y[m * STATE_SIZE:(m + 1) * STATE_SIZE]))
+                for slot, value in cumulant._stored(derivatives):
+                    want[slot] = value.item()
                 assert np.max(np.abs(dy[m] - want)) <= 1e-14 * np.max(np.abs(want)), (m, t)
                 block = slice(m * STATE_SIZE, (m + 1) * STATE_SIZE)
                 exact = packed[STATE_SIZE - 1 + rows - columns, m * STATE_SIZE + columns]
@@ -409,6 +421,21 @@ def test_lsoda_work_arrays_do_not_outlive_the_solve():
         tracemalloc.stop()
     # each leaked solve would hold three segments' rwork, about 0.13 MB
     assert grown < 100_000, grown
+
+
+def test_a_batch_keeps_only_sigma_z_of_its_samples():
+    # 24 members on 1,276 grid points: their whole states would take 4.9 MB,
+    # but each pending block is reduced to <sigma_z> and then freed
+    params, pulse, config = _b2_members()
+    cumulant.simulate_energies(params, pulse, config)
+    tracemalloc.start()
+    try:
+        cumulant.simulate_energies(params, pulse, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = output_grid(config).size * len(params) * STATE_SIZE * 8
+    assert peak < states / 2, (peak, states)
 
 
 def test_integration_error_survives_a_worker_process():
