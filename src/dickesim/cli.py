@@ -51,6 +51,7 @@ from .fit import (
     load_dataset,
     make_synthetic_dataset,
     residuals,
+    table_window,
 )
 from .lindblad import (
     OracleConfig,
@@ -431,9 +432,9 @@ def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
 
 
 def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
-    common = params, pulse, solver = _build_common(cfg, sections)
+    params, pulse, solver = _build_common(cfg, sections)
     # the fit's table is built at the ModelParams defaults: resonant, omega_a = 2357 meV;
-    # its window is each dataset's own (``fit.trace_window``)
+    # its window, which resolved_config.txt echoes, is fit.table_window's
     table = ModelParams()
     for key in cfg:
         section, field, _ = CONFIG_KEYS[key]
@@ -459,7 +460,8 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
     t0_pair = section.get("t0_range_fs", (-400.0, 400.0))
     refine = section.get("refine", False)
 
-    _echo_config(out_dir, "fit", *common, {
+    _, window = table_window(datasets, lifetime_fs, pulse.sigma_ps, t0_pair, solver)
+    _echo_config(out_dir, "fit", params, pulse, window, {
         "datasets": [ds.label for ds in datasets],
         "lifetime_fs": lifetime_fs, "grid_points": points,
         "g_bounds_neV": (float(grid.g_nev[0]), float(grid.g_nev[-1])),

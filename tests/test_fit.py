@@ -28,7 +28,7 @@ from dickesim.fit import (
     residuals,
 )
 from dickesim.cumulant import simulate_energy
-from dickesim.fit import _chi2_at, _lattice_chi2, _member_tasks, _window_sigma
+from dickesim.fit import REFINE_SIZE, _lattice_chi2, _member_tasks, _window_sigma
 from dickesim.model import ModelParams, PulseParams, drive_amplitude_from_photon_ratio
 from dickesim.observables import EnergyTrace, convolve_response
 
@@ -205,6 +205,22 @@ def dataset_from_model(model, times_fs, scale, shift_fs, sigma=0.02):
     )
 
 
+def direct_chi2(shift_ps, t_data_ps, d, w, t_model, e_model):
+    """chi^2 = sum w (d - a E)^2 at its least scale, E from np.interp: the reference for every shift search."""
+    e = np.interp(t_data_ps + shift_ps, t_model, e_model)
+    a = float((w * d) @ e) / float((w * e) @ e)
+    return float(w @ (d - a * e) ** 2)
+
+
+def dense_scan_minimum(model, ds, t0_range_fs=(-400.0, 400.0)):
+    """Least direct chi^2 over a 1e-7 ps scan of +-0.25 fs around the best shift of a 0.25 fs scan."""
+    args = (ds.times_fs * 1e-3, ds.signal, 1.0 / ds.sigma ** 2, model.times_ps, model.energy_mev)
+    coarse = np.arange(t0_range_fs[0], t0_range_fs[1] + 0.125, 0.25) * 1e-3
+    best = coarse[np.argmin([direct_chi2(s, *args) for s in coarse])]
+    dense = np.clip(np.arange(best - 0.25e-3, best + 0.25e-3, 1e-7), *(np.array(t0_range_fs) * 1e-3))
+    return min(direct_chi2(s, *args) for s in dense)
+
+
 class TestInnerFit:
     def test_recovers_scale_and_shift_exactly_on_clean_data(self):
         model = smooth_model()
@@ -213,9 +229,9 @@ class TestInnerFit:
         fit = inner_fit(model, ds)
         assert fit.t0_fs == pytest.approx(30.0, abs=0.2)
         assert fit.scale == pytest.approx(1.25, rel=1e-4)
-        # the shift search converges to 1e-3 fs, so the floor is set by
-        # (shift error * steepest slope / sigma)^2 summed over the rise
-        assert fit.chi2 < 1.0
+        # the refine takes the exact least chi^2 of the interpolated model,
+        # which is 0 here up to rounding
+        assert fit.chi2 < 1e-15
 
     def test_negative_shift_is_found_too(self):
         model = smooth_model()
@@ -263,23 +279,18 @@ class TestInnerFit:
         fit = inner_fit(model, ds)
         r = residuals(model, ds, fit)
         assert r.shape == times_fs.shape
-        # bounded by the 1e-3 fs shift resolution, well under the noise level
-        assert np.max(np.abs(r)) < 0.3
+        # the shift is exact up to rounding, so the residuals are rounding too
+        assert np.max(np.abs(r)) < 1e-7
 
     def test_converges_to_the_dense_scan_minimum_at_high_snr(self):
         # SNR about 5e4: chi^2 rises by 0.2 at 1e-3 fs and by 23 at 0.01 fs
-        # off its minimum, so only a converged shift search gets within 1e-3
+        # off its minimum, so only the exact least chi^2 stays within
+        # rounding of the best shift of a 1e-4 fs scan
         model = smooth_model()
         times_fs = np.arange(-400.0, 1200.0, 8.0)
         ds = noisy_dataset(model, times_fs, scale=1.25, shift_fs=30.37, noise=100.0 / 1.25 / 5e4, seed=5)
         fit = inner_fit(model, ds)
-        w = 1.0 / ds.sigma ** 2
-        args = (ds.times_fs * 1e-3, ds.signal, w, w * ds.signal, model.times_ps, model.energy_mev)
-        coarse = np.arange(-400.0, 400.0 + 0.125, 0.25) * 1e-3
-        best = coarse[np.argmin([_chi2_at(s, *args)[0] for s in coarse])]
-        dense = np.arange(best - 0.25e-3, best + 0.25e-3, 1e-7)
-        dense_min = min(_chi2_at(s, *args)[0] for s in dense)
-        assert fit.chi2 <= dense_min + 1e-3
+        assert fit.chi2 <= dense_scan_minimum(model, ds) * (1.0 + 1e-12)
         assert fit.t0_fs == pytest.approx(30.37, abs=0.05)
 
     def test_models_must_share_one_uniform_grid(self):
@@ -324,10 +335,72 @@ class TestShiftLattice:
         step = (t_model[-1] - t_model[0]) / (t_model.size - 1)
         lattice = _lattice_chi2(energies, t_model, step, t_data, w, w * d, d, k_lo, k_hi)
         direct = [
-            [_chi2_at(k * step, t_data, d, w, w * d, t_model, e)[0] for k in range(k_lo, k_hi + 1)]
-            for e in energies
+            [direct_chi2(k * step, t_data, d, w, t_model, e) for k in range(k_lo, k_hi + 1)] for e in energies
         ]
         np.testing.assert_allclose(lattice, direct, rtol=1e-10)
+
+
+class TestBracketRefine:
+    """The exact least chi^2 of the interpolated model within a step either side of the lattice pick."""
+
+    @pytest.mark.parametrize("sampling", ["uniform-8fs", "offset-3fs", "jittered"])
+    def test_refine_equals_the_dense_scan_minimum(self, sampling):
+        model = smooth_model()
+        times_fs = {
+            "uniform-8fs": np.arange(-400.0, 1200.0, 8.0),
+            "offset-3fs": np.arange(-400.0, 1200.0, 3.0) + 0.7,
+            "jittered": np.arange(-400.0, 1200.0, 8.0) + np.random.default_rng(11).uniform(-0.9, 0.9, 200),
+        }[sampling]
+        ds = noisy_dataset(model, times_fs, scale=1.25, shift_fs=30.37, noise=0.5, seed=8)
+        (fit,), _, classes = inner_fits([model], ds)
+        # rounding may split the one class of the uniform samples across a node
+        assert classes in {"uniform-8fs": (1, 2), "offset-3fs": (2,), "jittered": (times_fs.size,)}[sampling]
+        dense_min = dense_scan_minimum(model, ds)
+        assert dense_min * (1.0 - 1e-9) <= fit.chi2 <= dense_min * (1.0 + 1e-12)
+        args = (ds.times_fs * 1e-3, ds.signal, 1.0 / ds.sigma ** 2, model.times_ps, model.energy_mev)
+        assert direct_chi2(fit.t0_fs * 1e-3, *args) == pytest.approx(fit.chi2, rel=1e-12)
+
+    @pytest.mark.parametrize("shift_fs", [30.37, 12.345])
+    def test_clean_data_at_an_off_lattice_shift_come_back_exactly(self, shift_fs):
+        model = smooth_model()
+        ds = dataset_from_model(model, np.arange(-400.0, 1200.0, 8.0), scale=1.25, shift_fs=shift_fs)
+        fit = inner_fit(model, ds)
+        assert abs(fit.t0_fs - shift_fs) < 1e-9
+        assert fit.chi2 < 1e-15
+        assert fit.scale == pytest.approx(1.25, rel=1e-12)
+
+    def test_each_member_gets_what_it_gets_alone(self):
+        base = smooth_model()
+        ds = noisy_dataset(base, np.arange(-400.0, 1200.0, 3.0) + 0.7, 1.25, 30.37, noise=0.5, seed=2)
+        # enough members for several blocks of the refine
+        models = [
+            EnergyTrace(base.times_ps, base.energy_mev * (1.0 + 0.05 * n * np.sin(3.0 * base.times_ps)))
+            for n in range(3 * REFINE_SIZE // ds.n_points)
+        ]
+        together, shifts, classes = inner_fits(models, ds)
+        for model, fit in zip(models, together):
+            assert inner_fits([model], ds) == ([fit], shifts, classes)
+
+    def test_a_member_without_amplitude_fails_alone(self):
+        model = smooth_model()
+        flat = EnergyTrace(model.times_ps, np.zeros(model.times_ps.size))
+        ds = noisy_dataset(model, np.arange(-400.0, 1200.0, 8.0), 1.25, 30.37, noise=0.5, seed=4)
+        fits = inner_fits([model, flat, model], ds)[0]
+        assert isinstance(fits[1], ValueError)
+        assert str(fits[1]) == "model trace has no amplitude over the data at shift 0 fs"
+        assert fits[0] == fits[2] == inner_fit(model, ds)
+
+    def test_data_ending_on_the_last_node_refine_within_the_grid(self):
+        # TestShiftLattice's last-node samples: at the largest shift the last
+        # sample sits on the grid's last node, and the valley lies against it
+        dt, k_hi, n = 0.002, 50, 300
+        model = EnergyTrace(-1.0 + dt * np.arange(2001), smooth_model().energy_mev)
+        times_fs = (model.times_ps[-1] - k_hi * dt - (n - 1) * 8e-3) * 1e3 + 8.0 * np.arange(n)
+        t0_range_fs = (-k_hi * dt * 1e3, k_hi * dt * 1e3)
+        ds = noisy_dataset(model, times_fs, scale=1.3, shift_fs=99.3, noise=0.5, seed=3)
+        fit = inner_fit(model, ds, t0_range_fs)
+        assert 98.0 <= fit.t0_fs <= t0_range_fs[1]
+        assert fit.chi2 <= dense_scan_minimum(model, ds, t0_range_fs) * (1.0 + 1e-12)
 
 
 def noisy_dataset(model, times_fs, scale, shift_fs, noise, seed, label="synthetic"):
