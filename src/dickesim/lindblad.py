@@ -9,17 +9,29 @@ production-size ensembles.
 The master equation acts on the row-major vec(rho) through two sparse
 superoperators built once per call from vec(A rho B) = kron(A, B^T) vec(rho):
 the drift from the Hamiltonian and the jumps, and the drive [V, rho] that the
-pulse envelope multiplies.  At three molecules and n_max = 7 they hold about
-46,000 nonzeros against 4096^2 for a dense superoperator.  The states are
-complex and scipy's LSODA accepts only real ones, so the oracle stays on
-RK45.  The samples are reduced as they are taken, a few steps at a time:
-one contraction against vec(O^T) gives the moments, since tr(O rho) =
-vec(O^T) . vec(rho), and only the moments and the per-sample diagnostics
-are kept.
+pulse envelope multiplies.
+
+The molecules are identical: the Hamiltonian, the drive and the jumps are
+sums of the same term over them, so the generator commutes with every
+permutation of the molecules, and so does the initial state.  rho(t) then
+stays in the permutation-symmetric subspace, where an entry equals every
+entry a permutation maps it to.  The oracle steps one value per class of
+such entries (``_Operators``): C(N + 3, 3) spin classes times the Fock
+pairs, 1,280 components against 4,096 at three molecules and n_max = 7.
+The generator restricted to the classes is exact, not an approximation,
+because the subspace is invariant; there it holds 7,379 + 4,480 nonzeros
+against 31,807 + 14,336.  The states are complex and scipy's LSODA accepts
+only real ones, so the oracle stays on RK45, at a tenth of the
+``SolverConfig`` tolerances.  The samples are reduced as they are taken, a
+few steps at a time: one contraction against the class sums of vec(O^T)
+gives the moments, since tr(O rho) = vec(O^T) . vec(rho), the smallest
+eigenvalue comes from one block per total spin, and only the moments and
+the per-sample diagnostics are kept.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,12 +49,12 @@ from .model import (
     pulse_shape,
 )
 
+logger = logging.getLogger(__name__)
+
 MAX_DIM = 64
 MAX_MOLECULES = 3
 
-# RK45 tolerances, and the drift allowed in the trace, Hermiticity and positivity
-REL_TOL = 1e-9
-ABS_TOL = 1e-11
+# the drift allowed in the trace, Hermiticity and positivity
 TRACE_TOL = 1e-7
 HERM_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
@@ -74,7 +86,22 @@ class OracleConfig:
 
 
 class _Operators:
-    """Dense operators on the joint spin-field space, field factor last."""
+    """Dense operators on the joint spin-field space, field factor last, and its symmetric classes.
+
+    Entry (r, c) of rho, with r = (spin s, Fock f) and c = (s', f'), falls in
+    class k nf^2 + f nf + f', where spin class k is the orbit of (s, s')
+    under the permutations of the molecules: the multiset of the molecules'
+    (ket, bra) states, C(N + 3, 3) of them.  ``classes`` maps each row-major
+    vec(rho) entry to its class, ``representatives`` holds one entry per
+    class, ``transpose_class`` the class of its transpose and ``indicator``
+    the 0/1 matrix W with vec(rho) = W x for a symmetric rho of class values x.
+
+    On total spin j, rho acts as one block rho_j per copy of the spin-j
+    multiplet, so its spectrum is the union of the blocks' spectra.
+    ``sectors`` holds for each j the (spin classes, 2j + 1, 2j + 1) array C
+    with rho_j = sum_k kron(C_k, X_k), X_k the nf x nf Fock block of the
+    class values of spin class k.
+    """
 
     def __init__(self, n_molecules: int, n_max: int):
         dim = (2 ** n_molecules) * (n_max + 1)
@@ -87,6 +114,7 @@ class _Operators:
         self.dim = dim
 
         nf = n_max + 1
+        n_spin = 2 ** n_molecules
         a_f = np.diag(np.sqrt(np.arange(1, nf)), k=1).astype(complex)
         id_f = np.eye(nf, dtype=complex)
         id_s = np.eye(2, dtype=complex)
@@ -95,15 +123,18 @@ class _Operators:
         sz = np.array([[1, 0], [0, -1]], dtype=complex)
         sm = np.array([[0, 0], [1, 0]], dtype=complex)
 
-        def embed_spin(op: np.ndarray, j: int) -> np.ndarray:
-            factors = [id_s] * n_molecules + [id_f]
+        def on_spins(op: np.ndarray, j: int) -> np.ndarray:
+            factors = [id_s] * n_molecules
             factors[j] = op
             out = factors[0]
             for f in factors[1:]:
                 out = np.kron(out, f)
             return out
 
-        spin_id = np.eye(2 ** n_molecules, dtype=complex)
+        def embed_spin(op: np.ndarray, j: int) -> np.ndarray:
+            return np.kron(on_spins(op, j), id_f)
+
+        spin_id = np.eye(n_spin, dtype=complex)
         self.a = np.kron(spin_id, a_f)
         self.ad = self.a.conj().T
         self.n_op = self.ad @ self.a
@@ -116,6 +147,48 @@ class _Operators:
         top = np.zeros((nf, nf), dtype=complex)
         top[n_max, n_max] = 1.0
         self.top_proj = np.kron(spin_id, top)
+
+        # molecule j's (ket bit, bra bit) in each spin pair, 0..3; the orbit
+        # of a pair is the multiset of its molecules' states
+        bits = (np.arange(n_spin)[:, None] >> np.arange(n_molecules)[::-1]) & 1
+        kinds = np.sort(2 * bits[:, None, :] + bits[None, :, :], axis=2)
+        _, spin_class = np.unique(kinds.reshape(-1, n_molecules), axis=0, return_inverse=True)
+        spin_class = spin_class.reshape(n_spin, n_spin)
+        n_spin_classes = spin_class.max() + 1
+        fock = np.arange(nf)
+        self.classes = (
+            spin_class[:, None, :, None] * nf * nf + fock[None, :, None, None] * nf + fock
+        ).ravel()
+        _, self.representatives = np.unique(self.classes, return_index=True)
+        self.transpose_class = self.classes.reshape(dim, dim).T.ravel()[self.representatives]
+        self.indicator = sparse.csr_matrix(
+            (np.ones(dim * dim), (np.arange(dim * dim), self.classes)),
+            shape=(dim * dim, n_spin_classes * nf * nf),
+        )
+
+        # S_12, the first pair's spin, commutes with the total spin S and, for
+        # N <= 3, splits each multiplicity space into single copies of the
+        # multiplet, so every level of S^2 + S_12^2 / 10 is one copy
+        def spin_squared(molecules) -> np.ndarray:
+            total = [sum(on_spins(p, j) for j in molecules) / 2 for p in (sx, sy, sz)]
+            return sum(s @ s for s in total).real
+
+        total = spin_squared(range(n_molecules))
+        values, vectors = np.linalg.eigh(total + 0.1 * spin_squared(range(min(n_molecules, 2))))
+        spins = np.einsum("sa,st,ta->a", vectors, total, vectors).round(6)  # j(j + 1)
+        indicators = np.stack([spin_class == k for k in range(n_spin_classes)]).astype(float)
+        self.sectors = []
+        for spin in np.unique(spins):
+            copy = vectors[:, np.isclose(values, values[spins == spin][0])]
+            self.sectors.append(np.einsum("sa,kst,tb->kab", copy, indicators, copy))
+
+    def symmetric(self, superop: sparse.csr_matrix) -> sparse.csr_matrix:
+        """``superop`` on the class values: (superop W)[representatives].
+
+        Exact when ``superop`` commutes with the permutations of the
+        molecules, since their symmetric subspace is then invariant.
+        """
+        return (superop[self.representatives] @ self.indicator).tocsr()
 
     def ground_state(self, photons: int) -> np.ndarray:
         """|down...down> tensor |photons>, as a density matrix."""
@@ -213,7 +286,10 @@ def evolve_exact(
         oracle = OracleConfig()
     ops = _operators(_molecule_count(params), oracle.n_max)
 
-    drift, drive = _superoperators(*_hamiltonian_and_jumps(params, ops), ops.ad - ops.a)
+    drift, drive = (
+        ops.symmetric(op)
+        for op in _superoperators(*_hamiltonian_and_jumps(params, ops), ops.ad - ops.a)
+    )
     amp, t0, inv_sig = pulse_shape(pulse)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -224,11 +300,17 @@ def evolve_exact(
             out += eta * (drive @ y)
         return out
 
-    rho0 = ops.ground_state(oracle.initial_photons).ravel()
+    x0 = ops.ground_state(oracle.initial_photons).ravel()[ops.representatives]
     times = output_grid(config)
-    # the density matrix is complex, which scipy's LSODA does not accept
-    rows, _ = _segmented_solve(
-        rhs, rho0, times, pulse, REL_TOL, ABS_TOL, RK45, reduce=_sampler(ops)
+    # the density matrix is complex, which scipy's LSODA does not accept; the
+    # reference runs ten times tighter than the closures it checks
+    rows, stats = _segmented_solve(
+        rhs, x0, times, pulse, config.rel_tol / 10, config.abs_tol / 10, RK45,
+        reduce=_sampler(ops),
+    )
+    logger.info(
+        "exact propagation: N = %d, n_max = %d, %d of %d components, %d steps, %d rhs calls",
+        ops.n_molecules, ops.n_max, x0.size, ops.dim ** 2, stats.steps, stats.rhs_calls,
     )
     return _oracle_result(rows, times, ops, oracle)
 
@@ -256,34 +338,36 @@ def _moment_operators(ops: _Operators) -> dict:
 def _sampler(ops: _Operators):
     """``reduce(t, states)``, which ``evolve_exact`` applies to its samples as they are taken.
 
-    It turns the row-major vec(rho) at the times ``t`` into one row per
-    sample: the moments in ``_moment_operators`` order, then the excited
-    population per molecule, the trace, the top Fock population and the
-    smallest eigenvalue.  It raises OracleInvariantError at the first
-    sample whose Hermiticity is off by more than ``HERM_TOL``.
+    It turns the class values x of rho (see ``_Operators``) at the times
+    ``t`` into one row per sample: the moments in ``_moment_operators``
+    order, then the excited population per molecule, the trace, the top
+    Fock population and the smallest eigenvalue.  It raises
+    OracleInvariantError at the first sample whose Hermiticity is off by
+    more than ``HERM_TOL``.
     """
-    dim = ops.dim
-    # tr(O rho) = vec(O^T) . vec(rho) on the row-major vec
+    nf = ops.n_max + 1
+    # tr(O rho) = vec(O^T) . vec(rho) on the row-major vec, and vec(rho) = W x
     excited = sum(sp @ sm for sp, sm in zip(ops.sp, ops.sm)) / ops.n_molecules
-    operators = [*_moment_operators(ops).values(), excited]
-    columns = np.stack([op.T.ravel() for op in operators], axis=1)
+    operators = [*_moment_operators(ops).values(), excited, np.eye(ops.dim), ops.top_proj]
+    columns = ops.indicator.T @ np.stack([op.T.ravel() for op in operators], axis=1)
 
     def reduce(t: np.ndarray, states: np.ndarray) -> np.ndarray:
-        rho = states.reshape(-1, dim, dim)
-        rho_h = rho.conj().transpose(0, 2, 1)
-        herm = np.max(np.abs(rho - rho_h), axis=(1, 2))
+        # each class against the conjugate of its transpose class
+        transposed = states[:, ops.transpose_class].conj()
+        herm = np.max(np.abs(states - transposed), axis=1)
         bad = np.flatnonzero(herm > HERM_TOL)
         if bad.size:
             raise OracleInvariantError(
                 f"Hermiticity violated by {herm[bad[0]]:.2e} at t = {t[bad[0]]:g} ps"
             )
-        diag = states[:, :: dim + 1]
-        return np.column_stack((
-            states @ columns,
-            diag.sum(axis=1),
-            diag[:, ops.n_max :: ops.n_max + 1].real.sum(axis=1),
-            np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(axis=1),
-        ))
+        # the spectrum of rho is the union of its total-spin blocks' spectra
+        fock_blocks = (0.5 * (states + transposed)).reshape(len(t), -1, nf, nf)
+        min_eig = np.full(len(t), np.inf)
+        for sector in ops.sectors:
+            size = sector.shape[1] * nf
+            block = np.tensordot(fock_blocks, sector, axes=(1, 0)).transpose(0, 3, 1, 4, 2)
+            min_eig = np.minimum(min_eig, np.linalg.eigvalsh(block.reshape(-1, size, size))[:, 0])
+        return np.column_stack((states @ columns, min_eig))
 
     return reduce
 
