@@ -14,11 +14,16 @@ Both closures are integrated with LSODA, which switches between Adams and
 BDF steps on its own.  Dephasing scales as N_ref/N, so at low molecule
 number and strong dephasing the moments can decay a thousand times
 faster than the cavity and an explicit method is held to tiny steps; a
-B2-like trace at gamma0z = 300 meV needs about 1,600 right-hand-side calls
+B2-like trace at gamma0z = 300 meV needs about 830 right-hand-side calls
 with LSODA against 79,000 with RK45.  The exact Lindblad oracle stays on
-RK45 because scipy's LSODA accepts only real state vectors.  What remains
-costly are the strongly coupled corners (g near 5000 neV): they oscillate
-fast rather than decay, so the step stays bound to the Rabi period there.
+RK45 because scipy's LSODA accepts only real state vectors.  The field
+moments reach the pulse's coherent amplitude (<a>, up to 1e5) or its
+square (<a'a>, <aa>), so each slot's absolute tolerance is in its own
+units (``_abs_tols``); one scalar would cut the step wherever a field
+moment starts from or crosses zero, which halves the steps of a nominal
+member.  What remains costly are the strongly coupled corners (g near
+5000 neV): they oscillate fast rather than decay, so the step stays bound
+to the Rabi period there.
 
 The equations are written once (``_moment_equations``), reading and
 writing moments by name; ``_LAYOUT`` alone places the names in the state.
@@ -55,29 +60,30 @@ from .model import (
     pulse_shape,
 )
 
-# state vector layout in storage order: (name, offset, is_complex); a
-# complex moment is stored as its (re, im) pair.  Pair moments are between
-# distinct molecules.
+# state vector layout in storage order: (name, offset, is_complex, fields); a
+# complex moment is stored as its (re, im) pair, and ``fields`` counts its
+# field operators, which set its scale (see ``_abs_tols``).  Pair moments are
+# between distinct molecules.
 _LAYOUT = (
-    ("c_a", 0, True),       # <a>
-    ("c_x", 2, False),      # <sx>, <sy>, <sz>
-    ("c_y", 3, False),
-    ("c_z", 4, False),
-    ("c_n", 5, False),      # <a'a>
-    ("c_aa", 6, True),      # <aa>
-    ("c_ax", 8, True),      # <a sx>, <a sy>, <a sz>
-    ("c_ay", 10, True),
-    ("c_az", 12, True),
-    ("c_xx", 14, False),    # <sx sx>, <sy sy>, <sz sz>
-    ("c_yy", 15, False),
-    ("c_zz", 16, False),
-    ("c_xy", 17, False),    # <sx sy>, <sx sz>, <sy sz>
-    ("c_xz", 18, False),
-    ("c_yz", 19, False),
+    ("c_a", 0, True, 1),       # <a>
+    ("c_x", 2, False, 0),      # <sx>, <sy>, <sz>
+    ("c_y", 3, False, 0),
+    ("c_z", 4, False, 0),
+    ("c_n", 5, False, 2),      # <a'a>
+    ("c_aa", 6, True, 2),      # <aa>
+    ("c_ax", 8, True, 1),      # <a sx>, <a sy>, <a sz>
+    ("c_ay", 10, True, 1),
+    ("c_az", 12, True, 1),
+    ("c_xx", 14, False, 0),    # <sx sx>, <sy sy>, <sz sz>
+    ("c_yy", 15, False, 0),
+    ("c_zz", 16, False, 0),
+    ("c_xy", 17, False, 0),    # <sx sy>, <sx sz>, <sy sz>
+    ("c_xz", 18, False, 0),
+    ("c_yz", 19, False, 0),
 )
-MOMENT_NAMES = tuple(name for name, _, _ in _LAYOUT)
-STATE_SIZE = sum(2 if is_complex else 1 for _, _, is_complex in _LAYOUT)
-_SLOTS = {name: (offset, is_complex) for name, offset, is_complex in _LAYOUT}
+MOMENT_NAMES = tuple(name for name, *_ in _LAYOUT)
+STATE_SIZE = sum(2 if is_complex else 1 for _, _, is_complex, _ in _LAYOUT)
+_SLOTS = {name: (offset, is_complex) for name, offset, is_complex, _ in _LAYOUT}
 
 
 def moment(y: np.ndarray, name: str) -> np.ndarray:
@@ -92,13 +98,13 @@ def _named(components: Sequence) -> dict:
     """Name -> moment of one state's STATE_SIZE components; a complex one is re + 1j * im."""
     return {
         name: components[offset] + 1j * components[offset + 1] if is_complex else components[offset]
-        for name, offset, is_complex in _LAYOUT
+        for name, offset, is_complex, _ in _LAYOUT
     }
 
 
 def _stored(derivatives: Mapping) -> Iterator[tuple[int, object]]:
     """(slot, component) of the named ``derivatives`` in storage order; a complex one gives re, im."""
-    for name, offset, is_complex in _LAYOUT:
+    for name, offset, is_complex, _ in _LAYOUT:
         if name in derivatives:
             value = derivatives[name]
             if is_complex:
@@ -137,7 +143,11 @@ class SolverConfig:
     (LSODA, see the module docstring) picks its own internal steps, capped
     at ``sigma/4`` while the pulse is on so a narrow pulse is never stepped
     over.  ``rel_tol`` and ``abs_tol`` hold for every member of a stacked
-    batch on its own (see ``_solve``).
+    batch on its own (see ``_solve``).  ``abs_tol`` is per moment, in units
+    of max(1, eta0)^k: eta0 is the pulse's ``amplitude``, the coherent
+    amplitude <a> reaches, and k the moment's number of field operators (1
+    for <a> and <a sigma>, 2 for <a'a> and <aa>, 0 for the spin moments,
+    which keep ``abs_tol`` itself).
     """
 
     closure: str = "cumulant"
@@ -458,6 +468,20 @@ def _initial_array(closure: str) -> np.ndarray:
     return y0
 
 
+def _abs_tols(abs_tol: float, pulse: PulseParams) -> np.ndarray:
+    """LSODA's absolute tolerance per slot: ``abs_tol`` in units of max(1, eta0)^k.
+
+    eta0 is ``pulse.amplitude``, the coherent amplitude the pulse injects and
+    so the scale <a> reaches, and k the moment's field operators (``_LAYOUT``).
+    A spin moment, and every slot when eta0 <= 1, keeps ``abs_tol`` itself.
+    """
+    scale = max(1.0, pulse.amplitude)
+    tols = np.empty(STATE_SIZE)
+    for _, offset, is_complex, fields in _LAYOUT:
+        tols[offset:offset + (2 if is_complex else 1)] = abs_tol * scale ** fields
+    return tols
+
+
 def output_grid(config: SolverConfig) -> np.ndarray:
     """Uniform reporting grid implied by a solver configuration."""
     n_out = int(math.floor((config.t_end_ps - config.t_start_ps) / config.output_dt_ps + 1e-9)) + 1
@@ -473,8 +497,10 @@ class SolverStats:
     steps: int = 0
 
 
-# grid points pending before ``_segmented_solve`` reduces them: a strongly
-# driven oracle run samples once per short step, and one call each costs more
+# grid points ``_segmented_solve`` hands ``reduce`` at once: a strongly
+# driven oracle run samples once per short step, and one call each costs
+# more; a long step's many points are sampled in runs of this size, so the
+# sampled states of a batch never take more than this many rows
 _REDUCE_BATCH = 32
 
 
@@ -502,7 +528,7 @@ def _segmented_solve(
     times: np.ndarray,
     pulse: PulseParams,
     rel_tol: float,
-    abs_tol: float,
+    abs_tol: float | np.ndarray,
     stepper: type,
     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda t, states: states,
     members: int = 1,
@@ -514,12 +540,15 @@ def _segmented_solve(
     applies only while the drive is appreciable; outside it the solver is
     free to take long steps.  ``stepper`` is the scipy stepper class:
     ``LSODA`` for the real moment state, ``RK45`` for the complex density
-    matrix, which LSODA does not accept.  One cursor walks ``times``: each
-    step's dense output gives the grid points up to the step's end, and a
-    segment ends exactly on its edge, where the next starts from its state.
-    Once ``_REDUCE_BATCH`` grid points are pending, and at the end,
-    ``reduce(t, states)`` maps them and their (len(t), state size) states
-    to the rows the caller keeps (default: the whole state), so no
+    matrix, which LSODA does not accept.  ``abs_tol`` is a scalar or one
+    value per state component.  One cursor walks ``times``: each step's
+    dense output gives the grid points up to the step's end, evaluated in
+    runs that fill the pending block, and a segment ends exactly on its
+    edge, where the next starts from its state.  Each time ``_REDUCE_BATCH``
+    grid points are pending, and at the end, ``reduce(t, states)`` maps
+    them and their (len(t), state size) states to the rows the caller keeps
+    (default: the whole state).  So ``reduce`` never receives more than
+    ``_REDUCE_BATCH`` rows, however many grid points one step spans, no
     interpolant outlives its step and no state outlives its reduction.
     The state of a batch holds ``members`` equal-sized, uncoupled members,
     and a non-finite derivative names the first offending member.
@@ -580,13 +609,16 @@ def _segmented_solve(
                 steps += 1
                 reached = int(np.searchsorted(times, solver.t, side="right"))
                 if reached > done:
-                    grid = times[done:reached]
-                    pending.append((grid, solver.dense_output()(grid).T))
-                    pending_points += reached - done
-                    if pending_points >= _REDUCE_BATCH:
-                        flush()
-                        pending_points = 0
-                    done = reached
+                    interpolant = solver.dense_output()
+                    while done < reached:
+                        stop = min(reached, done + _REDUCE_BATCH - pending_points)
+                        grid = times[done:stop]
+                        pending.append((grid, interpolant(grid).T))
+                        pending_points += stop - done
+                        done = stop
+                        if pending_points == _REDUCE_BATCH:
+                            flush()
+                            pending_points = 0
             rhs_calls += solver.nfev
             jacobians += solver.njev
             y = solver.y
@@ -620,18 +652,21 @@ def _solve(
     The members share ``config`` and become one member-major (B * 20) LSODA
     state with a banded block Jacobian (see ``_batch_system``).  LSODA's
     error test is a weighted max-norm, so every member keeps its own
-    tolerance; the steps follow the hardest member, which is why the fit
-    batches similar members.  Returns the output grid, the rows
-    ``reduce`` keeps (see ``_segmented_solve``) and the solver's work.
+    tolerance, each slot's absolute one in its own units (``_abs_tols``,
+    the same for every member under one pulse); the steps follow the
+    hardest member, which is why the fit batches similar members.  Returns
+    the output grid, the rows ``reduce`` keeps (see ``_segmented_solve``)
+    and the solver's work.
     """
     if not params:
         raise ValueError("need at least one member")
     rhs, jac = _batch_system(params, pulse, config.closure, ax_bracket)
     times = output_grid(config)
     y0 = np.tile(_initial_array(config.closure), len(params))
+    abs_tol = np.tile(_abs_tols(config.abs_tol, pulse), len(params))
     band = STATE_SIZE - 1
     data, stats = _segmented_solve(
-        rhs, y0, times, pulse, config.rel_tol, config.abs_tol, LSODA, reduce, len(params),
+        rhs, y0, times, pulse, config.rel_tol, abs_tol, LSODA, reduce, len(params),
         jac=jac, lband=band, uband=band,
     )
     return times, data, stats

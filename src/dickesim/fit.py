@@ -543,10 +543,13 @@ def table_window(datasets, lifetime_fs, pulse_sigma_ps, t0_range_fs, solver) -> 
 # solve steps at the pace of its hardest member, so very large batches
 # lose, while small ones pay the per-call overhead of the array equations
 # more often.  Criterion 6's 729-member A2 table on a 2-core machine (one
-# BLAS thread) took 3.6-4.1, 4.3-4.8, 4.6-6.3, 5.5-6.4 and 8.8-10.5 s in
-# near-equal batches of at most 27, 48, 64, 81 and 128 members (four runs
-# each); over eight alternating runs of 27 and 64 the median gain of 27
-# was 0.4 s, inside the 1.3 s spread of the runs at 64.
+# BLAS thread) took 0.49-0.52, 0.44-0.45, 0.41-0.43, 0.40-0.43 and
+# 0.39-0.41 s in near-equal batches of at most 27, 48, 64, 81 and 128
+# members (four runs each); over ten alternating runs of 64 and 128, 128
+# won all ten by a median 0.015 s, inside the 0.016 s spread of the runs at
+# 64.  On a default-bounds table 128 loses: one batch of A1's 81
+# (g, gamma0z) pairs steps at its strongly coupled corners' pace, and the
+# five-label slice of those pairs took 10.7 s against 6.5 s at 64.
 BATCH_CAP = 64
 
 

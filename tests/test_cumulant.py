@@ -29,6 +29,7 @@ from dickesim.cumulant import (
     output_grid,
     simulate_energy,
 )
+from dickesim.fit import LABEL_INFO
 from dickesim.model import (
     HBAR_MEV_PS,
     ModelParams,
@@ -272,6 +273,79 @@ def test_grid_points_on_the_segment_edges_are_sampled_once(stepper):
     exact = np.exp(-(times - times[0]))
     # ten times rtol, for the global error the steps accumulate
     assert np.max(np.abs(data[:, 0] - exact)) <= 1e-7
+
+
+def test_reduce_never_receives_more_than_a_batch_of_rows():
+    # with the pulse far outside the window, y' = -y leaves LSODA free to take
+    # steps spanning hundreds of grid points; each is sampled in runs that
+    # fill one pending block, so no reduction ever sees more than a block
+    pulse = PulseParams(amplitude=0.0, center_ps=50.0, sigma_ps=0.020)
+    times = np.linspace(0.0, 10.0, 10_001)
+    sizes = []
+
+    def reduce(t, states):
+        sizes.append(t.size)
+        return states
+
+    data, stats = cumulant._segmented_solve(
+        lambda t, y: -y, np.array([1.0]), times, pulse, 1e-8, 1e-10, LSODA, reduce=reduce,
+    )
+    assert stats.steps * cumulant._REDUCE_BATCH < times.size, stats
+    assert max(sizes) <= cumulant._REDUCE_BATCH, max(sizes)
+    assert sum(sizes) == times.size
+    assert np.max(np.abs(data[:, 0] - np.exp(-times))) <= 1e-7
+
+
+def _label_member(label, g_nev, gamma0z_mev, gamma_minus_mev):
+    """One member of a fit of ``label`` (120 fs cavity) and the label's pulse."""
+    n, photons = LABEL_INFO[label]
+    params = ModelParams(
+        n_molecules=n, g_mev=g_nev * 1e-6, kappa_mev=HBAR_MEV_PS / 0.120,
+        gamma0z_mev=gamma0z_mev, n_ref=8.08e10, gamma_minus_mev=gamma_minus_mev,
+    )
+    pulse = PulseParams(
+        amplitude=drive_amplitude_from_photon_ratio(photons / n, n), center_ps=0.0, sigma_ps=0.020,
+    )
+    return params, pulse
+
+
+@pytest.mark.parametrize("label, g_nev, gamma0z_mev, gamma_minus_mev", [
+    ("A1", 10.6, 1.68, 0.0141),    # the nominal member: <a> reaches 1e5, <a'a> 1e10
+    ("B2", 5000.0, 0.1, 0.0316),   # a strongly coupled corner, at the collective Rabi period
+])
+def test_sigma_z_holds_the_tolerance_of_a_tight_solve(label, g_nev, gamma0z_mev, gamma_minus_mev):
+    # the absolute tolerance of a field moment is in its own units, so its
+    # zeros no longer set the step; <sigma_z> must stay within a few rel_tol
+    # of a solve a thousand times tighter
+    params, pulse = _label_member(label, g_nev, gamma0z_mev, gamma_minus_mev)
+    config = SolverConfig(t_start_ps=-1.16, t_end_ps=2.16)
+    tight = replace(config, rel_tol=1e-11, abs_tol=1e-13)
+    c_z = integrate(params, pulse, config).c_z
+    reference = integrate(params, pulse, tight).c_z
+    assert np.max(np.abs(c_z - reference)) <= 5.0 * config.rel_tol
+
+
+def test_absolute_tolerance_is_in_units_of_the_injected_amplitude():
+    # abs_tol * max(1, eta0)^k, with k the moment's field operators
+    fields = {"c_a": 1, "c_ax": 1, "c_ay": 1, "c_az": 1, "c_n": 2, "c_aa": 2}
+    tols = cumulant._abs_tols(1e-10, PulseParams(amplitude=100.0))
+    for name in MOMENT_NAMES:
+        value = moment(tols, name)
+        want = 1e-10 * 100.0 ** fields.get(name, 0)
+        assert value == (want + 1j * want if np.iscomplexobj(value) else want), name
+    # at eta0 <= 1 every slot keeps abs_tol, and integrate is bit for bit the
+    # LSODA solve with the scalar tolerance (the oracle checks drive there)
+    for amplitude in (0.3, 1.0):
+        pulse = PulseParams(amplitude=amplitude, center_ps=0.0, sigma_ps=0.020)
+        config = SolverConfig(t_start_ps=-0.2, t_end_ps=1.0)
+        assert np.all(cumulant._abs_tols(config.abs_tol, pulse) == config.abs_tol)
+        rhs, jac = cumulant._batch_system([SMALL_N], pulse, "cumulant")
+        band = STATE_SIZE - 1
+        scalar, _ = cumulant._segmented_solve(
+            rhs, GROUND, output_grid(config), pulse, config.rel_tol, config.abs_tol, LSODA,
+            jac=jac, lband=band, uband=band,
+        )
+        np.testing.assert_array_equal(integrate(SMALL_N, pulse, config).data, scalar)
 
 
 def _b2_members(closure="cumulant"):
