@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Mapping
@@ -396,6 +397,7 @@ def cmd_sweep(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, 
 
 
 def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
+    """The datasets ``fit`` configures, synthetic or read from files, before their noise estimates."""
     section = sections["fit"]
     if section.get("synthetic", False):
         times_spec = section.get("times_fs", (-500.0, 1500.0, 4.0))
@@ -410,7 +412,7 @@ def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
             rng=np.random.default_rng(seed),
             solver=solver,
         )
-        return [estimate_noise(ds)]
+        return [ds]
 
     paths = _require(sections, "fit.datasets")
     labels = section.get("labels")
@@ -424,11 +426,10 @@ def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
         raise ConfigError("fit.n_dye and fit.photon_ratio must match fit.datasets in length")
     # without pulse.response_fs a dataset's response is the table's lifetime
     response_ps = sections["pulse"].get("response_ps")
-    datasets = []
-    for path, label, n_dye, ratio in zip(paths, labels, n_dyes, ratios):
-        ds = load_dataset(path, label, n_dye=n_dye, photon_ratio=ratio, response_ps=response_ps)
-        datasets.append(estimate_noise(ds))
-    return datasets
+    return [
+        load_dataset(path, label, n_dye=n_dye, photon_ratio=ratio, response_ps=response_ps)
+        for path, label, n_dye, ratio in zip(paths, labels, n_dyes, ratios)
+    ]
 
 
 def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
@@ -448,7 +449,13 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
         else:
             continue
         raise ConfigError(f"{key} = {cfg[key]} is not supported by fit, {reason}; remove the key")
+    # each stage logs its wall time at INFO; no timing enters an output file
+    start = time.perf_counter()
     datasets = _fit_datasets(sections, params, pulse, solver, args.seed)
+    logger.info("load: %d datasets, %.3f s", len(datasets), time.perf_counter() - start)
+    start = time.perf_counter()
+    datasets = [estimate_noise(ds) for ds in datasets]
+    logger.info("noise: %.3f s", time.perf_counter() - start)
 
     section = sections["fit"]
     points = section.get("grid_points", 9)

@@ -186,32 +186,41 @@ def _window_sigma(t_fs: np.ndarray, d: np.ndarray) -> float:
     """Noise of one window: detrended rms over its quietest 150 fs stretch.
 
     A window that also contains real signal would inflate a plain standard
-    deviation, so the stretch with the smallest linear slope is located
-    first and the rms is taken around that linear trend (two fitted
-    parameters, hence the n-2 in the denominator).
+    deviation, so the rms is taken around the linear trend of the stretch
+    with the least |slope| (two fitted parameters, hence m-2 for its m
+    samples).  A stretch runs from each sample to 150 fs later.  It competes
+    only if it ends inside the window, holds at least 3 samples and its
+    times vary; when none does, the whole window stands in, and its times
+    must not all coincide.  All stretches are fitted at once, in blocks of
+    about 2**14 samples, by centred least squares: slope = sum(t~ d~) /
+    sum(t~^2), with t~ and d~ the deviations from the stretch's means.  On
+    equal slopes the earliest stretch wins.
     """
     n = t_fs.size
-    best = None
-    for i in range(n):
-        if t_fs[i] + QUIET_SPAN_FS > t_fs[-1] + 1e-9:
-            break  # only full-span stretches compete; a short tail rms is too noisy
-        j = int(np.searchsorted(t_fs, t_fs[i] + QUIET_SPAN_FS, side="right"))
-        if j - i < 3:
-            continue
-        tt = t_fs[i:j]
-        dd = d[i:j]
-        slope, intercept = np.polyfit(tt, dd, 1)
-        if best is None or abs(slope) < best[0]:
-            resid = dd - (slope * tt + intercept)
-            sigma = math.sqrt(float(resid @ resid) / (j - i - 2))
-            best = (abs(slope), sigma)
-    if best is None:
-        # window shorter than the quiet span: detrend the whole window
-        slope, intercept = np.polyfit(t_fs, d, 1)
-        resid = d - (slope * t_fs + intercept)
-        sigma = math.sqrt(float(resid @ resid) / max(n - 2, 1))
-        best = (abs(slope), sigma)
-    return best[1]
+    ends = np.searchsorted(t_fs, t_fs + QUIET_SPAN_FS, side="right")
+    starts = np.flatnonzero(
+        (t_fs + QUIET_SPAN_FS <= t_fs[-1] + 1e-9) & (ends >= np.arange(n) + 3) & (t_fs[ends - 1] > t_fs)
+    )
+    if starts.size == 0:  # the whole window stands in
+        starts, lengths = np.zeros(1, dtype=int), np.full(1, n)
+    else:
+        lengths = ends[starts] - starts
+    width = int(lengths.max())
+    rows = max(1, 2 ** 14 // width)  # ~130 kB blocks
+    best_slope, sigma = math.inf, math.nan
+    for lo in range(0, starts.size, rows):
+        m = lengths[lo:lo + rows]
+        at = np.minimum(starts[lo:lo + rows, None] + np.arange(width), n - 1)
+        inside = np.arange(width) < m[:, None]
+        # two passes: each stretch's means, then its centred sums
+        tc, dc = (np.where(inside, x[at], 0.0) for x in (t_fs, d))
+        tc, dc = (np.where(inside, x - x.sum(axis=1, keepdims=True) / m[:, None], 0.0) for x in (tc, dc))
+        slope = (tc * dc).sum(axis=1) / (tc * tc).sum(axis=1)
+        k = int(np.argmin(np.abs(slope)))
+        if abs(slope[k]) < best_slope:
+            resid = dc[k] - slope[k] * tc[k]
+            best_slope, sigma = abs(slope[k]), math.sqrt(float(resid @ resid) / max(m[k] - 2, 1))
+    return sigma
 
 
 def estimate_noise(dataset: ExperimentDataset) -> ExperimentDataset:
@@ -219,8 +228,9 @@ def estimate_noise(dataset: ExperimentDataset) -> ExperimentDataset:
 
     The label picks the published partition of the time axis (five windows
     for the two high-concentration runs, four otherwise).  Every window
-    needs at least five samples.  A window quieter than the 1e-12 floor is
-    clamped there, with a warning, so later weights stay finite.
+    needs at least five samples, not all at one time.  A window quieter
+    than the 1e-12 floor is clamped there, with a warning, so later weights
+    stay finite.
     """
     t = dataset.times_fs
     d = dataset.signal
@@ -233,6 +243,8 @@ def estimate_noise(dataset: ExperimentDataset) -> ExperimentDataset:
             raise DataError(
                 f"noise window [{lo:g}, {hi:g}) fs has {idx.size} samples; need at least 5"
             )
+        if t[idx[0]] == t[idx[-1]]:
+            raise DataError(f"noise window [{lo:g}, {hi:g}) fs has all its samples at {t[idx[0]]:g} fs")
         s = _window_sigma(t[idx], d[idx])
         if s < SIGMA_FLOOR:
             warnings.warn(
@@ -639,6 +651,7 @@ def _member_tasks(
 
 def _integrate(tasks: dict, labels: list[str], workers: int) -> dict:
     """Traces of ``tasks`` integrated batch by batch; ``process_map`` maps over batches."""
+    start = time.perf_counter()
     batches = [[(key, tasks[key]) for key in keys] for keys in _batches(tasks)]
     results = process_map(_fit_batch_task, batches, workers)
     out = {}
@@ -652,6 +665,7 @@ def _integrate(tasks: dict, labels: list[str], workers: int) -> dict:
             stats.rhs_calls, stats.jacobians, stats.steps, wall,
         )
         out.update(zip((key for key, _ in batch), traces))
+    logger.info("table: %d members, %.2f s", len(tasks), time.perf_counter() - start)
     return {key: out[key] for key in tasks}
 
 
@@ -788,6 +802,7 @@ def global_fit(
         return result
 
     # a fine member whose task equals a coarse one reuses the coarse trace
+    start = time.perf_counter()
     fine_grid = grid.refined_around(i, j, k)
     setup = (lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs)
     coarse_keys = {task: key for key, task in _member_tasks(datasets, grid, *setup).items()}
@@ -800,6 +815,7 @@ def global_fit(
         [ds.label for ds in datasets], workers,
     ))
     fine = global_fit(datasets, fine_grid, *setup, traces=fine_traces)
+    logger.info("refine: %d members, %.2f s", len(fine_tasks), time.perf_counter() - start)
     return replace(fine, coarse=result)
 
 

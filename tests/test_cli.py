@@ -315,6 +315,16 @@ fit.labels = A2
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == EXIT_DATA
         assert "cannot read" in capsys.readouterr().err
 
+    def test_a_noise_window_without_time_extent_exits_4(self, tmp_path, capsys):
+        # all six samples of the [-300, 300) fs window sit at t = 0
+        times = np.arange(-500.0, 1500.0, 8.0)
+        times = np.sort(np.r_[times[(times < -300.0) | (times >= 300.0)], np.zeros(6)])
+        path = tmp_path / "A3.csv"
+        np.savetxt(path, np.column_stack([times, np.random.default_rng(5).normal(size=times.size)]))
+        cfg = write_cfg(tmp_path, f"pulse.sigma_fs = 20\nfit.datasets = {path}\nfit.grid_points = 1\n")
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "noise window [-300, 300) fs has all its samples at 0 fs" in capsys.readouterr().err
+
     def test_duplicate_dataset_labels_exit_4(self, tmp_path, capsys):
         times = np.arange(-500.0, 1500.0, 8.0)
         signal = np.random.default_rng(5).normal(scale=0.01, size=times.size) + np.exp(
@@ -694,16 +704,39 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         finally:
             package.setLevel(logging.WARNING)
         capsys.readouterr()
-        # one line per integrated batch, then one per chi^2 reduction pass
+        # one line per integrated batch, then one per table and one per chi^2 reduction pass
         infos = [r.getMessage() for r in caplog.records if r.name == "dickesim.fit" and r.levelname == "INFO"]
-        assert len(infos) == 2 and infos[0].startswith("synthetic: 1 members")
+        assert len(infos) == 3 and infos[0].startswith("synthetic: 1 members")
         assert "rhs calls" in infos[0]
-        assert infos[1].startswith("chi^2 reduction: 1 members, 401 lattice shifts, ")
-        assert ", 0 failed grid points, " in infos[1]
+        assert infos[1].startswith("table: 1 members, ")
+        assert infos[2].startswith("chi^2 reduction: 1 members, 401 lattice shifts, ")
+        assert ", 0 failed grid points, " in infos[2]
         for name in ("chi2_map.csv", "fit_report.txt", "residuals_synthetic.csv"):
             assert (tmp_path / "quiet" / name).read_bytes() == (tmp_path / "loud" / name).read_bytes()
         with pytest.raises(SystemExit):
             main(["fit", "--config", cfg, "--log-level", "LOUD"])
+
+    def test_each_fit_stage_logs_its_wall_time_once_per_pass(self, tmp_path, capsys, caplog):
+        cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
+fit.grid_points = 1
+fit.g_bounds_neV = 10.6, 11.0
+fit.gamma0z_bounds_meV = 1.68, 2.0
+fit.gammaminus_bounds_meV = 0.0141, 0.02
+fit.refine = true
+""")
+        package = logging.getLogger("dickesim")
+        try:
+            with pytest.warns(UserWarning, match="boundary"):
+                assert main(["fit", "--config", cfg, "--out", str(tmp_path), "--log-level", "INFO"]) == EXIT_OK
+        finally:
+            package.setLevel(logging.WARNING)
+        capsys.readouterr()
+        # the coarse pass, then the refined one inside the refine stage
+        order = ["load", "noise", "table", "chi^2 reduction", "table", "chi^2 reduction", "refine"]
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+        timed = [m for m in messages if m.partition(": ")[0] in order]
+        assert [m.partition(": ")[0] for m in timed] == order
+        assert all(re.search(r"\d\.\d+ s$", m) for m in timed), timed
 
 
 class TestSpectrum:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import logging
+import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +31,7 @@ from dickesim.fit import (
     residuals,
 )
 from dickesim.cumulant import simulate_energy
-from dickesim.fit import REFINE_SIZE, _lattice_chi2, _member_tasks, _window_sigma
+from dickesim.fit import QUIET_SPAN_FS, REFINE_SIZE, _lattice_chi2, _member_tasks, _window_sigma
 from dickesim.model import ModelParams, PulseParams, drive_amplitude_from_photon_ratio
 from dickesim.observables import EnergyTrace, convolve_response
 
@@ -123,6 +126,53 @@ class TestLoadDataset:
             load_dataset(p, "A1")
 
 
+def polyfit_window_sigma(t_fs, d):
+    """The loop _window_sigma replaced, kept as its reference: one np.polyfit per stretch."""
+    n = t_fs.size
+    best = None
+    for i in range(n):
+        if t_fs[i] + QUIET_SPAN_FS > t_fs[-1] + 1e-9:
+            break
+        j = int(np.searchsorted(t_fs, t_fs[i] + QUIET_SPAN_FS, side="right"))
+        if j - i < 3:
+            continue
+        tt = t_fs[i:j]
+        dd = d[i:j]
+        slope, intercept = np.polyfit(tt, dd, 1)
+        if best is None or abs(slope) < best[0]:
+            resid = dd - (slope * tt + intercept)
+            best = (abs(slope), math.sqrt(float(resid @ resid) / (j - i - 2)))
+    if best is None:
+        slope, intercept = np.polyfit(t_fs, d, 1)
+        resid = d - (slope * t_fs + intercept)
+        best = (abs(slope), math.sqrt(float(resid @ resid) / max(n - 2, 1)))
+    return best[1]
+
+
+@st.composite
+def noise_windows(draw):
+    """Sorted times, regular, jittered, with gaps or shorter than the quiet span, and noise on a trend."""
+    kind = draw(st.sampled_from(["regular", "jittered", "gaps", "short"]))
+    n = draw(st.integers(5, 300))
+    step = draw(st.sampled_from([0.5, 2.0, 4.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.floats(-1000.0, 1000.0)) + step * np.arange(n)
+    if kind == "jittered":
+        t = np.sort(t + rng.uniform(-0.5 * step, 0.5 * step, n))
+    elif kind == "gaps":
+        # a jump of 100-400 fs after one sample in five leaves stretches of fewer than 3 samples
+        t = t + np.cumsum(rng.uniform(100.0, 400.0, n) * (rng.random(n) < 0.2))
+    elif kind == "short":
+        t = t[0] + np.sort(rng.uniform(0.0, 0.99 * QUIET_SPAN_FS, n))
+    return t, rng.normal(size=n) + rng.normal(scale=1e-3) * t
+
+
+def a3_times_with_three_samples_at(t_fs, lo, hi):
+    """A3 times every 4 fs from -500 to 1500 fs, with [lo, hi) fs replaced by three samples at t_fs."""
+    t = np.arange(-500.0, 1500.0, 4.0)
+    return np.sort(np.r_[t[(t < lo) | (t >= hi)], [t_fs] * 3])
+
+
 class TestNoise:
     def test_window_sigma_recovers_pure_noise(self):
         t = np.arange(0.0, 2000.0, 4.0)
@@ -187,6 +237,59 @@ class TestNoise:
         t = np.arange(-500.0, 290.0, 4.0)  # nothing beyond 300 fs
         ds = ExperimentDataset("B1", t, np.ones_like(t), n_dye=1.62e10, photon_ratio=2.8)
         with pytest.raises(DataError, match="need at least 5"):
+            estimate_noise(ds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(window=noise_windows())
+    def test_window_sigma_matches_the_polyfit_loop(self, window):
+        t, d = window
+        assert _window_sigma(t, d) == pytest.approx(polyfit_window_sigma(t, d), rel=1e-12)
+
+    def test_window_sigma_memory_stays_bounded_on_a_long_window(self):
+        # 20,000 samples at 0.1 fs: 18,500 stretches of 1,501 samples, 220 MB as one block
+        t = 0.1 * np.arange(20_000)
+        d = np.random.default_rng(8).normal(size=t.size)
+        tracemalloc.start()
+        try:
+            sigma = _window_sigma(t, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert sigma == pytest.approx(1.0, rel=0.2)
+
+    def test_a_stretch_without_time_extent_cannot_compete(self):
+        # the stretch from the three samples at t = 0 holds no other sample; a
+        # polyfit of it failed with "SVD did not converge"
+        t = a3_times_with_three_samples_at(0.0, 0.0, 200.0)
+        d = np.random.default_rng(9).normal(scale=0.01, size=t.size)
+        ds = ExperimentDataset("A3", t, d, n_dye=LABEL_INFO["A3"][0], photon_ratio=0.16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_noise(ds)
+        assert est.sigma[(t >= -300.0) & (t < 300.0)][0] == pytest.approx(0.01, rel=0.4)
+
+    def test_a_stretch_without_time_extent_is_not_picked_for_its_zero_slope(self):
+        # three samples at -300 fs with zero signal open the [-300, 300) fs window;
+        # a polyfit of their stretch warned of its rank, gave slope 0 and won
+        t = a3_times_with_three_samples_at(-300.0, -300.0, -100.0)
+        d = np.random.default_rng(9).normal(scale=0.01, size=t.size)
+        d[t == -300.0] = 0.0
+        ds = ExperimentDataset("A3", t, d, n_dye=LABEL_INFO["A3"][0], photon_ratio=0.16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_noise(ds)
+        window = np.flatnonzero((t >= -300.0) & (t < 300.0))
+        # only that stretch holds those samples, so dropping them changes nothing else
+        rest = window[3:]
+        assert est.sigma[window[0]] == pytest.approx(polyfit_window_sigma(t[rest], d[rest]), rel=1e-12)
+        assert est.sigma[window[0]] == pytest.approx(0.01, rel=0.4)
+
+    def test_a_window_whose_times_coincide_is_rejected(self):
+        t = np.arange(-500.0, 1500.0, 4.0)
+        t = np.sort(np.r_[t[(t < -300.0) | (t >= 300.0)], np.zeros(6)])
+        ds = ExperimentDataset("A3", t, np.sin(t / 50.0), n_dye=LABEL_INFO["A3"][0], photon_ratio=0.16)
+        with pytest.raises(DataError, match=r"noise window \[-300, 300\) fs has all its samples at 0 fs"):
             estimate_noise(ds)
 
 
@@ -839,9 +942,10 @@ class TestBatches:
         tasks = {key: task for key, task in tasks.items() if key[3] == 4 and key[2] == 0}
         with caplog.at_level("INFO", logger="dickesim.fit"):
             fit_module._integrate(tasks, [ds.label for ds in datasets], workers=1)
-        (record,) = caplog.records
+        record, table = caplog.records
         message = record.getMessage()
         assert message.startswith("B2: 4 members, g sqrt(N)/kappa ")
         for word in ("gamma_tot/kappa", "rhs calls", "jacobians", "steps"):
             assert word in message
+        assert table.getMessage().startswith("table: 4 members, ")
 
