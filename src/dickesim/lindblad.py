@@ -6,31 +6,26 @@ molecules, Hilbert dimension at most 64) that nothing needs truncating except
 the Fock ladder.  Used to validate the moment equations, never for
 production-size ensembles.
 
-The master equation acts on the row-major vec(rho) through two sparse
-superoperators built once per call from vec(A rho B) = kron(A, B^T) vec(rho):
-the drift from the Hamiltonian and the jumps, and the drive [V, rho] that the
-pulse envelope multiplies.
-
-The molecules are identical: the Hamiltonian, the drive and the jumps are
-sums of the same term over them, so the generator commutes with every
-permutation of the molecules, and so does the initial state.  rho(t) then
-stays in the permutation-symmetric subspace, where an entry equals every
-entry a permutation maps it to.  The oracle steps one value per class of
-such entries (``_Operators``): C(N + 3, 3) spin classes times the Fock
-pairs, 1,280 components against 4,096 at three molecules and n_max = 7.
-The generator restricted to the classes is exact, not an approximation,
-because the subspace is invariant; there it holds 7,379 + 4,480 nonzeros
-against 31,807 + 14,336.  The states are complex and scipy's LSODA accepts
-only real ones, so the oracle stays on RK45, at a tenth of the
-``SolverConfig`` tolerances.  The samples are reduced as they are taken, a
-few steps at a time: one contraction against the class sums of vec(O^T)
-gives the moments, since tr(O rho) = vec(O^T) . vec(rho), the smallest
-eigenvalue comes from one block per total spin, and only the moments and
-the per-sample diagnostics are kept.
+The molecules are identical and start in the same state, so rho(t)
+commutes with every permutation of them: an entry depends only on its Fock
+pair and on how many molecules are in each (ket, bra) spin state.  The
+oracle steps one value per such class (``_Operators``), 1,280 against
+rho's 4,096 entries at three molecules and n_max = 7.  Each term of the
+master equation is a Fock superoperator times a sum over the molecules of
+one 4 x 4 map on a molecule's (ket, bra) state, so the generator is built
+on the class counts, with no operator on the full space, in the form Kirton
+& Keeling (PRL 118, 123602, 2017) and Gegg & Richter (NJP 18, 043037,
+2016) integrate.  The states are complex and scipy's LSODA accepts only
+real ones, so the oracle stays on RK45, at a tenth of the ``SolverConfig``
+tolerances.  Samples are reduced as they are taken, a few steps at a time,
+to the moments (one contraction each), the smallest eigenvalue (one block
+per total spin) and the other diagnostics; the run stops at the first
+sample that fails a check.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -85,16 +80,37 @@ class OracleConfig:
             raise ValueError("top_level_tol must be positive")
 
 
-class _Operators:
-    """Dense operators on the joint spin-field space, field factor last, and its symmetric classes.
+def _left(op: np.ndarray) -> np.ndarray:
+    """X -> op X on the row-major vec(X)."""
+    return np.kron(op, np.eye(len(op)))
 
-    Entry (r, c) of rho, with r = (spin s, Fock f) and c = (s', f'), falls in
-    class k nf^2 + f nf + f', where spin class k is the orbit of (s, s')
-    under the permutations of the molecules: the multiset of the molecules'
-    (ket, bra) states, C(N + 3, 3) of them.  ``classes`` maps each row-major
-    vec(rho) entry to its class, ``representatives`` holds one entry per
-    class, ``transpose_class`` the class of its transpose and ``indicator``
-    the 0/1 matrix W with vec(rho) = W x for a symmetric rho of class values x.
+
+def _right(op: np.ndarray) -> np.ndarray:
+    """X -> X op on the row-major vec(X)."""
+    return np.kron(np.eye(len(op)), op.T)
+
+
+def _commutator(op: np.ndarray) -> np.ndarray:
+    """X -> -i [op, X]."""
+    return -1j * (_left(op) - _right(op))
+
+
+def _dissipator(jump: np.ndarray) -> np.ndarray:
+    """X -> L X L' - (L'L X + X L'L) / 2 for L = ``jump``."""
+    decay = jump.conj().T @ jump
+    return _left(jump) @ _right(jump.conj().T) - 0.5 * (_left(decay) + _right(decay))
+
+
+class _Operators:
+    """The permutation classes of rho's entries, and the generator, moment rows and spin blocks on them.
+
+    Class value k nf^2 + f nf + f' is rho's entry at the Fock pair (f, f')
+    and at every spin pair whose molecules' states b = 2 ket + bra (0 = up)
+    have the counts ``counts[k]`` = (n_uu, n_ud, n_du, n_dd), in descending
+    lexicographic order, and ``transpose_class`` maps it to the class of the
+    transposed entries.  ``columns[:, i] . x`` = tr(O_i rho) for the moments
+    ``moment_names``, the excited population per molecule, the trace and the
+    top Fock population; ``drift`` holds ``_drift``'s rate-free terms.
 
     On total spin j, rho acts as one block rho_j per copy of the spin-j
     multiplet, so its spectrum is the union of the blocks' spectra.
@@ -113,97 +129,114 @@ class _Operators:
         self.n_max = n_max
         self.dim = dim
 
+        n = n_molecules
         nf = n_max + 1
-        n_spin = 2 ** n_molecules
-        a_f = np.diag(np.sqrt(np.arange(1, nf)), k=1).astype(complex)
-        id_f = np.eye(nf, dtype=complex)
-        id_s = np.eye(2, dtype=complex)
+        counts = [c for c in itertools.product(range(n, -1, -1), repeat=4) if sum(c) == n]
+        self._index = {count: k for k, count in enumerate(counts)}
+        self.counts = np.array(counts)
+        swapped = np.array([self._index[(uu, du, ud, dd)] for uu, ud, du, dd in self.counts])
+        fock_transpose = np.arange(nf * nf).reshape(nf, nf).T.ravel()
+        self.transpose_class = (swapped[:, None] * nf * nf + fock_transpose).ravel()
+
+        a = np.diag(np.sqrt(np.arange(1, nf)), k=1).astype(complex)
+        ad = a.T
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
         sz = np.array([[1, 0], [0, -1]], dtype=complex)
         sm = np.array([[0, 0], [1, 0]], dtype=complex)
 
-        def on_spins(op: np.ndarray, j: int) -> np.ndarray:
-            factors = [id_s] * n_molecules
-            factors[j] = op
-            out = factors[0]
-            for f in factors[1:]:
-                out = np.kron(out, f)
-            return out
-
-        def embed_spin(op: np.ndarray, j: int) -> np.ndarray:
-            return np.kron(on_spins(op, j), id_f)
-
-        spin_id = np.eye(n_spin, dtype=complex)
-        self.a = np.kron(spin_id, a_f)
-        self.ad = self.a.conj().T
-        self.n_op = self.ad @ self.a
-        self.sx = [embed_spin(sx, j) for j in range(n_molecules)]
-        self.sy = [embed_spin(sy, j) for j in range(n_molecules)]
-        self.sz = [embed_spin(sz, j) for j in range(n_molecules)]
-        self.sm = [embed_spin(sm, j) for j in range(n_molecules)]
-        self.sp = [m.conj().T for m in self.sm]
-
-        top = np.zeros((nf, nf), dtype=complex)
-        top[n_max, n_max] = 1.0
-        self.top_proj = np.kron(spin_id, top)
-
-        # molecule j's (ket bit, bra bit) in each spin pair, 0..3; the orbit
-        # of a pair is the multiset of its molecules' states
-        bits = (np.arange(n_spin)[:, None] >> np.arange(n_molecules)[::-1]) & 1
-        kinds = np.sort(2 * bits[:, None, :] + bits[None, :, :], axis=2)
-        _, spin_class = np.unique(kinds.reshape(-1, n_molecules), axis=0, return_inverse=True)
-        spin_class = spin_class.reshape(n_spin, n_spin)
-        n_spin_classes = spin_class.max() + 1
-        fock = np.arange(nf)
-        self.classes = (
-            spin_class[:, None, :, None] * nf * nf + fock[None, :, None, None] * nf + fock
-        ).ravel()
-        _, self.representatives = np.unique(self.classes, return_index=True)
-        self.transpose_class = self.classes.reshape(dim, dim).T.ravel()[self.representatives]
-        self.indicator = sparse.csr_matrix(
-            (np.ones(dim * dim), (np.arange(dim * dim), self.classes)),
-            shape=(dim * dim, n_spin_classes * nf * nf),
+        spin_id = sparse.identity(len(self.counts), format="csr")
+        fock_id = sparse.identity(nf * nf, format="csr")
+        coupling = sum(
+            sign * sparse.kron(self.lift(side(spin)), side(field))
+            for side, sign in ((_left, -1j), (_right, 1j))
+            for spin, field in ((sm, ad), (sm.T, a))
         )
+        self.drift = (
+            sparse.kron(spin_id, _commutator(ad @ a), "csr"),
+            sparse.kron(spin_id, _dissipator(a), "csr"),
+            sparse.kron(self.lift(_commutator(sz / 2)), fock_id, "csr"),
+            sparse.kron(self.lift(_dissipator(sz)), fock_id, "csr"),
+            sparse.kron(self.lift(_dissipator(sm)), fock_id, "csr"),
+            coupling.tocsr(),
+        )
+        self.drive = sparse.kron(spin_id, _left(ad - a) - _right(ad - a), "csr")
+
+        # tr(rho) = trace . x: rho's diagonal holds C(N, n_uu) spin pairs of
+        # each class with n_ud = n_du = 0, each on the Fock diagonal
+        diagonal = self.counts[:, 1] + self.counts[:, 2] == 0
+        spin_trace = np.array([math.comb(n, uu) for uu in self.counts[:, 0]]) * diagonal
+
+        def row(spin: sparse.spmatrix, field: np.ndarray) -> np.ndarray:
+            """tr(O rho) on the class values, for O rho with class values kron(spin, _left(field)) x."""
+            return np.kron(spin.T @ spin_trace, np.eye(nf).ravel() @ _left(field))
+
+        one = np.eye(nf)
+        pauli = dict(zip("xyz", (sx, sy, sz)))
+        collective = {p: self.lift(_left(op)) for p, op in pauli.items()}
+        named = {"c_a": row(spin_id, a), "c_n": row(spin_id, ad @ a), "c_aa": row(spin_id, a @ a)}
+        for p, total in collective.items():
+            named[f"c_{p}"] = row(total / n, one)
+            named[f"c_a{p}"] = row(total / n, a)
+        if n >= 2:
+            # distinct-molecule pairs: sum_{i != j} p_i q_j = S_p S_q - sum_j (p q)_j
+            for p, q in ("xx", "yy", "zz", "xy", "xz", "yz"):
+                pair = collective[p] @ collective[q] - self.lift(_left(pauli[p] @ pauli[q]))
+                named[f"c_{p}{q}"] = row(pair / (n * (n - 1)), one)
+        self.moment_names = tuple(named)
+        excited = row(self.lift(_left(sm.T @ sm)) / n, one)
+        top = row(spin_id, np.diag(np.arange(nf) == n_max))
+        self.columns = np.stack([*named.values(), excited, row(spin_id, one), top], axis=1)
 
         # S_12, the first pair's spin, commutes with the total spin S and, for
         # N <= 3, splits each multiplicity space into single copies of the
         # multiplet, so every level of S^2 + S_12^2 / 10 is one copy
+        def on_spins(op: np.ndarray, j: int) -> np.ndarray:
+            return np.kron(np.kron(np.eye(2 ** j), op), np.eye(2 ** (n - 1 - j)))
+
         def spin_squared(molecules) -> np.ndarray:
             total = [sum(on_spins(p, j) for j in molecules) / 2 for p in (sx, sy, sz)]
             return sum(s @ s for s in total).real
 
-        total = spin_squared(range(n_molecules))
-        values, vectors = np.linalg.eigh(total + 0.1 * spin_squared(range(min(n_molecules, 2))))
+        # molecule j's state 2 ket + bra in each spin pair, molecule 0 the leading bit
+        bits = (np.arange(2 ** n)[:, None] >> np.arange(n)[::-1]) & 1
+        kinds = 2 * bits[:, None, :] + bits[None, :, :]
+        spin_class = np.array(
+            [[self._index[tuple(np.bincount(pair, minlength=4))] for pair in ket] for ket in kinds]
+        )
+        total = spin_squared(range(n))
+        values, vectors = np.linalg.eigh(total + 0.1 * spin_squared(range(min(n, 2))))
         spins = np.einsum("sa,st,ta->a", vectors, total, vectors).round(6)  # j(j + 1)
-        indicators = np.stack([spin_class == k for k in range(n_spin_classes)]).astype(float)
+        in_class = np.stack([spin_class == k for k in range(len(self.counts))]).astype(float)
         self.sectors = []
         for spin in np.unique(spins):
             copy = vectors[:, np.isclose(values, values[spins == spin][0])]
-            self.sectors.append(np.einsum("sa,kst,tb->kab", copy, indicators, copy))
+            self.sectors.append(np.einsum("sa,kst,tb->kab", copy, in_class, copy))
 
-    def symmetric(self, superop: sparse.csr_matrix) -> sparse.csr_matrix:
-        """``superop`` on the class values: (superop W)[representatives].
+    def lift(self, local: np.ndarray) -> sparse.csr_matrix:
+        """Sum over the molecules of the 4 x 4 map ``local`` on b = 2 ket + bra, on the spin classes.
 
-        Exact when ``superop`` commutes with the permutations of the
-        molecules, since their symmetric subspace is then invariant.
+        (L x)_n = sum_b n_b sum_a L[b, a] x_{n - e_b + e_a}: each of the n_b
+        molecules in state b takes its value from the class where it is in a.
         """
-        return (superop[self.representatives] @ self.indicator).tocsr()
+        unit = np.eye(4, dtype=int)
+        rows, cols, values = [], [], []
+        for b, a in zip(*np.nonzero(local)):
+            held = np.flatnonzero(self.counts[:, b])
+            rows.extend(held)
+            cols.extend(self._index[tuple(c)] for c in self.counts[held] - unit[b] + unit[a])
+            values.extend(self.counts[held, b] * local[b, a])
+        size = len(self.counts)
+        return sparse.csr_matrix((values, (rows, cols)), shape=(size, size))
 
     def ground_state(self, photons: int) -> np.ndarray:
-        """|down...down> tensor |photons>, as a density matrix."""
-        spin = np.zeros(2 ** self.n_molecules)
-        # all-down is the last basis vector with sz = diag(1, -1)
-        spin[-1] = 1.0
-        fock = np.zeros(self.n_max + 1)
-        fock[photons] = 1.0
-        vec = np.kron(spin, fock).astype(complex)
-        return np.outer(vec, vec.conj())
+        """The class values of |down...down, photons><down...down, photons|."""
+        spin = np.arange(len(self.counts)) == self._index[(0, 0, 0, self.n_molecules)]
+        fock = np.diag(np.arange(self.n_max + 1) == photons).ravel()
+        return np.kron(spin, fock).astype(complex)
 
 
-@lru_cache(maxsize=8)
-def _operators(n_molecules: int, n_max: int) -> _Operators:
-    return _Operators(n_molecules, n_max)
+_operators = lru_cache(maxsize=8)(_Operators)
 
 
 @dataclass(frozen=True)
@@ -234,39 +267,17 @@ def _molecule_count(params: ModelParams) -> int:
     return n_int
 
 
-def _hamiltonian_and_jumps(params: ModelParams, ops: _Operators) -> tuple[np.ndarray, list]:
-    """Undriven Hamiltonian H0 in 1/ps and the (rate, L) jumps with nonzero rate."""
-    gz = effective_dephasing(params) / HBAR_MEV_PS
-    gm = params.gamma_minus_mev / HBAR_MEV_PS
-    kap = params.kappa_mev / HBAR_MEV_PS
-    dc = params.delta_c_mev / HBAR_MEV_PS
-    da = params.delta_a_mev / HBAR_MEV_PS
-    g = params.g_mev / HBAR_MEV_PS
+def _drift(params: ModelParams, ops: _Operators) -> sparse.csr_matrix:
+    """The undriven generator on the class values in 1/ps: each term of ``ops.drift`` times its rate.
 
-    h0 = dc * ops.n_op
-    collapse = [(kap, ops.a)]
-    for j in range(ops.n_molecules):
-        h0 = h0 + 0.5 * da * ops.sz[j] + g * (ops.ad @ ops.sm[j] + ops.a @ ops.sp[j])
-        collapse += [(gz, ops.sz[j]), (gm, ops.sm[j])]
-    return h0, [(rate, op) for rate, op in collapse if rate > 0]
-
-
-def _superoperators(h0: np.ndarray, collapse: list, v: np.ndarray):
-    """CSR (drift, drive) on the row-major vec(rho).
-
-    With K = -iH - (1/2) sum rate L'L the master equation reads
-    drho/dt = K rho + rho K' + sum rate L rho L' + eta [V, rho], and
-    vec(A rho B) = kron(A, B^T) vec(rho) turns each term into one kron.
+    -i[a'a, rho], D[a], -i[S_z / 2, rho], sum_j D[sigma_z^j], sum_j D[sigma_-^j] and
+    -i[a' S_- + a S_+, rho] take delta_c, kappa, delta_a, gamma_z, gamma_minus and g.
     """
-    ident = sparse.identity(h0.shape[0], dtype=complex, format="csr")
-    k_eff = -1j * h0
-    for rate, op in collapse:
-        k_eff = k_eff - 0.5 * rate * (op.conj().T @ op)
-    drift = sparse.kron(k_eff, ident) + sparse.kron(ident, k_eff.conj())
-    for rate, op in collapse:
-        drift = drift + rate * sparse.kron(op, op.conj())
-    drive = sparse.kron(v, ident) - sparse.kron(ident, v.T)
-    return drift.tocsr(), drive.tocsr()
+    rates = (
+        params.delta_c_mev, params.kappa_mev, params.delta_a_mev,
+        effective_dephasing(params), params.gamma_minus_mev, params.g_mev,
+    )
+    return sum(rate / HBAR_MEV_PS * term for rate, term in zip(rates, ops.drift)).tocsr()
 
 
 def evolve_exact(
@@ -277,19 +288,15 @@ def evolve_exact(
 ) -> OracleResult:
     """Propagate the exact master equation and report cumulant-style moments.
 
-    Raises OracleTruncationError if the top Fock level becomes populated
-    beyond ``oracle.top_level_tol`` (the ladder was too short) and
-    OracleInvariantError if trace, Hermiticity or positivity drift beyond
-    their tolerances.
+    Raises OracleTruncationError at the first sample whose top Fock level
+    holds more than ``oracle.top_level_tol`` (the ladder was too short) and
+    OracleInvariantError at the first whose trace, Hermiticity or positivity
+    drift beyond their tolerances.
     """
     if oracle is None:
         oracle = OracleConfig()
     ops = _operators(_molecule_count(params), oracle.n_max)
-
-    drift, drive = (
-        ops.symmetric(op)
-        for op in _superoperators(*_hamiltonian_and_jumps(params, ops), ops.ad - ops.a)
-    )
+    drift, drive = _drift(params, ops), ops.drive
     amp, t0, inv_sig = pulse_shape(pulse)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -300,56 +307,32 @@ def evolve_exact(
             out += eta * (drive @ y)
         return out
 
-    x0 = ops.ground_state(oracle.initial_photons).ravel()[ops.representatives]
+    x0 = ops.ground_state(oracle.initial_photons)
     times = output_grid(config)
     # the density matrix is complex, which scipy's LSODA does not accept; the
     # reference runs ten times tighter than the closures it checks
+    rel_tol, abs_tol = config.rel_tol / 10, config.abs_tol / 10
+    sample = _sampler(ops)
     rows, stats = _segmented_solve(
-        rhs, x0, times, pulse, config.rel_tol / 10, config.abs_tol / 10, RK45,
-        reduce=_sampler(ops),
+        rhs, x0, times, pulse, rel_tol, abs_tol, RK45,
+        reduce=lambda t, x: _checked(t, sample(t, x), oracle, rel_tol, abs_tol),
     )
     logger.info(
         "exact propagation: N = %d, n_max = %d, %d of %d components, %d steps, %d rhs calls",
         ops.n_molecules, ops.n_max, x0.size, ops.dim ** 2, stats.steps, stats.rhs_calls,
     )
-    return _oracle_result(rows, times, ops, oracle)
-
-
-def _moment_operators(ops: _Operators) -> dict:
-    """Operator O_m for every reported moment, so that moment m = tr(O_m rho)."""
-    n_mol = ops.n_molecules
-    sx_sum, sy_sum, sz_sum = (sum(s) / n_mol for s in (ops.sx, ops.sy, ops.sz))
-    named = {
-        "c_a": ops.a, "c_x": sx_sum, "c_y": sy_sum, "c_z": sz_sum, "c_n": ops.n_op,
-        "c_aa": ops.a @ ops.a,
-        "c_ax": ops.a @ sx_sum, "c_ay": ops.a @ sy_sum, "c_az": ops.a @ sz_sum,
-    }
-    if n_mol >= 2:
-        # symmetrised distinct-molecule pair operators, averaged over pairs
-        pairs = [(i, j) for i in range(n_mol) for j in range(n_mol) if i != j]
-        for name, left, right in (
-            ("c_xx", ops.sx, ops.sx), ("c_yy", ops.sy, ops.sy), ("c_zz", ops.sz, ops.sz),
-            ("c_xy", ops.sx, ops.sy), ("c_xz", ops.sx, ops.sz), ("c_yz", ops.sy, ops.sz),
-        ):
-            named[name] = sum(left[i] @ right[j] for i, j in pairs) / len(pairs)
-    return named
+    return _oracle_result(rows, times, ops)
 
 
 def _sampler(ops: _Operators):
     """``reduce(t, states)``, which ``evolve_exact`` applies to its samples as they are taken.
 
-    It turns the class values x of rho (see ``_Operators``) at the times
-    ``t`` into one row per sample: the moments in ``_moment_operators``
-    order, then the excited population per molecule, the trace, the top
-    Fock population and the smallest eigenvalue.  It raises
-    OracleInvariantError at the first sample whose Hermiticity is off by
-    more than ``HERM_TOL``.
+    It turns the class values of rho at the times ``t`` into one row per
+    sample, the quantities of ``ops.columns`` and then the smallest
+    eigenvalue, and raises OracleInvariantError at the first sample whose
+    Hermiticity is off by more than ``HERM_TOL``.
     """
     nf = ops.n_max + 1
-    # tr(O rho) = vec(O^T) . vec(rho) on the row-major vec, and vec(rho) = W x
-    excited = sum(sp @ sm for sp, sm in zip(ops.sp, ops.sm)) / ops.n_molecules
-    operators = [*_moment_operators(ops).values(), excited, np.eye(ops.dim), ops.top_proj]
-    columns = ops.indicator.T @ np.stack([op.T.ravel() for op in operators], axis=1)
 
     def reduce(t: np.ndarray, states: np.ndarray) -> np.ndarray:
         # each class against the conjugate of its transpose class
@@ -367,38 +350,54 @@ def _sampler(ops: _Operators):
             size = sector.shape[1] * nf
             block = np.tensordot(fock_blocks, sector, axes=(1, 0)).transpose(0, 3, 1, 4, 2)
             min_eig = np.minimum(min_eig, np.linalg.eigvalsh(block.reshape(-1, size, size))[:, 0])
-        return np.column_stack((states @ columns, min_eig))
+        return np.column_stack((states @ ops.columns, min_eig))
 
     return reduce
 
 
-def _oracle_result(rows, times, ops: _Operators, oracle: OracleConfig) -> OracleResult:
-    """The result held in ``_sampler``'s rows, once the run's diagnostics pass their checks."""
-    # pair moments stay NaN for one molecule
-    moments = {name: np.full(times.size, np.nan, dtype=complex) for name in MOMENT_NAMES}
-    moments.update(zip(_moment_operators(ops), rows[:, :-4].T))
-    excited = rows[:, -4].real
-    trace_err = np.abs(rows[:, -3] - 1.0)
-    top_pop = rows[:, -2].real
-    min_eig = rows[:, -1].real
+def _checked(t, rows, oracle: OracleConfig, rel_tol: float, abs_tol: float) -> np.ndarray:
+    """``_sampler``'s ``rows`` at the times ``t``, once each sample's diagnostics pass.
 
-    if np.max(top_pop) >= oracle.top_level_tol:
+    Raises at the first sample whose top Fock population, trace or smallest
+    eigenvalue is out of bounds; the positivity error quotes the
+    propagation's own ``rel_tol`` and ``abs_tol``.
+    """
+    top_pop = rows[:, -2].real
+    trace_err = np.abs(rows[:, -3] - 1.0)
+    min_eig = rows[:, -1].real
+    truncated = top_pop >= oracle.top_level_tol
+    drifted = trace_err > TRACE_TOL
+    bad = np.flatnonzero(truncated | drifted | (min_eig < -POSITIVITY_TOL))
+    if bad.size == 0:
+        return rows
+    i = bad[0]
+    at = f"at t = {t[i]:g} ps"
+    if truncated[i]:
         raise OracleTruncationError(
-            f"top Fock level reached population {np.max(top_pop):.2e} "
+            f"top Fock level reached population {top_pop[i]:.2e} {at} "
             f"(tolerance {oracle.top_level_tol:.0e}); raise n_max"
         )
-    if np.max(trace_err) > TRACE_TOL:
-        raise OracleInvariantError(f"trace drifted by {np.max(trace_err):.2e}")
-    if np.min(min_eig) < -POSITIVITY_TOL:
-        raise OracleInvariantError(f"negative eigenvalue {np.min(min_eig):.2e}")
+    if drifted[i]:
+        raise OracleInvariantError(f"trace drifted by {trace_err[i]:.2e} {at}")
+    raise OracleInvariantError(
+        f"negative eigenvalue {min_eig[i]:.2e} {at} (limit -{POSITIVITY_TOL:.0e}; RK45 ran at "
+        f"rel_tol {rel_tol:.0e} and abs_tol {abs_tol:.0e}, a tenth of solver.rel_tol and "
+        "solver.abs_tol, and tightening solver.rel_tol or solver.abs_tol lowers them)"
+    )
 
+
+def _oracle_result(rows, times, ops: _Operators) -> OracleResult:
+    """The result held in ``_sampler``'s rows."""
+    # pair moments stay NaN for one molecule
+    moments = {name: np.full(times.size, np.nan, dtype=complex) for name in MOMENT_NAMES}
+    moments.update(zip(ops.moment_names, rows[:, :-4].T))
     return OracleResult(
         times_ps=times,
         moments=moments,
-        excited=excited,
-        top_fock_pop=top_pop,
-        trace_error=trace_err,
-        min_eigenvalue=min_eig,
+        excited=rows[:, -4].real,
+        top_fock_pop=rows[:, -2].real,
+        trace_error=np.abs(rows[:, -3] - 1.0),
+        min_eigenvalue=rows[:, -1].real,
         n_molecules=ops.n_molecules,
         n_max=ops.n_max,
     )

@@ -7,8 +7,10 @@ file's bytes (``resolved_config.txt`` included), with ``tests/golden/<case>/``.
 The goldens pin behaviour across refactors: a change that only restructures
 code must leave them untouched.  They are regenerated only when a change
 deliberately moves an output, and that change names the moved number and
-the reason in CHANGES.md.  To regenerate, run ``python tests/test_golden.py``
-from the repository root with ``src`` on ``PYTHONPATH``.
+the reason in CHANGES.md.  To regenerate, run
+``python tests/test_golden.py [case ...]`` from the repository root with
+``src`` on ``PYTHONPATH``: it rewrites the named cases, or every case when
+none is named, so moving one case cannot silently rewrite another.
 """
 
 from __future__ import annotations
@@ -132,8 +134,12 @@ def test_each_moment_configuration_is_integrated_once(name, solves, tmp_path, ca
 if __name__ == "__main__":
     import tempfile
 
+    cases = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case {', '.join(unknown)}; the cases are {', '.join(sorted(CASES))}")
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in cases:
             out = run_case(case, Path(tmp) / case)
             target = GOLDEN_DIR / case
             shutil.rmtree(target, ignore_errors=True)
