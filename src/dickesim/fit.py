@@ -265,31 +265,44 @@ class InnerFit:
     chi2: float
 
 
-def _lattice_chi2(energies, t_model, dt, t_data_ps, w, wd, d, k_lo, k_hi) -> np.ndarray:
-    """chi^2 = sum(w d^2) - sum(w d E)^2 / sum(w E^2) of each member at shifts k dt, k_lo..k_hi.
+def _toeplitz(i, f_at, f_after, n_shifts) -> np.ndarray:
+    """Sample weights ``f_at`` on node rows ``i`` and ``f_after`` on ``i + 1``, column c moved down c rows."""
+    span = int(i.max()) + 2
+    col = np.bincount(i, f_at, span) + np.bincount(i + 1, f_after, span)
+    return linalg.toeplitz(np.r_[col, np.zeros(n_shifts - 1)], np.r_[col[0], np.zeros(n_shifts - 1)])
 
-    A whole-step shift keeps each sample's interpolation weight f, so the two
-    sums are the member rows E, E^2 and E E[+1] times one Toeplitz matrix
-    each.  chi^2 is inf where sum(w E^2) <= 0.
+
+def _lattice_s2(energies, t_model, dt, t_data_ps, w, k_lo, k_hi) -> tuple:
+    """The data-free half of ``_lattice_chi2``: member rows, node rows i, weights f and S2 = sum(w E^2).
+
+    A whole-step shift k dt, k_lo..k_hi, keeps each sample's interpolation
+    weight f, so S2 is the member rows E^2 and E E[+1] times one Toeplitz
+    matrix each; column c of S2 is shift k_lo + c.  The member rows are a
+    view of ``energies`` (members x steps) unless they run past its end.
     """
     u = (t_data_ps - t_model[0]) / dt
     node = np.clip(np.floor(u).astype(int), -k_lo, t_model.size - 1 - k_hi)
     f = np.clip(u - node, 0.0, 1.0)
     i = node - node.min()
-    span, n_shifts = int(i.max()) + 2, k_hi - k_lo + 1
-
-    def toeplitz(at, after):
-        # column c is shift k_lo + c: the node weights moved down by c rows
-        col = np.bincount(i, at, span) + np.bincount(i + 1, after, span)
-        return linalg.toeplitz(np.r_[col, np.zeros(n_shifts - 1)], np.r_[col[0], np.zeros(n_shifts - 1)])
-
+    n_shifts = k_hi - k_lo + 1
     # rows from node min + k_lo on; a row past the grid's end is 0, with weight 0
-    first, rows = int(node.min()) + k_lo, span + n_shifts - 1
-    e = np.stack([energy[first:first + rows + 1] for energy in energies])
-    e = np.pad(e, ((0, 0), (0, rows + 1 - e.shape[1])))
-    s1 = e[:, :-1] @ toeplitz(wd * (1.0 - f), wd * f)
-    s2 = e[:, :-1] ** 2 @ toeplitz(w * (1.0 - f) ** 2, w * f * f)
-    s2 += (e[:, :-1] * e[:, 1:]) @ toeplitz(2.0 * w * f * (1.0 - f), np.zeros_like(f))
+    first, rows = int(node.min()) + k_lo, int(i.max()) + 1 + n_shifts
+    e = np.asarray(energies)[:, first:first + rows + 1]
+    if e.shape[1] <= rows:
+        e = np.pad(e, ((0, 0), (0, rows + 1 - e.shape[1])))
+    s2 = e[:, :-1] ** 2 @ _toeplitz(i, w * (1.0 - f) ** 2, w * f * f, n_shifts)
+    s2 += (e[:, :-1] * e[:, 1:]) @ _toeplitz(i, 2.0 * w * f * (1.0 - f), np.zeros_like(f), n_shifts)
+    return e, i, f, s2
+
+
+def _lattice_chi2(rows, wd, d) -> np.ndarray:
+    """chi^2 = sum(w d^2) - sum(w d E)^2 / sum(w E^2) of each member at each shift of ``_lattice_s2``'s ``rows``.
+
+    S1 = sum(w d E) is the member rows E times one more Toeplitz matrix.
+    chi^2 is inf where sum(w E^2) <= 0.
+    """
+    e, i, f, s2 = rows
+    s1 = e[:, :-1] @ _toeplitz(i, wd * (1.0 - f), wd * f, s2.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(s2 > 0.0, float(wd @ d) - s1 * s1 / s2, np.inf)
 
@@ -366,6 +379,49 @@ def _shift_steps(dataset: ExperimentDataset, t0_range_fs: tuple, dt_ps: float) -
 REFINE_SIZE = 2 ** 12
 
 
+def _grid_step(t_model: np.ndarray) -> float:
+    """The step of a uniform time grid, from its ends."""
+    return (t_model[-1] - t_model[0]) / (t_model.size - 1)
+
+
+class _TableSums:
+    """What ``inner_fits`` computes from the models, the sample times, sigma and the shift range alone.
+
+    That is the check of the models' one uniform grid and of its span, the
+    stacked member energies, the samples' grid positions cut into classes of
+    one phase, and the lattice rows with their S2 sums (``_lattice_s2``).
+    The data-only checks of ``_shift_steps`` run first.
+    """
+
+    def __init__(self, models: list[EnergyTrace], dataset: ExperimentDataset, t0_range_fs: tuple) -> None:
+        t_model = models[0].times_ps
+        self.dt = dt = _grid_step(t_model)
+        self.k_lo, k_hi = _shift_steps(dataset, t0_range_fs, dt)
+        t_data_ps = dataset.times_fs * 1e-3
+        self.lo, self.hi = lo, hi = t0_range_fs[0] * 1e-3, t0_range_fs[1] * 1e-3
+        uniform = np.max(np.abs(t_model - t_model[0] - dt * np.arange(t_model.size))) <= 1e-6 * dt
+        if not uniform or any(not np.array_equal(model.times_ps, t_model) for model in models):
+            raise ValueError("the model traces of one dataset must share one uniform time grid")
+        if t_data_ps[0] + lo < t_model[0] or t_data_ps[-1] + hi > t_model[-1]:
+            raise ValueError(
+                "model trace does not span the dataset over the full shift range: "
+                f"need [{t_data_ps[0] + lo:g}, {t_data_ps[-1] + hi:g}] ps, "
+                f"have [{t_model[0]:g}, {t_model[-1]:g}] ps"
+            )
+        self.shifts = np.clip(dt * np.arange(self.k_lo, k_hi + 1), lo, hi)
+        self.w = 1.0 / dataset.sigma ** 2
+        self.energies = np.stack([m.energy_mev for m in models])
+        self.lattice = _lattice_s2(self.energies, t_model, dt, t_data_ps, self.w, self.k_lo, k_hi)
+        # the samples' grid positions, in falling phi = u mod 1, cut into classes of one phi
+        self.u = u = (t_data_ps - t_model[0]) / dt
+        self.order = order = np.argsort(-(u % 1.0), kind="stable")
+        self.starts = starts = np.r_[0, np.flatnonzero(-np.diff(u[order] % 1.0) > 1e-9) + 1]
+        # the refine's input but w d, which it reads in this order too
+        self.refine = (lo / dt, hi / dt, u[order], starts, self.w[order])
+        size = max(1, REFINE_SIZE // (u.size + 4 * starts.size))  # members per block of the refine
+        self.blocks = [slice(at, at + size) for at in range(0, len(models), size)]
+
+
 def inner_fits(
     models: list[EnergyTrace],
     dataset: ExperimentDataset,
@@ -379,33 +435,23 @@ def inner_fits(
     the exact least chi^2 within a step either side, in blocks of ``REFINE_SIZE`` sample-members,
     taken unless the valley is flat.  Returns per model an ``InnerFit`` or the ValueError of a trace
     without amplitude, the count of lattice shifts and that of the sample classes crossing nodes together.
-    """
-    t_model = models[0].times_ps
-    dt = (t_model[-1] - t_model[0]) / (t_model.size - 1)
-    k_lo, k_hi = _shift_steps(dataset, t0_range_fs, dt)
-    t_data_ps = dataset.times_fs * 1e-3
-    lo, hi = t0_range_fs[0] * 1e-3, t0_range_fs[1] * 1e-3
-    uniform = np.max(np.abs(t_model - t_model[0] - dt * np.arange(t_model.size))) <= 1e-6 * dt
-    if not uniform or any(not np.array_equal(model.times_ps, t_model) for model in models):
-        raise ValueError("the model traces of one dataset must share one uniform time grid")
-    if t_data_ps[0] + lo < t_model[0] or t_data_ps[-1] + hi > t_model[-1]:
-        raise ValueError(
-            "model trace does not span the dataset over the full shift range: "
-            f"need [{t_data_ps[0] + lo:g}, {t_data_ps[-1] + hi:g}] ps, "
-            f"have [{t_model[0]:g}, {t_model[-1]:g}] ps"
-        )
-    shifts = np.clip(dt * np.arange(k_lo, k_hi + 1), lo, hi)
-    d, w = dataset.signal, 1.0 / dataset.sigma ** 2
-    wd = w * d
-    lattice = _lattice_chi2([m.energy_mev for m in models], t_model, dt, t_data_ps, w, wd, d, k_lo, k_hi)
-    dust = 1e-10 * float(wd @ d)  # the lattice form's rounding: about 2e-15 of sum(w d^2)
-    # the samples' grid positions, in falling phi = u mod 1, cut into classes of one phi
-    u = (t_data_ps - t_model[0]) / dt
-    order = np.argsort(-(u % 1.0), kind="stable")
-    starts = np.r_[0, np.flatnonzero(-np.diff(u[order] % 1.0) > 1e-9) + 1]
-    shared = (lo / dt, hi / dt, u[order], starts, w[order], wd[order])  # what every block's refine reads
 
-    energies, nearest = np.stack([m.energy_mev for m in models]), np.abs(shifts)
+    The part that reads no signal (``_TableSums``) is computed afresh on every call; a
+    ``ModelTable`` passed to ``global_fit`` keeps it between calls instead.
+    """
+    return _inner_fits(_TableSums(models, dataset, t0_range_fs), dataset)
+
+
+def _inner_fits(sums: _TableSums, dataset: ExperimentDataset) -> tuple[list, int, int]:
+    """``inner_fits`` of ``dataset``'s signal, given the table-only part ``sums`` of its models."""
+    dt, shifts, w, u = sums.dt, sums.shifts, sums.w, sums.u
+    d = dataset.signal
+    wd = w * d
+    lattice = _lattice_chi2(sums.lattice, wd, d)
+    dust = 1e-10 * float(wd @ d)  # the lattice form's rounding: about 2e-15 of sum(w d^2)
+    shared = (*sums.refine, wd[sums.order])  # what every block's refine reads
+
+    energies, nearest = sums.energies, np.abs(shifts)
     # a row without a finite value has every step near, and fails at the nearest |T_0|
     near = lattice <= lattice.min(axis=1, keepdims=True) + dust
     exact, scales = np.full(lattice.shape, np.inf), np.full(lattice.shape, np.inf)
@@ -414,12 +460,10 @@ def inner_fits(
     failed = np.where(near & ~(exact < np.inf), nearest, np.inf)  # |T_0| of each failing shift
     best = exact.min(axis=1)
     pick = np.where(exact <= best[:, None] * (1.0 + 1e-12), nearest, np.inf).argmin(axis=1)
-    first = k_lo + pick - 1  # the bracket: shifts (first + delta) dt in the range, delta in [0, 2]
-    size = max(1, REFINE_SIZE // (u.size + 4 * starts.size))  # members per block of the refine
-    blocks = [slice(at, at + size) for at in range(0, len(models), size)]
-    delta = np.concatenate([_bracket_minimum(energies[b], first[b], *shared) for b in blocks])
-    refined = np.clip(dt * (first + delta), lo, hi)
-    members = np.arange(len(models))
+    first = sums.k_lo + pick - 1  # the bracket: shifts (first + delta) dt in the range, delta in [0, 2]
+    delta = np.concatenate([_bracket_minimum(energies[b], first[b], *shared) for b in sums.blocks])
+    refined = np.clip(dt * (first + delta), sums.lo, sums.hi)
+    members = np.arange(len(energies))
     chi2, scale = _chi2_rows(energies, members, refined / dt, u, d, w, wd)
     take = chi2 < best * (1.0 - 1e-12)  # else a flat valley: the lattice shift stands
     kept = exact[members, pick], scales[members, pick], shifts[pick]
@@ -428,7 +472,7 @@ def inner_fits(
         fit = InnerFit(scale=float(scale_n), t0_fs=float(shift_n) * 1e3, chi2=float(chi2_n))
         out.append(fit if failed[n].min() == np.inf else ValueError(
             f"model trace has no amplitude over the data at shift {shifts[failed[n].argmin()] * 1e3:g} fs"))
-    return out, shifts.size, starts.size
+    return out, shifts.size, sums.starts.size
 
 
 def inner_fit(
@@ -669,6 +713,67 @@ def _integrate(tasks: dict, labels: list[str], workers: int) -> dict:
     return {key: out[key] for key in tasks}
 
 
+class ModelTable(dict):
+    """Convolved model traces keyed (i_g, i_z, i_m, dataset_index), built for one grid and dataset count.
+
+    Beside the traces it keeps, per dataset index, the part of
+    ``inner_fits`` that reads no signal (``_TableSums``): its checks, the
+    stacked energies, the lattice rows and their S2 sums.  Every
+    ``global_fit`` against the table after the first reuses it, as long as
+    the sample times, sigma, the shift range and every member trace (by
+    identity) are those it was computed from; otherwise it is computed
+    again and replaces the old entry.  Replace a trace (``table[key] =
+    other``), never change its arrays in place: that goes unseen.  A table
+    ``global_fit`` built or wrapped itself keeps nothing, since no later
+    call can read it.
+    """
+
+    def __init__(self, traces: dict, grid: FitGrid, n_datasets: int) -> None:
+        super().__init__(traces)
+        self.grid, self.n_datasets = grid, n_datasets
+        self._sums: dict[int, tuple] = {}  # dataset index -> (members, times, sigma, range, _TableSums)
+
+    def _inner_fits(self, di: int, points: list, dataset: ExperimentDataset, t0_range_fs: tuple, keep: bool):
+        """``inner_fits`` of ``dataset`` against the members ``points`` of dataset ``di``.
+
+        ``keep`` holds the table-only part for the next call.
+        """
+        models = [self[(*p, di)] for p in points]
+        members, times, sigma, t0_range, sums = self._sums.get(di, ([], None, None, None, None))
+        if not (
+            len(members) == len(models) and all(a is b for a, b in zip(members, models))
+            and np.array_equal(times, dataset.times_fs) and np.array_equal(sigma, dataset.sigma)
+            and t0_range == tuple(t0_range_fs)
+        ):
+            self._sums.pop(di, None)  # free the old entry before building its successor
+            sums = _TableSums(models, dataset, t0_range_fs)
+            if keep:
+                key = (models, dataset.times_fs.copy(), dataset.sigma.copy(), tuple(t0_range_fs))
+                self._sums[di] = (*key, sums)
+        return _inner_fits(sums, dataset)
+
+
+def _model_table(traces: dict, grid: FitGrid, n_datasets: int) -> ModelTable:
+    """``traces`` as a ``ModelTable`` of ``grid`` and ``n_datasets``, checked to cover them.
+
+    A plain dict is wrapped in a fresh table; a ``ModelTable`` built for
+    another grid or dataset count is refused.
+    """
+    if not isinstance(traces, ModelTable):
+        traces = ModelTable(traces, grid, n_datasets)
+    elif traces.n_datasets != n_datasets:
+        raise ValueError(f"model table was built for {traces.n_datasets} datasets, not {n_datasets}")
+    elif not all(np.array_equal(getattr(traces.grid, axis), getattr(grid, axis))
+                 for axis in ("g_nev", "gamma0z_mev", "gamma_minus_mev")):
+        raise ValueError("model table was built on another grid")
+    shape = (grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size)
+    for di in range(n_datasets):
+        for p in np.ndindex(shape):
+            if (*p, di) not in traces:
+                raise ValueError(f"model table has no trace for (i_g, i_z, i_m, dataset_index) = {(*p, di)}")
+    return traces
+
+
 def model_traces(
     datasets: list[ExperimentDataset],
     grid: FitGrid,
@@ -678,12 +783,13 @@ def model_traces(
     solver: SolverConfig | None = None,
     t0_range_fs: tuple[float, float] = (-400.0, 400.0),
     workers: int = 1,
-) -> dict:
-    """Convolved model traces for every (grid point, dataset) pair.
+) -> ModelTable:
+    """Convolved model traces for every (grid point, dataset) pair, as a ``ModelTable``.
 
     This is the expensive half of a global fit; computing it once and
     passing it to ``global_fit`` lets many noise realisations reuse the same
-    table.  Keys are (i_g, i_z, i_m, dataset_index).  The traces span
+    table, and the table keeps the part of each refit that reads no signal.
+    Keys are (i_g, i_z, i_m, dataset_index).  The traces span
     ``trace_window``; ``solver`` supplies the closure, tolerances and output
     step, and its own window is ignored.
 
@@ -695,7 +801,7 @@ def model_traces(
     wall time at INFO.
     """
     tasks = _member_tasks(datasets, grid, lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs)
-    return _integrate(tasks, [ds.label for ds in datasets], workers)
+    return ModelTable(_integrate(tasks, [ds.label for ds in datasets], workers), grid, len(datasets))
 
 
 def global_fit(
@@ -714,6 +820,13 @@ def global_fit(
 
     Every dataset must already carry a noise estimate and a label of its
     own, checked with the rest of ``_shift_steps`` before the table.
+    ``traces``, a ``model_traces`` table computed beforehand, must hold
+    every key of ``grid`` and ``datasets`` (a ValueError names the first
+    missing one), and the shift range is checked against its own step.  A
+    ``ModelTable`` must have been built for this grid and dataset count, and
+    keeps the part of the fit that reads no signal for the next call; a
+    plain dict is wrapped in a fresh one that keeps nothing, with the same
+    results.
     ``refine`` runs one extra pass on a four-times-finer grid around
     the coarse minimum; its members on coarse nodes reuse the coarse
     traces instead of integrating them again.  The
@@ -727,9 +840,14 @@ def global_fit(
     """
     if not datasets:
         raise ValueError("need at least one dataset")
+    table = None if traces is None else _model_table(traces, grid, len(datasets))
     labels = [ds.label for ds in datasets]
-    for ds in datasets:
-        _shift_steps(ds, t0_range_fs, (solver or SolverConfig()).output_dt_ps)
+    for di, ds in enumerate(datasets):
+        if table is None:  # the step the table will have
+            step = (solver or SolverConfig()).output_dt_ps
+        else:
+            step = _grid_step(table[(0, 0, 0, di)].times_ps)
+        _shift_steps(ds, t0_range_fs, step)
         if labels.count(ds.label) > 1:
             # labels key the inner fits, the traces and the residual files
             raise DataError(f"dataset label {ds.label!r} is used by {labels.count(ds.label)} datasets")
@@ -737,20 +855,18 @@ def global_fit(
     if k_eff <= 0:
         raise DataError("fewer data points than fit parameters")
 
-    if traces is None:
-        traces = model_traces(
+    if table is None:
+        table = _model_table(model_traces(
             datasets, grid, lifetime_fs,
             pulse_sigma_ps=pulse_sigma_ps, n_ref=n_ref, solver=solver,
             t0_range_fs=t0_range_fs, workers=workers,
-        )
+        ), grid, len(datasets))
 
     start = time.perf_counter()
     shape = (grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size)
     points = list(np.ndindex(shape))
-    runs = [
-        inner_fits([traces[(*p, di)] for p in points], ds, t0_range_fs)
-        for di, ds in enumerate(datasets)
-    ]
+    # only a caller's table can serve another call, so only it keeps the sums
+    runs = [table._inner_fits(di, points, ds, t0_range_fs, table is traces) for di, ds in enumerate(datasets)]
     columns, shifts, classes = zip(*runs)
     chi2_map = np.full(shape, np.inf)
     inner, failed = {}, {}
@@ -790,7 +906,7 @@ def global_fit(
         chi2_reduced_min=float(chi2_map[i, j, k]),
         k_eff=k_eff,
         inner={ds.label: f for ds, f in zip(datasets, fits)},
-        traces={ds.label: traces[(i, j, k, di)] for di, ds in enumerate(datasets)},
+        traces={ds.label: table[(i, j, k, di)] for di, ds in enumerate(datasets)},
         grid=grid,
         chi2_reduced_map=chi2_map,
         argmin=(i, j, k),
@@ -808,7 +924,7 @@ def global_fit(
     coarse_keys = {task: key for key, task in _member_tasks(datasets, grid, *setup).items()}
     fine_tasks = _member_tasks(datasets, fine_grid, *setup)
     fine_traces = {
-        key: traces[coarse_keys[task]] for key, task in fine_tasks.items() if task in coarse_keys
+        key: table[coarse_keys[task]] for key, task in fine_tasks.items() if task in coarse_keys
     }
     fine_traces.update(_integrate(
         {key: task for key, task in fine_tasks.items() if key not in fine_traces},

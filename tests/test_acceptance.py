@@ -273,6 +273,7 @@ def test_criterion_6_fit_self_consistency_monte_carlo():
 
     covered = 0
     chi2s = []
+    refits_start = time.perf_counter()
     for seed in range(100):
         noise = np.random.default_rng(seed).normal(scale=noise_rms, size=times_fs.size)
         # the noise level is known by construction for synthetic data
@@ -287,6 +288,7 @@ def test_criterion_6_fit_self_consistency_monte_carlo():
             for name, value in zip(("g_nev", "gamma0z_mev", "gamma_minus_mev"), truth)
         ):
             covered += 1
+    refits_s = time.perf_counter() - refits_start
     chi2s = np.array(chi2s)
     median = float(np.median(chi2s))
     in_range = int(np.sum((chi2s >= 0.7) & (chi2s <= 1.3)))
@@ -299,7 +301,8 @@ def test_criterion_6_fit_self_consistency_monte_carlo():
     _pass(6, f"100 seeded trials on the 9x9x9 grid: truth inside the joint "
              f"68% intervals in {covered}/100 (need 60), reduced chi^2 "
              f"median {median:.3f} with {in_range}/100 inside [0.7, 1.3]; "
-             f"model table {table_s:.0f} s, total {elapsed:.0f} s")
+             f"model table {table_s:.1f} s, 100 refits {refits_s:.1f} s "
+             f"({refits_s * 10:.0f} ms each), total {elapsed:.0f} s")
 
 
 def test_criterion_7_published_value_reproduction():

@@ -20,6 +20,7 @@ from dickesim.fit import (
     ExperimentDataset,
     FitGrid,
     LABEL_INFO,
+    ModelTable,
     confidence_intervals,
     estimate_noise,
     global_fit,
@@ -31,7 +32,7 @@ from dickesim.fit import (
     residuals,
 )
 from dickesim.cumulant import simulate_energy
-from dickesim.fit import QUIET_SPAN_FS, REFINE_SIZE, _lattice_chi2, _member_tasks, _window_sigma
+from dickesim.fit import QUIET_SPAN_FS, REFINE_SIZE, _lattice_chi2, _lattice_s2, _member_tasks, _window_sigma
 from dickesim.model import ModelParams, PulseParams, drive_amplitude_from_photon_ratio
 from dickesim.observables import EnergyTrace, convolve_response
 
@@ -436,7 +437,7 @@ class TestShiftLattice:
         d = np.interp(t_data + 0.013, t_model, base) / 1.3 + rng.normal(scale=2.0, size=n)
         w = 1.0 / rng.uniform(0.5, 2.0, size=n) ** 2
         step = (t_model[-1] - t_model[0]) / (t_model.size - 1)
-        lattice = _lattice_chi2(energies, t_model, step, t_data, w, w * d, d, k_lo, k_hi)
+        lattice = _lattice_chi2(_lattice_s2(energies, t_model, step, t_data, w, k_lo, k_hi), w * d, d)
         direct = [
             [direct_chi2(k * step, t_data, d, w, t_model, e) for k in range(k_lo, k_hi + 1)] for e in energies
         ]
@@ -847,6 +848,140 @@ class TestGlobalFit:
             global_fit([bare], grid, lifetime_fs=120.0)
         with pytest.raises(ValueError, match="at least one"):
             global_fit([], grid, lifetime_fs=120.0)
+
+    def test_a_table_is_checked_against_its_own_step(self):
+        # a 1 fs table holds the one whole step of (0.5, 1.5) fs; the default 2 fs step holds none
+        ds, grid = synthetic_problem(known_sigma=True)
+        point = FitGrid(grid.g_nev[1:2], grid.gamma0z_mev[1:2], grid.gamma_minus_mev[1:2])
+        t0_range_fs = (0.5, 1.5)
+        table = model_traces(
+            [ds], point, 120.0, solver=SolverConfig(output_dt_ps=0.001), t0_range_fs=t0_range_fs
+        )
+        with pytest.warns(UserWarning, match="boundary"):
+            result = global_fit([ds], point, 120.0, t0_range_fs=t0_range_fs, traces=table)
+        (alone,), _, _ = inner_fits([table[(0, 0, 0, 0)]], ds, t0_range_fs)
+        assert result.inner["A2"] == alone
+        assert 0.5 <= alone.t0_fs <= 1.5
+        with pytest.raises(ValueError, match="no whole model step of 2 fs"):
+            global_fit([ds], point, 120.0, t0_range_fs=t0_range_fs)
+
+
+@pytest.fixture(scope="module")
+def mc_problem():
+    """The synthetic A2 problem and its 27 model traces as a plain dict."""
+    ds, grid = synthetic_problem(known_sigma=True)
+    return ds, grid, dict(model_traces([ds], grid, lifetime_fs=120.0))
+
+
+def noise_draw(ds, seed, noise_rms=0.02):
+    """``ds`` with one more seeded noise realisation and its known noise level."""
+    noise = np.random.default_rng(seed).normal(scale=noise_rms, size=ds.n_points)
+    return replace(ds, signal=ds.signal + noise, sigma=np.full(ds.n_points, noise_rms))
+
+
+def assert_same_fit(a, b):
+    np.testing.assert_array_equal(a.chi2_reduced_map, b.chi2_reduced_map)
+    assert a.inner == b.inner
+    assert a.confidence == b.confidence
+    assert a.argmin == b.argmin
+
+
+@pytest.fixture
+def count_sums(monkeypatch):
+    """Counts the computations of the table-only part of ``inner_fits``."""
+    made = []
+    build = fit_module._TableSums
+
+    def counting(*args):
+        made.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fit_module, "_TableSums", counting)
+    return made
+
+
+@pytest.mark.filterwarnings("ignore:68% region")
+class TestModelTable:
+    """Refits against one ``ModelTable`` keep the part of ``inner_fits`` that reads no signal."""
+
+    def test_refits_equal_refits_against_a_plain_dict(self, mc_problem, count_sums):
+        ds, grid, traces = mc_problem
+        table = ModelTable(traces, grid, 1)
+        for seed in range(20):
+            draw = noise_draw(ds, seed)
+            assert_same_fit(
+                global_fit([draw], grid, lifetime_fs=120.0, traces=table),
+                global_fit([draw], grid, lifetime_fs=120.0, traces=dict(table)),
+            )
+        # once for the table, once for every plain dict
+        assert len(count_sums) == 1 + 20
+
+    @pytest.mark.parametrize("change", ["sigma", "sigma-in-place", "times", "shift-range", "member"])
+    def test_a_change_recomputes_the_table_part(self, mc_problem, count_sums, change):
+        ds, grid, traces = mc_problem
+        table = ModelTable(traces, grid, 1)
+        draw, t0_range_fs = noise_draw(ds, 0), (-400.0, 400.0)
+        global_fit([draw], grid, lifetime_fs=120.0, traces=table)
+        global_fit([draw], grid, lifetime_fs=120.0, traces=table)
+        assert len(count_sums) == 1
+        if change == "sigma":
+            draw = replace(draw, sigma=1.5 * draw.sigma)
+        elif change == "sigma-in-place":
+            draw.sigma[::2] *= 1.5
+        elif change == "times":
+            draw = replace(draw, times_fs=draw.times_fs + 1.0)
+        elif change == "shift-range":
+            t0_range_fs = (-300.0, 300.0)
+        else:
+            trace = table[(1, 1, 1, 0)]
+            table[(1, 1, 1, 0)] = EnergyTrace(trace.times_ps, 1.01 * trace.energy_mev)
+        kept = global_fit([draw], grid, lifetime_fs=120.0, t0_range_fs=t0_range_fs, traces=table)
+        assert len(count_sums) == 2
+        fresh = ModelTable(dict(table), grid, 1)
+        assert_same_fit(kept, global_fit([draw], grid, lifetime_fs=120.0, t0_range_fs=t0_range_fs, traces=fresh))
+
+    def test_a_table_the_fit_built_itself_keeps_nothing(self, mc_problem, monkeypatch):
+        ds, grid, traces = mc_problem
+        built = ModelTable(traces, grid, 1)
+        monkeypatch.setattr(fit_module, "model_traces", lambda *args, **kwargs: built)
+        global_fit([noise_draw(ds, 2)], grid, lifetime_fs=120.0)
+        assert built._sums == {}
+
+    def test_changing_sigma_does_not_grow_the_table(self, mc_problem):
+        ds, grid, traces = mc_problem
+        table = ModelTable(traces, grid, 1)
+        draw = noise_draw(ds, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            global_fit([draw], grid, lifetime_fs=120.0, traces=table)
+            one = tracemalloc.get_traced_memory()[0] - before
+            for factor in np.linspace(1.1, 2.0, 10):
+                global_fit([replace(draw, sigma=factor * draw.sigma)], grid, lifetime_fs=120.0, traces=table)
+            grown = tracemalloc.get_traced_memory()[0] - before - one
+        finally:
+            tracemalloc.stop()
+        # the held part, about 0.5 MB: 27 stacked traces of about 2,000 steps and their S2 sums
+        assert one > 4e5
+        assert grown < one / 2
+        assert len(table._sums) == 1
+
+    def test_a_table_missing_a_member_names_it(self, mc_problem):
+        ds, grid, traces = mc_problem
+        wider = replace(grid, gamma_minus_mev=0.0141 * 1.3 ** np.arange(-1.0, 4.0))
+        with pytest.raises(ValueError, match=r"dataset_index\) = \(0, 0, 3, 0\)"):
+            global_fit([ds], wider, lifetime_fs=120.0, traces=traces)
+
+    def test_a_table_of_another_grid_or_dataset_count_is_refused(self, mc_problem):
+        ds, grid, traces = mc_problem
+        table = ModelTable(traces, grid, 1)
+        with pytest.raises(ValueError, match="built on another grid"):
+            global_fit([ds], replace(grid, g_nev=1.1 * grid.g_nev), lifetime_fs=120.0, traces=table)
+        with pytest.raises(ValueError, match="built for 1 datasets, not 2"):
+            global_fit([ds, replace(ds, label="A3")], grid, lifetime_fs=120.0, traces=table)
+        # the same table, as a plain dict, serves the other grid's keys
+        other = global_fit([ds], replace(grid, g_nev=1.3 * grid.g_nev), lifetime_fs=120.0, traces=dict(table))
+        assert np.isfinite(other.chi2_reduced_min)
 
 
 class TestSyntheticDataset:
