@@ -108,6 +108,11 @@ class ExperimentDataset:
             raise ValueError(f"photon_ratio must be non-negative, got {self.photon_ratio}")
         object.__setattr__(self, "times_fs", t)
         object.__setattr__(self, "signal", d)
+        if self.sigma is not None:
+            s = np.asarray(self.sigma, dtype=float)
+            if s.shape != t.shape or not np.all((s > 0) & (s < np.inf)):
+                raise ValueError("sigma must be finite and positive, one value per sample")
+            object.__setattr__(self, "sigma", s)
 
     @property
     def n_points(self) -> int:

@@ -1,9 +1,9 @@
 """Exact Lindblad propagation for few-molecule sanity checks.
 
 Density-matrix evolution of the same driven, lossy model the cumulant
-solver approximates, restricted to ensembles small enough (up to three
-molecules, Hilbert dimension at most 64) that nothing needs truncating except
-the Fock ladder.  Used to validate the moment equations, never for
+solver approximates, restricted to ensembles small enough (at most
+``MAX_CLASS_VALUES`` class values, below) that nothing needs truncating
+except the Fock ladder.  Used to validate the moment equations, never for
 production-size ensembles.
 
 The molecules are identical and start in the same state, so rho(t)
@@ -46,8 +46,9 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-MAX_DIM = 64
-MAX_MOLECULES = 3
+# the class values C(N + 3, 3) (n_max + 1)^2 stepped, and the RK45 steps estimated before stepping
+MAX_CLASS_VALUES = 8192
+MAX_STEPS = 1e6
 
 # the drift allowed in the trace, Hermiticity and positivity
 TRACE_TOL = 1e-7
@@ -114,20 +115,19 @@ class _Operators:
 
     On total spin j, rho acts as one block rho_j per copy of the spin-j
     multiplet, so its spectrum is the union of the blocks' spectra.
-    ``sectors`` holds for each j the (spin classes, 2j + 1, 2j + 1) array C
-    with rho_j = sum_k kron(C_k, X_k), X_k the nf x nf Fock block of the
-    class values of spin class k.
+    ``sectors`` holds for each j, N/2 first, the (spin classes, 2j + 1,
+    2j + 1) array C with rho_j = sum_k kron(C_k, X_k), X_k the nf x nf Fock
+    block of spin class k, on the copy of N/2 - j singlet pairs times the
+    Dicke states of the other 2j molecules (Chase & Geremia, PRA 78, 052101).
     """
 
     def __init__(self, n_molecules: int, n_max: int):
-        dim = (2 ** n_molecules) * (n_max + 1)
-        if dim > MAX_DIM:
-            raise ValueError(
-                f"Hilbert dimension {dim} exceeds {MAX_DIM}; lower n_max or the molecule count"
-            )
+        size = math.comb(n_molecules + 3, 3) * (n_max + 1) ** 2
+        if size > MAX_CLASS_VALUES:
+            raise ValueError(f"{size} class values exceed {MAX_CLASS_VALUES}; lower n_max or the molecule count")
         self.n_molecules = n_molecules
         self.n_max = n_max
-        self.dim = dim
+        self.dim = (2 ** n_molecules) * (n_max + 1)
 
         n = n_molecules
         nf = n_max + 1
@@ -188,30 +188,23 @@ class _Operators:
         top = row(spin_id, np.diag(np.arange(nf) == n_max))
         self.columns = np.stack([*named.values(), excited, row(spin_id, one), top], axis=1)
 
-        # S_12, the first pair's spin, commutes with the total spin S and, for
-        # N <= 3, splits each multiplicity space into single copies of the
-        # multiplet, so every level of S^2 + S_12^2 / 10 is one copy
-        def on_spins(op: np.ndarray, j: int) -> np.ndarray:
-            return np.kron(np.kron(np.eye(2 ** j), op), np.eye(2 ** (n - 1 - j)))
-
-        def spin_squared(molecules) -> np.ndarray:
-            total = [sum(on_spins(p, j) for j in molecules) / 2 for p in (sx, sy, sz)]
-            return sum(s @ s for s in total).real
-
-        # molecule j's state 2 ket + bra in each spin pair, molecule 0 the leading bit
-        bits = (np.arange(2 ** n)[:, None] >> np.arange(n)[::-1]) & 1
-        kinds = 2 * bits[:, None, :] + bits[None, :, :]
-        spin_class = np.array(
-            [[self._index[tuple(np.bincount(pair, minlength=4))] for pair in ket] for ket in kinds]
-        )
-        total = spin_squared(range(n))
-        values, vectors = np.linalg.eigh(total + 0.1 * spin_squared(range(min(n, 2))))
-        spins = np.einsum("sa,st,ta->a", vectors, total, vectors).round(6)  # j(j + 1)
-        in_class = np.stack([spin_class == k for k in range(len(self.counts))]).astype(float)
+        # k singlet pairs, p of them in (uu, dd) with weight 1 and k - p in
+        # (ud, du) with weight -1, leave the counts ``rest`` to the 2j = m
+        # other molecules; Dicke states with u and v of them up (ket, bra)
+        # hold m! / prod(rest!) arrangements, each of weight 1 / sqrt(C(m, u) C(m, v))
         self.sectors = []
-        for spin in np.unique(spins):
-            copy = vectors[:, np.isclose(values, values[spins == spin][0])]
-            self.sectors.append(np.einsum("sa,kst,tb->kab", copy, in_class, copy))
+        for k in range(n // 2 + 1):
+            m = n - 2 * k
+            sector = np.zeros((len(counts), m + 1, m + 1))
+            for block, (uu, ud, du, dd) in zip(sector, counts):
+                for p in range(k + 1):
+                    rest = (uu - p, ud - k + p, du - k + p, dd - p)
+                    if min(rest) >= 0:
+                        u, v = rest[0] + rest[1], rest[0] + rest[2]
+                        arrangements = math.factorial(m) // math.prod(map(math.factorial, rest))
+                        weight = (-1) ** (k - p) * math.comb(k, p) * arrangements
+                        block[u, v] += weight / math.sqrt(math.comb(m, u) * math.comb(m, v))
+            self.sectors.append(sector)
 
     def lift(self, local: np.ndarray) -> sparse.csr_matrix:
         """Sum over the molecules of the 4 x 4 map ``local`` on b = 2 ket + bra, on the spin classes.
@@ -257,16 +250,6 @@ class OracleResult:
         return omega_a_mev * self.excited
 
 
-def _molecule_count(params: ModelParams) -> int:
-    n = params.n_molecules
-    n_int = int(round(n))
-    if abs(n - n_int) > 1e-9 or not (1 <= n_int <= MAX_MOLECULES):
-        raise ValueError(
-            f"exact propagation needs an integer molecule count in 1..{MAX_MOLECULES}, got {n}"
-        )
-    return n_int
-
-
 def _drift(params: ModelParams, ops: _Operators) -> sparse.csr_matrix:
     """The undriven generator on the class values in 1/ps: each term of ``ops.drift`` times its rate.
 
@@ -288,14 +271,20 @@ def evolve_exact(
 ) -> OracleResult:
     """Propagate the exact master equation and report cumulant-style moments.
 
-    Raises OracleTruncationError at the first sample whose top Fock level
-    holds more than ``oracle.top_level_tol`` (the ladder was too short) and
+    Raises ValueError before stepping when RK45 would take more than
+    ``MAX_STEPS`` steps (it is stable at steps up to about 3.3 / rate, with
+    rate the generator's largest absolute row sum), OracleTruncationError at
+    the first sample whose top Fock level holds more than
+    ``oracle.top_level_tol`` (the ladder was too short) and
     OracleInvariantError at the first whose trace, Hermiticity or positivity
     drift beyond their tolerances.
     """
     if oracle is None:
         oracle = OracleConfig()
-    ops = _operators(_molecule_count(params), oracle.n_max)
+    n = int(round(params.n_molecules))
+    if abs(params.n_molecules - n) > 1e-9 or n < 1:
+        raise ValueError(f"exact propagation needs a positive integer molecule count, got {params.n_molecules}")
+    ops = _operators(n, oracle.n_max)
     drift, drive = _drift(params, ops), ops.drive
     amp, t0, inv_sig = pulse_shape(pulse)
 
@@ -309,8 +298,13 @@ def evolve_exact(
 
     x0 = ops.ground_state(oracle.initial_photons)
     times = output_grid(config)
-    # the density matrix is complex, which scipy's LSODA does not accept; the
-    # reference runs ten times tighter than the closures it checks
+    window = times[-1] - times[0]
+    rate = abs(drift).sum(axis=1).max() + amp * abs(drive).sum(axis=1).max()
+    if (steps := window * rate / 3.3) > MAX_STEPS:
+        raise ValueError(
+            f"the exact propagation would take about {steps:.1e} RK45 steps (limit {MAX_STEPS:.0e}): "
+            f"the generator's rates reach {rate:.2e}/ps over {window:g} ps"
+        )
     rel_tol, abs_tol = config.rel_tol / 10, config.abs_tol / 10
     sample = _sampler(ops)
     rows, stats = _segmented_solve(

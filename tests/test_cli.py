@@ -262,12 +262,15 @@ class TestExitCodes:
             ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 1\nfit.t0_range_fs = 400, -400\n",
              "t0 range must have positive width"),
             ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 2.5"),
-             "exact propagation needs an integer molecule count in 1..3, got 2.5"),
-            ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 3") + "oracle.n_max = 8\n",
-             "Hilbert dimension 72 exceeds 64"),
+             "exact propagation needs a positive integer molecule count, got 2.5"),
+            ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 3") + "oracle.n_max = 20\n",
+             "8820 class values exceed 8192"),
+            # at the default N_ref of 8.08e10, gamma_z = gamma0z N_ref / N is 4.5e10 meV
+            ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 3") + "oracle.n_max = 7\n",
+             "the exact propagation would take about 5.0e+11 RK45 steps (limit 1e+06)"),
         ],
         ids=["oracle-n-max", "fit-grid-points", "fit-t0-range-without-a-step", "fit-three-numbers",
-             "fit-inverted-t0-range", "oracle-fractional-n", "oracle-hilbert-dimension"],
+             "fit-inverted-t0-range", "oracle-fractional-n", "oracle-hilbert-dimension", "oracle-stiff"],
     )
     def test_bad_command_configuration_exits_2(self, tmp_path, capsys, command, cfg_text, message):
         cfg = write_cfg(tmp_path, cfg_text)

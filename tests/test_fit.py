@@ -325,6 +325,25 @@ def dense_scan_minimum(model, ds, t0_range_fs=(-400.0, 400.0)):
     return min(direct_chi2(s, *args) for s in dense)
 
 
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda s: np.where(np.arange(s.size) == 3, np.nan, s),
+        lambda s: np.where(np.arange(s.size) == 3, np.inf, s),
+        lambda s: -s,
+        lambda s: np.where(np.arange(s.size) == 3, 0.0, s),
+        lambda s: s[:-1],
+        lambda s: np.tile(s, (2, 1)),
+    ],
+    ids=["nan", "inf", "negative", "zero", "short", "two-d"],
+)
+def test_sigma_must_be_finite_and_positive_per_sample(spoil):
+    times_fs = np.arange(-100.0, 100.0, 10.0)
+    ds = dataset_from_model(smooth_model(), times_fs, 1.0, 0.0)
+    with pytest.raises(ValueError, match="sigma must be finite and positive, one value per sample"):
+        replace(ds, sigma=spoil(ds.sigma))
+
+
 class TestInnerFit:
     def test_recovers_scale_and_shift_exactly_on_clean_data(self):
         model = smooth_model()
