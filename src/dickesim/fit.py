@@ -332,20 +332,37 @@ def _chi2_rows(energies, rows, steps, u, d, w, wd) -> tuple[np.ndarray, np.ndarr
     return chi2, scale
 
 
-def _bracket_minimum(energies, first, lo, hi, u, starts, w, wd) -> np.ndarray:
+def _bracket_minimum(energies, first, wd, lo, hi, nodes, phases, starts, w, sizes) -> np.ndarray:
     """The delta in [0, 2] giving each member its least chi^2 at a shift of first + delta steps in [lo, hi].
 
     Sample i, at grid position u_i + first + delta, crosses nodes at delta = 1 - phi_i and 2 - phi_i,
-    phi_i = u_i mod 1; ``starts`` opens each class of one phi, in falling phi.  Between crossings
+    phi_i = u_i mod 1.  The samples come in falling phi; ``starts`` opens each class of one phi,
+    ``phases`` holds the classes' phi and ``nodes`` each sample's floor(u_i) + 0..3.  Between crossings
     S1 = sum(w d E) = alpha + beta delta and S2 = sum(w E^2) = gamma + 2 zeta delta + eta delta^2, so
     chi^2 = sum(w d^2) - S1^2/S2 is least at an end or at (alpha zeta - beta gamma) / (beta zeta - alpha eta).
+    The per-sample class sums run over blocks of ``sizes[0]`` members, the piecewise solve over
+    blocks of ``sizes[1]``, a whole number of the first.
     """
-    node, phi = np.divmod(u, 1.0)
-    at = np.clip(first[:, None] + node.astype(int) + np.arange(4)[:, None, None], 0, energies.shape[1] - 1)
+    delta = np.empty(first.size)
+    for at in range(0, first.size, sizes[1]):
+        part = slice(at, at + sizes[1])
+        blocks = [slice(b, b + sizes[0]) for b in range(at, min(at + sizes[1], first.size), sizes[0])]
+        sums = zip(*(_class_sums(energies[b], first[b], nodes, starts, w, wd) for b in blocks))
+        delta[part] = _piecewise_argmax(*(np.concatenate(x, axis=1) for x in sums), phases, first[part], lo, hi)
+    return delta
+
+
+def _class_sums(energies, first, nodes, starts, w, wd) -> list:
+    """sum(w d E), sum(w E^2) at nodes first + floor(u) + 0..3 and sum(w E E[+1]) at 0..2, per member and class."""
+    at = np.clip(first[:, None] + nodes[:, None], 0, energies.shape[1] - 1)
     e = energies.ravel()[at + energies.shape[1] * np.arange(first.size)[:, None]]  # [node, member, sample]
-    de, ee, en = (np.add.reduceat(x, starts, axis=-1) if starts.size < u.size else x
-                  for x in (wd * e, w * e * e, w * e[:-1] * e[1:]))
-    c = phi[starts] - np.arange(3)[:, None, None]  # in cell m, p = (1 - c) e_m + c e_m+1, q = e_m+1 - e_m
+    return [np.add.reduceat(x, starts, axis=-1) if starts.size < w.size else x
+            for x in (wd * e, w * e * e, w * e[:-1] * e[1:])]
+
+
+def _piecewise_argmax(de, ee, en, phases, first, lo, hi) -> np.ndarray:
+    """``_bracket_minimum`` of the members whose ``_class_sums`` are ``de``, ``ee`` and ``en``."""
+    c = phases - np.arange(3)[:, None, None]  # in cell m, p = (1 - c) e_m + c e_m+1, q = e_m+1 - e_m
     a = 1.0 - c
     cells = np.stack([  # sum w d p, w d q, w p^2, w p q and w q^2 of each class in each cell
         a * de[:-1] + c * de[1:], de[1:] - de[:-1], a * a * ee[:-1] + 2.0 * a * c * en + c * c * ee[1:],
@@ -353,7 +370,7 @@ def _bracket_minimum(energies, first, lo, hi, u, starts, w, wd) -> np.ndarray:
     ])
     moves = [cells[:, 0].sum(axis=-1, keepdims=True), cells[:, 1] - cells[:, 0], cells[:, 2] - cells[:, 1]]
     alpha, beta, gamma, zeta, eta = np.cumsum(np.concatenate(moves, axis=-1), axis=-1)[..., None]
-    ends = np.r_[0.0, 1.0 - phi[starts], 2.0 - phi[starts], 2.0]
+    ends = np.r_[0.0, 1.0 - phases, 2.0 - phases, 2.0]
     left = np.maximum(ends[:-1], lo - first[:, None])[..., None]
     right = np.minimum(ends[1:], hi - first[:, None])[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -379,8 +396,10 @@ def _shift_steps(dataset: ExperimentDataset, t0_range_fs: tuple, dt_ps: float) -
     return k_lo, k_hi
 
 
-# sample-members per refine block, a crossing class counting four: against 27 members of 776 samples,
-# blocks of 5, 10 and 27 took 4.4, 4.5 and 4.8 ms; 10 raised a five-label fit's peak RSS by 0.7 MB, 5 by 0.2
+# sample-members per block of the refine's class sums, a crossing class counting four; its piecewise
+# solve takes samples/classes of those blocks at once, so its (members x classes) arrays stay within it
+# too.  Refits of fit_mc's 27 members (776 samples, two classes) took 1.17, 1.04, 0.94, 1.33 and 1.28 ms
+# at 2**10 to 2**14, and peaked at 0.84 MB up to 2**12, at 1.5 MB at 2**13 and at 2.5 MB at 2**14
 REFINE_SIZE = 2 ** 12
 
 
@@ -421,10 +440,13 @@ class _TableSums:
         self.u = u = (t_data_ps - t_model[0]) / dt
         self.order = order = np.argsort(-(u % 1.0), kind="stable")
         self.starts = starts = np.r_[0, np.flatnonzero(-np.diff(u[order] % 1.0) > 1e-9) + 1]
-        # the refine's input but w d, which it reads in this order too
-        self.refine = (lo / dt, hi / dt, u[order], starts, self.w[order])
-        size = max(1, REFINE_SIZE // (u.size + 4 * starts.size))  # members per block of the refine
-        self.blocks = [slice(at, at + size) for at in range(0, len(models), size)]
+        # the refine's input but w d, which it reads in this order too: each sample's nodes floor(u) + 0..3,
+        # the classes' phi, the weights and the members per block of its class sums and of its solve
+        node, phi = np.divmod(u[order], 1.0)
+        nodes = node.astype(int) + np.arange(4)[:, None]
+        sum_size = max(1, REFINE_SIZE // (u.size + 4 * starts.size))
+        solve_size = sum_size * (u.size // starts.size)
+        self.refine = (lo / dt, hi / dt, nodes, phi[starts], starts, self.w[order], (sum_size, solve_size))
 
 
 def inner_fits(
@@ -437,9 +459,12 @@ def inner_fits(
     At fixed shift chi^2 = sum w (d - a E)^2 is least at a = 1/S = sum(w d E) / sum(w E^2).
     ``_lattice_chi2`` takes it at every whole step of the models' one uniform grid; the near-least
     steps are evaluated directly, ties going to the smaller |T_0|, and ``_bracket_minimum`` finds
-    the exact least chi^2 within a step either side, in blocks of ``REFINE_SIZE`` sample-members,
-    taken unless the valley is flat.  Returns per model an ``InnerFit`` or the ValueError of a trace
-    without amplitude, the count of lattice shifts and that of the sample classes crossing nodes together.
+    the exact least chi^2 within a step either side, taken unless the valley is flat.  It sums the
+    samples by phase class in blocks of ``REFINE_SIZE`` sample-members and solves on those sums in
+    blocks of ``REFINE_SIZE`` class-members: a few thousand members when the samples fall in one or
+    two classes, one block of the sums when each sample is its own class.  Returns per model an
+    ``InnerFit`` or the ValueError of a trace without amplitude, the count of lattice shifts and that
+    of the sample classes crossing nodes together.
 
     The part that reads no signal (``_TableSums``) is computed afresh on every call; a
     ``ModelTable`` passed to ``global_fit`` keeps it between calls instead.
@@ -454,7 +479,6 @@ def _inner_fits(sums: _TableSums, dataset: ExperimentDataset) -> tuple[list, int
     wd = w * d
     lattice = _lattice_chi2(sums.lattice, wd, d)
     dust = 1e-10 * float(wd @ d)  # the lattice form's rounding: about 2e-15 of sum(w d^2)
-    shared = (*sums.refine, wd[sums.order])  # what every block's refine reads
 
     energies, nearest = sums.energies, np.abs(shifts)
     # a row without a finite value has every step near, and fails at the nearest |T_0|
@@ -466,7 +490,7 @@ def _inner_fits(sums: _TableSums, dataset: ExperimentDataset) -> tuple[list, int
     best = exact.min(axis=1)
     pick = np.where(exact <= best[:, None] * (1.0 + 1e-12), nearest, np.inf).argmin(axis=1)
     first = sums.k_lo + pick - 1  # the bracket: shifts (first + delta) dt in the range, delta in [0, 2]
-    delta = np.concatenate([_bracket_minimum(energies[b], first[b], *shared) for b in sums.blocks])
+    delta = _bracket_minimum(energies, first, wd[sums.order], *sums.refine)
     refined = np.clip(dt * (first + delta), sums.lo, sums.hi)
     members = np.arange(len(energies))
     chi2, scale = _chi2_rows(energies, members, refined / dt, u, d, w, wd)

@@ -122,9 +122,18 @@ class _Operators:
     """
 
     def __init__(self, n_molecules: int, n_max: int):
-        size = math.comb(n_molecules + 3, 3) * (n_max + 1) ** 2
-        if size > MAX_CLASS_VALUES:
-            raise ValueError(f"{size} class values exceed {MAX_CLASS_VALUES}; lower n_max or the molecule count")
+        def size(n: int) -> int:
+            return math.comb(n + 3, 3) * (n_max + 1) ** 2
+
+        if size(n_molecules) > MAX_CLASS_VALUES:
+            largest = 0
+            while size(largest + 1) <= MAX_CLASS_VALUES:
+                largest += 1
+            admits = f"N <= {largest}" if largest else "no N"
+            raise ValueError(
+                f"N = {n_molecules:g} at n_max = {n_max} exceeds the cap of {MAX_CLASS_VALUES} class values, "
+                f"C(N + 3, 3) (n_max + 1)^2, which admits {admits} at n_max = {n_max}; lower N or n_max"
+            )
         self.n_molecules = n_molecules
         self.n_max = n_max
         self.dim = (2 ** n_molecules) * (n_max + 1)

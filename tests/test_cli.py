@@ -264,13 +264,19 @@ class TestExitCodes:
             ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 2.5"),
              "exact propagation needs a positive integer molecule count, got 2.5"),
             ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 3") + "oracle.n_max = 20\n",
-             "8820 class values exceed 8192"),
+             "N = 3 at n_max = 20 exceeds the cap of 8192 class values, C(N + 3, 3) (n_max + 1)^2, "
+             "which admits N <= 2 at n_max = 20; lower N or n_max"),
+            # the bundled A1 configuration as it stands, at the default n_max of 8
+            ("oracle-check", A1_CFG,
+             "N = 1.62e+11 at n_max = 8 exceeds the cap of 8192 class values, C(N + 3, 3) (n_max + 1)^2, "
+             "which admits N <= 6 at n_max = 8; lower N or n_max"),
             # at the default N_ref of 8.08e10, gamma_z = gamma0z N_ref / N is 4.5e10 meV
             ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 3") + "oracle.n_max = 7\n",
              "the exact propagation would take about 5.0e+11 RK45 steps (limit 1e+06)"),
         ],
         ids=["oracle-n-max", "fit-grid-points", "fit-t0-range-without-a-step", "fit-three-numbers",
-             "fit-inverted-t0-range", "oracle-fractional-n", "oracle-hilbert-dimension", "oracle-stiff"],
+             "fit-inverted-t0-range", "oracle-fractional-n", "oracle-hilbert-dimension", "oracle-a1-molecule-count",
+             "oracle-stiff"],
     )
     def test_bad_command_configuration_exits_2(self, tmp_path, capsys, command, cfg_text, message):
         cfg = write_cfg(tmp_path, cfg_text)

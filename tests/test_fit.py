@@ -32,7 +32,7 @@ from dickesim.fit import (
     residuals,
 )
 from dickesim.cumulant import simulate_energy
-from dickesim.fit import QUIET_SPAN_FS, REFINE_SIZE, _lattice_chi2, _lattice_s2, _member_tasks, _window_sigma
+from dickesim.fit import QUIET_SPAN_FS, _lattice_chi2, _lattice_s2, _member_tasks, _window_sigma
 from dickesim.model import ModelParams, PulseParams, drive_amplitude_from_photon_ratio
 from dickesim.observables import EnergyTrace, convolve_response
 
@@ -492,17 +492,52 @@ class TestBracketRefine:
         assert fit.chi2 < 1e-15
         assert fit.scale == pytest.approx(1.25, rel=1e-12)
 
-    def test_each_member_gets_what_it_gets_alone(self):
+    @pytest.mark.parametrize(
+        "sampling, blocks", [("offset-3fs", (3, 801)), ("jittered", (2, 2))], ids=["offset-3fs", "jittered"]
+    )
+    def test_each_member_gets_what_it_gets_alone(self, sampling, blocks, monkeypatch):
         base = smooth_model()
-        ds = noisy_dataset(base, np.arange(-400.0, 1200.0, 3.0) + 0.7, 1.25, 30.37, noise=0.5, seed=2)
-        # enough members for several blocks of the refine
+        times_fs = {
+            "offset-3fs": np.arange(-400.0, 1200.0, 3.0) + 0.7,
+            "jittered": np.arange(-400.0, 1200.0, 8.0) + np.random.default_rng(11).uniform(-0.9, 0.9, 200),
+        }[sampling]
+        ds = noisy_dataset(base, times_fs, 1.25, 30.37, noise=0.5, seed=2)
+        # blocks of 2**11 sample-members for the class sums; the solve takes samples/classes of them
+        # at once: 534 // 2 for the two classes of offset-3fs, one when each sample is its own class
+        monkeypatch.setattr(fit_module, "REFINE_SIZE", 2 ** 11)
+        sum_size, solve_size = fit_module._TableSums([base], ds, (-400.0, 400.0)).refine[-1]
+        assert (sum_size, solve_size) == blocks
+        # a whole block of the solve, then one cut short: its sums in one whole block and one of a member
         models = [
-            EnergyTrace(base.times_ps, base.energy_mev * (1.0 + 0.05 * n * np.sin(3.0 * base.times_ps)))
-            for n in range(3 * REFINE_SIZE // ds.n_points)
+            EnergyTrace(base.times_ps, base.energy_mev * (1.0 + 0.3 * np.sin(3.0 * base.times_ps + 0.1 * n)))
+            for n in range(solve_size + sum_size + 1)
         ]
         together, shifts, classes = inner_fits(models, ds)
         for model, fit in zip(models, together):
             assert inner_fits([model], ds) == ([fit], shifts, classes)
+
+    def test_a_last_bit_change_of_sigma_barely_moves_the_shift(self):
+        # the fit golden's data, at its best point: scaling every sigma alike leaves the exact
+        # minimiser where it is, but the refine's cells take differences of its class sums, such as
+        # sum(w q^2) = sum(w E_m^2) + sum(w E_m+1^2) - 2 sum(w E_m E_m+1), which carry their rounding.
+        # Over these scalings the largest move was 2.1e-9 fs, 1e-9 of the 2 fs model step (at a
+        # factor 1 - 1.4e-15); one more ulp of noise in the class sums about doubles it.
+        n = 8.08e10
+        pulse = PulseParams(
+            amplitude=drive_amplitude_from_photon_ratio(0.121287128712871, n), sigma_ps=0.020, response_ps=0.120,
+        )
+        times_fs = np.arange(-500.0, 1504.0, 8.0)
+        ds = estimate_noise(make_synthetic_dataset(
+            ModelParams(n_molecules=n), pulse, times_fs, noise_rms=0.02, rng=np.random.default_rng(0)))
+        point = FitGrid(np.array([10.6]), np.array([1.68]), np.array([0.0141]))
+        model = model_traces([ds], point, lifetime_fs=120.0)[(0, 0, 0, 0)]
+        (fit,), _, _ = inner_fits([model], ds)
+        assert fit.t0_fs == pytest.approx(0.0211, abs=1e-4)
+        moves = [
+            inner_fits([model], replace(ds, sigma=ds.sigma * (1.0 + k * 1e-16)))[0][0].t0_fs - fit.t0_fs
+            for k in range(-20, 21) if k
+        ]
+        assert max(np.abs(moves)) <= 4e-9
 
     def test_a_member_without_amplitude_fails_alone(self):
         model = smooth_model()
