@@ -23,6 +23,7 @@ import logging
 import math
 import time
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -408,24 +409,30 @@ def _grid_step(t_model: np.ndarray) -> float:
     return (t_model[-1] - t_model[0]) / (t_model.size - 1)
 
 
+def _stack(traces: list[EnergyTrace]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of the one uniform time grid of ``traces``, to 1e-6 of a step, and of their energy rows."""
+    t_model = traces[0].times_ps
+    dt = _grid_step(t_model)
+    uniform = np.max(np.abs(t_model - t_model[0] - dt * np.arange(t_model.size))) <= 1e-6 * dt
+    if not uniform or any(not np.array_equal(trace.times_ps, t_model) for trace in traces):
+        raise ValueError("the model traces of one dataset must share one uniform time grid")
+    times, energies = t_model.copy(), np.stack([trace.energy_mev for trace in traces])
+    times.flags.writeable = energies.flags.writeable = False
+    return times, energies
+
+
 class _TableSums:
     """What ``inner_fits`` computes from the models, the sample times, sigma and the shift range alone.
 
-    That is the check of the models' one uniform grid and of its span, the
-    stacked member energies, the samples' grid positions cut into classes of
-    one phase, and the lattice rows with their S2 sums (``_lattice_s2``).
-    The data-only checks of ``_shift_steps`` run first.
+    That is the span check of the models' grid ``t_model``, the samples' phase classes, and the lattice
+    rows of the stacked ``energies`` (read, not copied) with their S2 sums (``_lattice_s2``).
     """
 
-    def __init__(self, models: list[EnergyTrace], dataset: ExperimentDataset, t0_range_fs: tuple) -> None:
-        t_model = models[0].times_ps
+    def __init__(self, t_model: np.ndarray, energies: np.ndarray, dataset: ExperimentDataset, t0_range_fs: tuple):
         self.dt = dt = _grid_step(t_model)
         self.k_lo, k_hi = _shift_steps(dataset, t0_range_fs, dt)
         t_data_ps = dataset.times_fs * 1e-3
         self.lo, self.hi = lo, hi = t0_range_fs[0] * 1e-3, t0_range_fs[1] * 1e-3
-        uniform = np.max(np.abs(t_model - t_model[0] - dt * np.arange(t_model.size))) <= 1e-6 * dt
-        if not uniform or any(not np.array_equal(model.times_ps, t_model) for model in models):
-            raise ValueError("the model traces of one dataset must share one uniform time grid")
         if t_data_ps[0] + lo < t_model[0] or t_data_ps[-1] + hi > t_model[-1]:
             raise ValueError(
                 "model trace does not span the dataset over the full shift range: "
@@ -434,8 +441,7 @@ class _TableSums:
             )
         self.shifts = np.clip(dt * np.arange(self.k_lo, k_hi + 1), lo, hi)
         self.w = 1.0 / dataset.sigma ** 2
-        self.energies = np.stack([m.energy_mev for m in models])
-        self.lattice = _lattice_s2(self.energies, t_model, dt, t_data_ps, self.w, self.k_lo, k_hi)
+        self.lattice = _lattice_s2(energies, t_model, dt, t_data_ps, self.w, self.k_lo, k_hi)
         # the samples' grid positions, in falling phi = u mod 1, cut into classes of one phi
         self.u = u = (t_data_ps - t_model[0]) / dt
         self.order = order = np.argsort(-(u % 1.0), kind="stable")
@@ -454,33 +460,30 @@ def inner_fits(
     dataset: ExperimentDataset,
     t0_range_fs: tuple[float, float] = (-400.0, 400.0),
 ) -> tuple[list, int, int]:
-    """Best scale and time shift of one dataset against each of ``models``.
+    """Best scale and time shift of one dataset against each of ``models``, which share one uniform grid.
 
     At fixed shift chi^2 = sum w (d - a E)^2 is least at a = 1/S = sum(w d E) / sum(w E^2).
-    ``_lattice_chi2`` takes it at every whole step of the models' one uniform grid; the near-least
-    steps are evaluated directly, ties going to the smaller |T_0|, and ``_bracket_minimum`` finds
-    the exact least chi^2 within a step either side, taken unless the valley is flat.  It sums the
-    samples by phase class in blocks of ``REFINE_SIZE`` sample-members and solves on those sums in
-    blocks of ``REFINE_SIZE`` class-members: a few thousand members when the samples fall in one or
-    two classes, one block of the sums when each sample is its own class.  Returns per model an
-    ``InnerFit`` or the ValueError of a trace without amplitude, the count of lattice shifts and that
-    of the sample classes crossing nodes together.
-
-    The part that reads no signal (``_TableSums``) is computed afresh on every call; a
-    ``ModelTable`` passed to ``global_fit`` keeps it between calls instead.
+    ``_lattice_chi2`` takes it at every whole step of the grid; the near-least steps are evaluated
+    directly, ties going to the smaller |T_0|, and ``_bracket_minimum`` finds the exact least chi^2
+    within a step either side (in blocks of ``REFINE_SIZE``), taken unless the valley is flat.
+    Returns per model an ``InnerFit`` or the ValueError of a trace without amplitude, the count of
+    lattice shifts and that of the sample classes crossing nodes together.  The models are stacked
+    and the part that reads no signal (``_TableSums``) computed on every call; a ``ModelTable``
+    passed to ``global_fit`` holds both between calls instead.
     """
-    return _inner_fits(_TableSums(models, dataset, t0_range_fs), dataset)
+    t_model, energies = _stack(models)
+    return _inner_fits(energies, _TableSums(t_model, energies, dataset, t0_range_fs), dataset)
 
 
-def _inner_fits(sums: _TableSums, dataset: ExperimentDataset) -> tuple[list, int, int]:
-    """``inner_fits`` of ``dataset``'s signal, given the table-only part ``sums`` of its models."""
+def _inner_fits(energies: np.ndarray, sums: _TableSums, dataset: ExperimentDataset) -> tuple[list, int, int]:
+    """``inner_fits`` of ``dataset``'s signal against the stacked models ``energies``, given their ``sums``."""
     dt, shifts, w, u = sums.dt, sums.shifts, sums.w, sums.u
     d = dataset.signal
     wd = w * d
     lattice = _lattice_chi2(sums.lattice, wd, d)
     dust = 1e-10 * float(wd @ d)  # the lattice form's rounding: about 2e-15 of sum(w d^2)
 
-    energies, nearest = sums.energies, np.abs(shifts)
+    nearest = np.abs(shifts)
     # a row without a finite value has every step near, and fails at the nearest |T_0|
     near = lattice <= lattice.min(axis=1, keepdims=True) + dust
     exact, scales = np.full(lattice.shape, np.inf), np.full(lattice.shape, np.inf)
@@ -549,13 +552,15 @@ class FitGrid:
     def refined_around(self, i: int, j: int, k: int) -> "FitGrid":
         """Zoom each axis to one coarse cell either side of (i, j, k).
 
-        For a geometric axis this narrows the span to two coarse steps, so
-        the same point count resolves it about four times finer.  A node
-        within 1e-12 relative of a coarse node is placed exactly on it, so
-        ``global_fit`` can take that member's trace from the coarse table.
+        For a geometric axis this narrows the span to two coarse steps, so the same point count
+        resolves it about four times finer; a one-point axis stays as it is.  A node within 1e-12
+        relative of a coarse node is placed exactly on it, so ``global_fit`` can take that
+        member's trace from the coarse table.
         """
         def zoom(axis, idx):
-            step = axis[1] / axis[0] if axis.size > 1 else 2.0
+            if axis.size == 1:
+                return axis
+            step = axis[1] / axis[0]
             fine = np.geomspace(axis[idx] / step, axis[idx] * step, axis.size)
             near = np.abs(fine[:, None] / axis[None, :] - 1.0) <= 1e-12
             hit = near.any(axis=1)
@@ -742,64 +747,68 @@ def _integrate(tasks: dict, labels: list[str], workers: int) -> dict:
     return {key: out[key] for key in tasks}
 
 
-class ModelTable(dict):
+class _Spent(dict):
+    """Traces a ``ModelTable`` is built from and nothing else reads: each gives itself up when read."""
+    __getitem__ = dict.pop
+
+
+class ModelTable(Mapping):
     """Convolved model traces keyed (i_g, i_z, i_m, dataset_index), built for one grid and dataset count.
 
-    Beside the traces it keeps, per dataset index, the part of
-    ``inner_fits`` that reads no signal (``_TableSums``): its checks, the
-    stacked energies, the lattice rows and their S2 sums.  Every
-    ``global_fit`` against the table after the first reuses it, as long as
-    the sample times, sigma, the shift range and every member trace (by
-    identity) are those it was computed from; otherwise it is computed
-    again and replaces the old entry.  Replace a trace (``table[key] =
-    other``), never change its arrays in place: that goes unseen.  A table
-    ``global_fit`` built or wrapped itself keeps nothing, since no later
-    call can read it.
+    ``traces`` must hold every key, each dataset's on one uniform time grid.  The table keeps per
+    dataset a copy of that grid and one read-only (members x steps) energy array, its rows in the
+    grid points' ``np.ndindex`` order.  It cannot be assigned to: ``table[key]`` is a new trace over
+    a copy of its row, and ``ModelTable({**table, key: trace}, table.grid, table.n_datasets)``
+    changes a member.  Beside them it keeps each dataset's ``_TableSums``, the part of ``inner_fits``
+    that reads no signal, until a ``global_fit`` brings other sample times, sigma or shift range; a
+    table ``global_fit`` built or wrapped itself keeps none, since no later call could read it.
     """
 
-    def __init__(self, traces: dict, grid: FitGrid, n_datasets: int) -> None:
-        super().__init__(traces)
+    def __init__(self, traces: Mapping, grid: FitGrid, n_datasets: int) -> None:
         self.grid, self.n_datasets = grid, n_datasets
-        self._sums: dict[int, tuple] = {}  # dataset index -> (members, times, sigma, range, _TableSums)
+        points = list(np.ndindex(grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size))
+        self._rows = {(*p, di): row for di in range(n_datasets) for row, p in enumerate(points)}
+        for key in self._rows:
+            if key not in traces:
+                raise ValueError(f"model table has no trace for (i_g, i_z, i_m, dataset_index) = {key}")
+        self._stacks = [_stack([traces[(*p, di)] for p in points]) for di in range(n_datasets)]
+        self._sums: dict[int, tuple] = {}  # dataset index -> (times, sigma, range, _TableSums)
 
-    def _inner_fits(self, di: int, points: list, dataset: ExperimentDataset, t0_range_fs: tuple, keep: bool):
-        """``inner_fits`` of ``dataset`` against the members ``points`` of dataset ``di``.
+    def __getitem__(self, key: tuple) -> EnergyTrace:
+        row = self._rows[key]
+        t_model, energies = self._stacks[key[3]]
+        return EnergyTrace(t_model, energies[row].copy())
 
-        ``keep`` holds the table-only part for the next call.
-        """
-        models = [self[(*p, di)] for p in points]
-        members, times, sigma, t0_range, sums = self._sums.get(di, ([], None, None, None, None))
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _inner_fits(self, di: int, dataset: ExperimentDataset, t0_range_fs: tuple, keep: bool):
+        """``inner_fits`` of ``dataset`` against the rows of dataset ``di``; ``keep`` holds its ``_TableSums``."""
+        t_model, energies = self._stacks[di]
+        times, sigma, t0_range, sums = self._sums.get(di, (None, None, None, None))
         if not (
-            len(members) == len(models) and all(a is b for a, b in zip(members, models))
-            and np.array_equal(times, dataset.times_fs) and np.array_equal(sigma, dataset.sigma)
+            np.array_equal(times, dataset.times_fs) and np.array_equal(sigma, dataset.sigma)
             and t0_range == tuple(t0_range_fs)
         ):
             self._sums.pop(di, None)  # free the old entry before building its successor
-            sums = _TableSums(models, dataset, t0_range_fs)
+            sums = _TableSums(t_model, energies, dataset, t0_range_fs)
             if keep:
-                key = (models, dataset.times_fs.copy(), dataset.sigma.copy(), tuple(t0_range_fs))
-                self._sums[di] = (*key, sums)
-        return _inner_fits(sums, dataset)
+                self._sums[di] = (dataset.times_fs.copy(), dataset.sigma.copy(), tuple(t0_range_fs), sums)
+        return _inner_fits(energies, sums, dataset)
 
 
-def _model_table(traces: dict, grid: FitGrid, n_datasets: int) -> ModelTable:
-    """``traces`` as a ``ModelTable`` of ``grid`` and ``n_datasets``, checked to cover them.
-
-    A plain dict is wrapped in a fresh table; a ``ModelTable`` built for
-    another grid or dataset count is refused.
-    """
+def _model_table(traces: Mapping, grid: FitGrid, n_datasets: int) -> ModelTable:
+    """``traces`` as a ``ModelTable`` of ``grid`` and ``n_datasets``: a fresh one, or the table checked to be one."""
     if not isinstance(traces, ModelTable):
-        traces = ModelTable(traces, grid, n_datasets)
-    elif traces.n_datasets != n_datasets:
+        return ModelTable(traces, grid, n_datasets)
+    if traces.n_datasets != n_datasets:
         raise ValueError(f"model table was built for {traces.n_datasets} datasets, not {n_datasets}")
-    elif not all(np.array_equal(getattr(traces.grid, axis), getattr(grid, axis))
-                 for axis in ("g_nev", "gamma0z_mev", "gamma_minus_mev")):
+    if not all(np.array_equal(getattr(traces.grid, axis), getattr(grid, axis))
+               for axis in ("g_nev", "gamma0z_mev", "gamma_minus_mev")):
         raise ValueError("model table was built on another grid")
-    shape = (grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size)
-    for di in range(n_datasets):
-        for p in np.ndindex(shape):
-            if (*p, di) not in traces:
-                raise ValueError(f"model table has no trace for (i_g, i_z, i_m, dataset_index) = {(*p, di)}")
     return traces
 
 
@@ -815,22 +824,18 @@ def model_traces(
 ) -> ModelTable:
     """Convolved model traces for every (grid point, dataset) pair, as a ``ModelTable``.
 
-    This is the expensive half of a global fit; computing it once and
-    passing it to ``global_fit`` lets many noise realisations reuse the same
-    table, and the table keeps the part of each refit that reads no signal.
-    Keys are (i_g, i_z, i_m, dataset_index).  The traces span
-    ``trace_window``; ``solver`` supplies the closure, tolerances and output
-    step, and its own window is ignored.
+    This is the expensive half of a global fit; computing it once and passing it to ``global_fit``
+    lets many noise realisations reuse the same table, which keeps the part of each refit that
+    reads no signal.  The traces span ``trace_window``; ``solver`` supplies the closure, tolerances
+    and output step, and its own window is ignored.
 
-    Members are integrated in stacked batches (``_batches``: one dataset
-    each, in regime order, at most ``BATCH_CAP`` members), and ``workers``
-    processes map over the batches.  Each member stays within the
-    tolerances of its own scalar integration; the traces do not depend on
-    ``workers``.  Every batch logs its size, regime range, solver work and
-    wall time at INFO.
+    Members are integrated in stacked batches (``_batches``: one dataset each, in regime order, at
+    most ``BATCH_CAP`` members), and ``workers`` processes map over the batches.  Each member stays
+    within the tolerances of its own scalar integration; the traces do not depend on ``workers``.
+    Every batch logs its size, regime range, solver work and wall time at INFO.
     """
     tasks = _member_tasks(datasets, grid, lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs)
-    return ModelTable(_integrate(tasks, [ds.label for ds in datasets], workers), grid, len(datasets))
+    return ModelTable(_Spent(_integrate(tasks, [ds.label for ds in datasets], workers)), grid, len(datasets))
 
 
 def global_fit(
@@ -843,29 +848,22 @@ def global_fit(
     t0_range_fs: tuple[float, float] = (-400.0, 400.0),
     workers: int = 1,
     refine: bool = False,
-    traces: dict | None = None,
+    traces: Mapping | None = None,
 ) -> FitResult:
     """Scan the rate grid, minimise chi^2 jointly over all datasets.
 
-    Every dataset must already carry a noise estimate and a label of its
-    own, checked with the rest of ``_shift_steps`` before the table.
-    ``traces``, a ``model_traces`` table computed beforehand, must hold
-    every key of ``grid`` and ``datasets`` (a ValueError names the first
-    missing one), and the shift range is checked against its own step.  A
-    ``ModelTable`` must have been built for this grid and dataset count, and
-    keeps the part of the fit that reads no signal for the next call; a
-    plain dict is wrapped in a fresh one that keeps nothing, with the same
-    results.
-    ``refine`` runs one extra pass on a four-times-finer grid around
-    the coarse minimum; its members on coarse nodes reuse the coarse
-    traces instead of integrating them again.  The
-    reduced chi^2 uses k_eff = (total samples) - 3: only the shared rates
-    count as parameters, matching how the per-dataset scale and shift are
-    treated as nuisances.
+    Every dataset must already carry a noise estimate and a label of its own, checked with the rest
+    of ``_shift_steps`` before the table.  ``traces``, a ``model_traces`` table built for this grid
+    and dataset count, keeps the part of the fit that reads no signal for the next call; any other
+    mapping of every key (a ValueError names the first missing one) is wrapped in a fresh
+    ``ModelTable`` that keeps nothing.  The shift range is checked against the table's own step.
+    ``refine`` runs one extra pass on a four-times-finer grid around the coarse minimum
+    (``FitGrid.refined_around``), reusing the traces of members on coarse nodes.  The reduced
+    chi^2 uses k_eff = (total samples) - 3: only the shared rates count as parameters, matching
+    how the per-dataset scale and shift are treated as nuisances.
 
-    A member ``inner_fits`` cannot fit fails its grid point (logged, listed
-    in ``failed``); a DataError is raised when every point fails, and an
-    error of a whole dataset propagates.
+    A member ``inner_fits`` cannot fit fails its grid point (logged, listed in ``failed``); a
+    DataError is raised when every point fails, and an error of a whole dataset propagates.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -875,7 +873,7 @@ def global_fit(
         if table is None:  # the step the table will have
             step = (solver or SolverConfig()).output_dt_ps
         else:
-            step = _grid_step(table[(0, 0, 0, di)].times_ps)
+            step = _grid_step(table._stacks[di][0])
         _shift_steps(ds, t0_range_fs, step)
         if labels.count(ds.label) > 1:
             # labels key the inner fits, the traces and the residual files
@@ -885,17 +883,17 @@ def global_fit(
         raise DataError("fewer data points than fit parameters")
 
     if table is None:
-        table = _model_table(model_traces(
+        table = model_traces(
             datasets, grid, lifetime_fs,
             pulse_sigma_ps=pulse_sigma_ps, n_ref=n_ref, solver=solver,
             t0_range_fs=t0_range_fs, workers=workers,
-        ), grid, len(datasets))
+        )
 
     start = time.perf_counter()
     shape = (grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size)
     points = list(np.ndindex(shape))
     # only a caller's table can serve another call, so only it keeps the sums
-    runs = [table._inner_fits(di, points, ds, t0_range_fs, table is traces) for di, ds in enumerate(datasets)]
+    runs = [table._inner_fits(di, ds, t0_range_fs, table is traces) for di, ds in enumerate(datasets)]
     columns, shifts, classes = zip(*runs)
     chi2_map = np.full(shape, np.inf)
     inner, failed = {}, {}
@@ -952,9 +950,10 @@ def global_fit(
     setup = (lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs)
     coarse_keys = {task: key for key, task in _member_tasks(datasets, grid, *setup).items()}
     fine_tasks = _member_tasks(datasets, fine_grid, *setup)
-    fine_traces = {
+    fine_traces = _Spent({
         key: table[coarse_keys[task]] for key, task in fine_tasks.items() if task in coarse_keys
-    }
+    })
+    del table  # the fine members hold copies, so a table this call built goes before the fine one is built
     fine_traces.update(_integrate(
         {key: task for key, task in fine_tasks.items() if key not in fine_traces},
         [ds.label for ds in datasets], workers,

@@ -498,8 +498,8 @@ fit.refine = true
         def with_a_flat_member(*args, **kwargs):
             table = build(*args, **kwargs)
             trace = table[(0, 0, 0, 0)]
-            table[(0, 0, 0, 0)] = EnergyTrace(trace.times_ps, np.zeros(trace.times_ps.size))
-            return table
+            flat = EnergyTrace(trace.times_ps, np.zeros(trace.times_ps.size))
+            return fit.ModelTable({**table, (0, 0, 0, 0): flat}, table.grid, table.n_datasets)
 
         monkeypatch.setattr(fit, "model_traces", with_a_flat_member)
         cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
