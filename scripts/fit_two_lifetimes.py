@@ -17,12 +17,16 @@ labels are built in.
 Expect about half a minute per lifetime on one core with the default
 9-point grid; --threads spreads the fit's batches of stacked traces over
 workers.  On a 2-core machine (one BLAS thread) one whole `dickesim fit`
-of five synthetic labels (samples from -500 to 1500 fs, the default +-400
-fs shift range, `fit.refine = true`) took 26 s, of which the refined pass
-around the coarse cell nearest the bundled best fit integrates 3,510 new
-members in 2.5 s.  Most of the coarse pass (13 of 22 s) goes to the
-batches that hold the g = 5000 neV corners: those oscillate at the
-collective Rabi frequency, so their whole batch steps at that period.  The
+of five synthetic labels (samples every 4 fs from -500 to 1500 fs, the
+default +-400 fs shift range, `fit.refine = true`) took 25.1-25.2 s over
+two runs, of which the refine around the coarse cell nearest the bundled
+best fit took 3.4-3.5 s, 3.2 s of it for the fine table's 3,645 members.
+When the refine still took the 135 members on coarse nodes from the
+coarse table, the same fit took 25.1-25.7 s, its refine 3.3-3.7 s and
+the 3,510 new members 3.1-3.5 s.  Most of the coarse pass (13 of 22 s)
+goes to the batches that hold the g = 5000 neV corners: those oscillate at
+the collective Rabi frequency, so their whole batch steps at that period.
+The
 five labels' traces over all 81 (g, gamma0z) pairs at the middle
 gamma_minus take 6.1-6.3 s, where each label's batch of the upper half of
 the g axis pays that period for 40 members (1.66-1.68 s of the A1 label's

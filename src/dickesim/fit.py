@@ -103,10 +103,12 @@ class ExperimentDataset:
             raise ValueError("dataset contains non-finite values")
         if np.any(np.diff(t) < 0):
             raise ValueError("times must be sorted")
-        if self.n_dye <= 0:
-            raise ValueError(f"n_dye must be positive, got {self.n_dye}")
-        if self.photon_ratio < 0:
-            raise ValueError(f"photon_ratio must be non-negative, got {self.photon_ratio}")
+        if not 0 < self.n_dye < np.inf:
+            raise ValueError(f"n_dye must be finite and positive, got {self.n_dye}")
+        if not 0 <= self.photon_ratio < np.inf:
+            raise ValueError(f"photon_ratio must be finite and non-negative, got {self.photon_ratio}")
+        if self.response_ps is not None and not 0 <= self.response_ps < np.inf:
+            raise ValueError(f"response_ps must be finite and non-negative, got {self.response_ps}")
         object.__setattr__(self, "times_fs", t)
         object.__setattr__(self, "signal", d)
         if self.sigma is not None:
@@ -549,13 +551,18 @@ class FitGrid:
             gamma_minus_mev=axis(*gamma_minus_bounds_mev),
         )
 
+    def __eq__(self, other) -> bool:
+        """The same nodes on every axis, bit for bit."""
+        axes = ("g_nev", "gamma0z_mev", "gamma_minus_mev")
+        return isinstance(other, FitGrid) and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in axes)
+
     def refined_around(self, i: int, j: int, k: int) -> "FitGrid":
         """Zoom each axis to one coarse cell either side of (i, j, k).
 
         For a geometric axis this narrows the span to two coarse steps, so the same point count
         resolves it about four times finer; a one-point axis stays as it is.  A node within 1e-12
-        relative of a coarse node is placed exactly on it, so ``global_fit`` can take that
-        member's trace from the coarse table.
+        relative of a coarse node is placed exactly on it, so a three-point axis zoomed around its
+        middle node, like a one-point axis, is returned equal to itself.
         """
         def zoom(axis, idx):
             if axis.size == 1:
@@ -806,8 +813,7 @@ def _model_table(traces: Mapping, grid: FitGrid, n_datasets: int) -> ModelTable:
         return ModelTable(traces, grid, n_datasets)
     if traces.n_datasets != n_datasets:
         raise ValueError(f"model table was built for {traces.n_datasets} datasets, not {n_datasets}")
-    if not all(np.array_equal(getattr(traces.grid, axis), getattr(grid, axis))
-               for axis in ("g_nev", "gamma0z_mev", "gamma_minus_mev")):
+    if traces.grid != grid:
         raise ValueError("model table was built on another grid")
     return traces
 
@@ -826,8 +832,8 @@ def model_traces(
 
     This is the expensive half of a global fit; computing it once and passing it to ``global_fit``
     lets many noise realisations reuse the same table, which keeps the part of each refit that
-    reads no signal.  The traces span ``trace_window``; ``solver`` supplies the closure, tolerances
-    and output step, and its own window is ignored.
+    reads no signal (a ``refine``'s fine pass builds its own).  The traces span ``trace_window``;
+    ``solver`` supplies the closure, tolerances and output step, and its own window is ignored.
 
     Members are integrated in stacked batches (``_batches``: one dataset each, in regime order, at
     most ``BATCH_CAP`` members), and ``workers`` processes map over the batches.  Each member stays
@@ -858,9 +864,10 @@ def global_fit(
     mapping of every key (a ValueError names the first missing one) is wrapped in a fresh
     ``ModelTable`` that keeps nothing.  The shift range is checked against the table's own step.
     ``refine`` runs one extra pass on a four-times-finer grid around the coarse minimum
-    (``FitGrid.refined_around``), reusing the traces of members on coarse nodes.  The reduced
-    chi^2 uses k_eff = (total samples) - 3: only the shared rates count as parameters, matching
-    how the per-dataset scale and shift are treated as nuisances.
+    (``FitGrid.refined_around``) as a fresh ``global_fit`` with its own table under this call's
+    settings, or keeps the coarse result when that grid is the coarse one.  The reduced chi^2 uses
+    k_eff = (total samples) - 3: only the shared rates count as parameters, matching how the
+    per-dataset scale and shift are treated as nuisances.
 
     A member ``inner_fits`` cannot fit fails its grid point (logged, listed in ``failed``); a
     DataError is raised when every point fails, and an error of a whole dataset propagates.
@@ -944,22 +951,14 @@ def global_fit(
     if not refine:
         return result
 
-    # a fine member whose task equals a coarse one reuses the coarse trace
     start = time.perf_counter()
     fine_grid = grid.refined_around(i, j, k)
-    setup = (lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs)
-    coarse_keys = {task: key for key, task in _member_tasks(datasets, grid, *setup).items()}
-    fine_tasks = _member_tasks(datasets, fine_grid, *setup)
-    fine_traces = _Spent({
-        key: table[coarse_keys[task]] for key, task in fine_tasks.items() if task in coarse_keys
-    })
-    del table  # the fine members hold copies, so a table this call built goes before the fine one is built
-    fine_traces.update(_integrate(
-        {key: task for key, task in fine_tasks.items() if key not in fine_traces},
-        [ds.label for ds in datasets], workers,
-    ))
-    fine = global_fit(datasets, fine_grid, *setup, traces=fine_traces)
-    logger.info("refine: %d members, %.2f s", len(fine_tasks), time.perf_counter() - start)
+    fine, members = result, 0  # a zoom onto the coarse grid has the coarse result
+    if fine_grid != grid:
+        del table  # a table this call built goes before the fine one is built
+        fine = global_fit(datasets, fine_grid, lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs, workers)
+        members = fine.chi2_reduced_map.size * len(datasets)
+    logger.info("refine: %d members, %.2f s", members, time.perf_counter() - start)
     return replace(fine, coarse=result)
 
 

@@ -475,7 +475,7 @@ sweep.grid = 0, 0.1
 
 class TestFit:
     def test_threads_give_byte_identical_outputs(self, tmp_path, capsys):
-        # a three-point refine: the fine pass takes every trace from the coarse table
+        # a three-point refine around the middle node keeps the coarse result
         cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
 fit.grid_points = 3
 fit.g_bounds_neV = 8.153846153846153, 13.78
@@ -726,26 +726,33 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
             main(["fit", "--config", cfg, "--log-level", "LOUD"])
 
     def test_each_fit_stage_logs_its_wall_time_once_per_pass(self, tmp_path, capsys, caplog):
-        cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
-fit.grid_points = 1
+        # one point zooms onto itself, so its refine has no pass of its own; two points zoom
+        # onto other nodes, whose pass logs a table and a chi^2 reduction inside the refine stage
+        coarse = ["load", "noise", "table", "chi^2 reduction"]
+        package = logging.getLogger("dickesim")
+        for points, members, order in (
+            (1, 0, coarse + ["refine"]), (2, 8, coarse + ["table", "chi^2 reduction", "refine"]),
+        ):
+            cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + f"""\
+fit.grid_points = {points}
 fit.g_bounds_neV = 10.6, 11.0
 fit.gamma0z_bounds_meV = 1.68, 2.0
 fit.gammaminus_bounds_meV = 0.0141, 0.02
 fit.refine = true
 """)
-        package = logging.getLogger("dickesim")
-        try:
-            with pytest.warns(UserWarning, match="boundary"):
-                assert main(["fit", "--config", cfg, "--out", str(tmp_path), "--log-level", "INFO"]) == EXIT_OK
-        finally:
-            package.setLevel(logging.WARNING)
-        capsys.readouterr()
-        # the coarse pass, then the refined one inside the refine stage
-        order = ["load", "noise", "table", "chi^2 reduction", "table", "chi^2 reduction", "refine"]
-        messages = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
-        timed = [m for m in messages if m.partition(": ")[0] in order]
-        assert [m.partition(": ")[0] for m in timed] == order
-        assert all(re.search(r"\d\.\d+ s$", m) for m in timed), timed
+            out = tmp_path / str(points)
+            caplog.clear()
+            try:
+                with pytest.warns(UserWarning, match="boundary"):
+                    assert main(["fit", "--config", cfg, "--out", str(out), "--log-level", "INFO"]) == EXIT_OK
+            finally:
+                package.setLevel(logging.WARNING)
+            capsys.readouterr()
+            messages = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+            timed = [m for m in messages if m.partition(": ")[0] in order]
+            assert [m.partition(": ")[0] for m in timed] == order
+            assert all(re.search(r"\d\.\d+ s$", m) for m in timed), timed
+            assert timed[-1].startswith(f"refine: {members} members, ")
 
 
 class TestSpectrum:

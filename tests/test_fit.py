@@ -6,6 +6,7 @@ import logging
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +126,17 @@ class TestLoadDataset:
         write_two_columns(p, t, d)
         with pytest.raises(DataError, match="non-finite"):
             load_dataset(p, "A1")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_dye", np.nan), ("n_dye", np.inf), ("photon_ratio", np.nan),
+        ("response_ps", np.nan), ("response_ps", -0.1),
+    ])
+    def test_nonfinite_or_negative_metadata_is_rejected_with_the_file(self, tmp_path, field, value):
+        # these once passed and failed later as a bad amplitude or simulation window
+        p = tmp_path / "a1.csv"
+        write_two_columns(p, flat_times(), np.zeros(40))
+        with pytest.raises(DataError, match=f"{p}: {field} must be finite and"):
+            load_dataset(p, "A1", **{field: value})
 
 
 def polyfit_window_sigma(t_fs, d):
@@ -634,6 +646,18 @@ class TestChi2Properties:
             )
 
 
+@pytest.mark.xfail(strict=True, reason="the shift refine amplifies last-bit changes of data and sigma, "
+                   "here to 5.5e-9 of the scale (ROADMAP item 5)")
+def test_data_in_other_units_keep_the_scale_to_1e_9_at_a_zero_shift():
+    # a draw of test_inner_fit_recovers_a_pure_scale_and_shift_of_the_data: data and sigma times 3
+    # move the shift from 0 to -7.1e-6 fs
+    model = smooth_model()
+    ds = noisy_dataset(model, np.arange(-400.0, 1200.0, 8.0), 0.203125, 0.0, noise=0.1, seed=18333)
+    fit = inner_fit(model, ds)
+    again = inner_fit(model, replace(ds, signal=3 * ds.signal, sigma=3 * ds.sigma))
+    assert again.scale * 3 == pytest.approx(fit.scale, rel=1e-9)
+
+
 class TestFitGrid:
     def test_logspace_axes_are_geometric(self):
         grid = FitGrid.logspace((1.0, 100.0), (0.1, 10.0), (0.001, 1.0), points=5)
@@ -810,39 +834,45 @@ class TestGlobalFit:
         np.testing.assert_array_equal(meanfield.times_ps, plain.times_ps)
         assert not np.array_equal(meanfield.energy_mev, plain.energy_mev)
 
-    @pytest.mark.parametrize("g_points, fine_members", [(3, 0), (5, 18)])
-    def test_refined_pass_reuses_coarse_traces(self, monkeypatch, g_points, fine_members):
+    @pytest.mark.parametrize("g_points, tables", [(3, 1), (5, 2)])
+    def test_refine_builds_a_second_table_only_off_the_coarse_grid(self, monkeypatch, g_points, tables):
+        # three points around the middle zoom onto the coarse grid, which keeps the coarse result;
+        # five do not, and the fine pass builds its own table once the coarse one is gone
         ds, grid = synthetic_problem(known_sigma=True)
         grid = replace(grid, g_nev=10.6 * 1.3 ** np.linspace(-1, 1, g_points))
-        batches = []
-        simulate = fit_module.simulate_energies
+        members, built, sums = [], [], []
+        simulate, build, table_sums = fit_module.simulate_energies, fit_module.model_traces, fit_module._TableSums
 
         def counting(params, pulse, solver):
-            batches.append(list(params))
+            members.append(len(params))
             return simulate(params, pulse, solver)
 
+        def watched(*args, **kwargs):
+            assert all(ref() is None for ref in built), "an earlier table is still alive"
+            table = build(*args, **kwargs)
+            built.append(weakref.ref(table))
+            return table
+
+        def counted_sums(*args):
+            sums.append(None)
+            return table_sums(*args)
+
         monkeypatch.setattr(fit_module, "simulate_energies", counting)
+        monkeypatch.setattr(fit_module, "model_traces", watched)
+        monkeypatch.setattr(fit_module, "_TableSums", counted_sums)
         result = global_fit([ds], grid, lifetime_fs=120.0, refine=True)
         assert result.coarse.argmin == (g_points // 2, 1, 1)
-        assert sum(len(b) for b in batches) == g_points * 9 + fine_members
-        # a table of the coarse traces plus the same leftover batch, built
-        # afresh, gives the same map bit for bit
-        coarse = model_traces([ds], grid, lifetime_fs=120.0)
-        setup = (120.0, 0.020, fit_module.N_REF_DEFAULT, None, (-400.0, 400.0))
-        coarse_keys = {
-            task: key for key, task in fit_module._member_tasks([ds], grid, *setup).items()
-        }
-        fine_tasks = fit_module._member_tasks([ds], result.grid, *setup)
-        table = {key: coarse[coarse_keys[task]] for key, task in fine_tasks.items() if task in coarse_keys}
-        leftover = {key: task for key, task in fine_tasks.items() if key not in table}
-        assert len(leftover) == fine_members
-        table.update(fit_module._integrate(leftover, [ds.label], workers=1))
-        fresh = global_fit([ds], result.grid, lifetime_fs=120.0, traces=table)
-        np.testing.assert_allclose(result.chi2_reduced_map, fresh.chi2_reduced_map, rtol=1e-9)
-        assert result.argmin == fresh.argmin
+        assert (sum(members), len(built), len(sums)) == (tables * g_points * 9, tables, tables)
+        assert (result.grid == grid) == (tables == 1)
+        if tables == 1:
+            np.testing.assert_array_equal(result.coarse.chi2_reduced_map, result.chi2_reduced_map)
+        monkeypatch.undo()
+        fresh = global_fit([ds], result.grid, lifetime_fs=120.0)
+        np.testing.assert_array_equal(result.chi2_reduced_map, fresh.chi2_reduced_map)
+        assert (result.argmin, result.inner) == (fresh.argmin, fresh.inner)
 
     def test_refining_a_one_point_grid_keeps_its_point(self, monkeypatch):
-        # a one-point axis has no cell to zoom into, so the refine integrates nothing new
+        # a one-point axis has no cell to zoom into, so the refine integrates nothing
         ds, grid = synthetic_problem(known_sigma=True)
         point = FitGrid(grid.g_nev[1:2], grid.gamma0z_mev[1:2], grid.gamma_minus_mev[1:2])
         integrated = []
@@ -855,7 +885,7 @@ class TestGlobalFit:
         monkeypatch.setattr(fit_module, "_integrate", counting)
         with pytest.warns(UserWarning, match="boundary"):
             result = global_fit([ds], point, lifetime_fs=120.0, refine=True)
-        assert integrated == [1, 0]
+        assert integrated == [1]
         coarse = result.coarse
         assert (result.g_nev, result.gamma0z_mev, result.gamma_minus_mev) == (10.6, 1.68, 0.0141)
         assert (result.g_nev, result.gamma0z_mev, result.gamma_minus_mev) == (
