@@ -26,8 +26,7 @@ coarse table, the same fit took 25.1-25.7 s, its refine 3.3-3.7 s and
 the 3,510 new members 3.1-3.5 s.  Most of the coarse pass (13 of 22 s)
 goes to the batches that hold the g = 5000 neV corners: those oscillate at
 the collective Rabi frequency, so their whole batch steps at that period.
-The
-five labels' traces over all 81 (g, gamma0z) pairs at the middle
+The five labels' traces over all 81 (g, gamma0z) pairs at the middle
 gamma_minus take 6.1-6.3 s, where each label's batch of the upper half of
 the g axis pays that period for 40 members (1.66-1.68 s of the A1 label's
 1.76-1.78 s); the whole table sorts its 729 members per label by coupling

@@ -45,6 +45,9 @@ import numpy as np
 
 from .cumulant import IntegrationError, SolverConfig, energy_trace, integrate
 from .fit import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_LIFETIME_FS,
+    DEFAULT_T0_RANGE_FS,
     DataError,
     FitGrid,
     estimate_noise,
@@ -259,11 +262,18 @@ def _require(sections: dict[str, dict], key: str):
     return sections[section][field]
 
 
-def _checked(build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its ValueError reported as a configuration error."""
+def _checked(build, *args, cfg: Mapping[str, str] | None = None, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError reported as a configuration error.
+
+    An error that opens with the field a key of ``cfg`` sets is reported under that key, as written.
+    """
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
+        field, _, reason = str(exc).partition(" ")
+        for key in cfg or ():
+            if CONFIG_KEYS[key][1] == field:
+                raise ConfigError(f"{key} {reason.partition(', got ')[0]}, got {cfg[key]}") from None
         raise ConfigError(str(exc)) from None
 
 
@@ -300,14 +310,14 @@ def _trace_table(times_ps, energy_mev, c_z, c_n, n_molecules: float) -> tuple[st
 
 
 def _build_common(cfg: Mapping[str, str], sections: dict[str, dict]):
-    params = _checked(ModelParams, **sections["model"])
+    params = _checked(ModelParams, cfg=cfg, **sections["model"])
     pulse_fields = dict(sections["pulse"])
     if "pulse.photon_ratio" in cfg:
         pulse_fields["amplitude"] = _checked(
             drive_amplitude_from_photon_ratio, pulse_fields["amplitude"], params.n_molecules
         )
-    pulse = _checked(PulseParams, **pulse_fields)
-    solver = _checked(SolverConfig, **sections["solver"])
+    pulse = _checked(PulseParams, cfg=cfg, **pulse_fields)
+    solver = _checked(SolverConfig, cfg=cfg, **sections["solver"])
     return params, pulse, solver
 
 
@@ -404,15 +414,14 @@ def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
         if len(times_spec) != 3 or times_spec[2] <= 0 or times_spec[1] <= times_spec[0]:
             raise ConfigError("fit.times_fs must be start, stop, step with stop > start")
         times = np.arange(times_spec[0], times_spec[1] + 0.5 * times_spec[2], times_spec[2])
-        ds = make_synthetic_dataset(
+        return [make_synthetic_dataset(
             params, pulse, times,
             true_scale=section.get("true_scale", 1.0),
             true_shift_fs=section.get("true_shift_fs", 0.0),
             noise_rms=section.get("noise_rms", 0.0),
             rng=np.random.default_rng(seed),
             solver=solver,
-        )
-        return [ds]
+        )]
 
     paths = _require(sections, "fit.datasets")
     labels = section.get("labels")
@@ -458,13 +467,13 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
     logger.info("noise: %.3f s", time.perf_counter() - start)
 
     section = sections["fit"]
-    points = section.get("grid_points", 9)
+    points = section.get("grid_points", DEFAULT_GRID_POINTS)
     axes = ("g_bounds_nev", "gamma0z_bounds_mev", "gamma_minus_bounds_mev")
     bounds = {name: section[name] for name in axes if name in section}
     grid = _checked(FitGrid.logspace, points=points, **bounds)
 
-    lifetime_fs = section.get("lifetime_fs", 120.0)
-    t0_pair = section.get("t0_range_fs", (-400.0, 400.0))
+    lifetime_fs = section.get("lifetime_fs", DEFAULT_LIFETIME_FS)
+    t0_pair = section.get("t0_range_fs", DEFAULT_T0_RANGE_FS)
     refine = section.get("refine", False)
 
     _, window = table_window(datasets, lifetime_fs, pulse.sigma_ps, t0_pair, solver)
@@ -532,7 +541,7 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
 
 
 def cmd_spectrum(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
-    params = _checked(ModelParams, **sections["model"])
+    params = _checked(ModelParams, cfg=cfg, **sections["model"])
     span = sections["spectrum"].get("span_meV")
     if span is None:
         scale = max(params.g_mev * np.sqrt(params.n_molecules), params.kappa_mev)

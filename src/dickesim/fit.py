@@ -24,7 +24,7 @@ import math
 import time
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import linalg
@@ -39,7 +39,7 @@ from .model import (
     drive_amplitude_from_photon_ratio,
     gamma_total,
 )
-from .observables import EnergyTrace, convolve_response
+from .observables import RESPONSE_SUPPORT_SIGMAS, EnergyTrace, convolve_response
 
 logger = logging.getLogger(__name__)
 
@@ -71,6 +71,11 @@ LABEL_WINDOWS = {
 }
 
 QUIET_SPAN_FS = 150.0
+
+# the fit's defaults: the time shift range and the cavity lifetime in fs, and the points per grid axis
+DEFAULT_T0_RANGE_FS = (-400.0, 400.0)
+DEFAULT_LIFETIME_FS = 120.0
+DEFAULT_GRID_POINTS = 9
 
 
 class DataError(RuntimeError):
@@ -172,11 +177,8 @@ def load_dataset(
             n_dye = default_n
         if photon_ratio is None:
             photon_ratio = default_phot / n_dye
-    else:
-        if n_dye is None or photon_ratio is None:
-            raise DataError(
-                f"unknown label {label!r}: pass n_dye and photon_ratio explicitly"
-            )
+    elif n_dye is None or photon_ratio is None:
+        raise DataError(f"unknown label {label!r}: pass n_dye and photon_ratio explicitly")
     try:
         return ExperimentDataset(
             label=label,
@@ -460,59 +462,61 @@ class _TableSums:
 def inner_fits(
     models: list[EnergyTrace],
     dataset: ExperimentDataset,
-    t0_range_fs: tuple[float, float] = (-400.0, 400.0),
+    t0_range_fs: tuple[float, float] = DEFAULT_T0_RANGE_FS,
 ) -> tuple[list, int, int]:
     """Best scale and time shift of one dataset against each of ``models``, which share one uniform grid.
 
-    At fixed shift chi^2 = sum w (d - a E)^2 is least at a = 1/S = sum(w d E) / sum(w E^2).
-    ``_lattice_chi2`` takes it at every whole step of the grid; the near-least steps are evaluated
-    directly, ties going to the smaller |T_0|, and ``_bracket_minimum`` finds the exact least chi^2
-    within a step either side (in blocks of ``REFINE_SIZE``), taken unless the valley is flat.
-    Returns per model an ``InnerFit`` or the ValueError of a trace without amplitude, the count of
-    lattice shifts and that of the sample classes crossing nodes together.  The models are stacked
-    and the part that reads no signal (``_TableSums``) computed on every call; a ``ModelTable``
-    passed to ``global_fit`` holds both between calls instead.
+    At fixed shift chi^2 = sum w (d - a E)^2 is least at a = 1/S = sum(w d E) / sum(w E^2).  Each member
+    picks its least whole step of the grid (``_lattice_chi2``), ties within rounding going to the smaller
+    |T_0|, and ``_bracket_minimum`` finds the exact least chi^2 within a step either side (in blocks of
+    ``REFINE_SIZE``), taken unless the valley is flat.  A member fails when its trace has no amplitude over
+    the data at its pick.  Only the pick is evaluated, so where two or more steps are near-least, a tie or
+    a failure at another of them does not count.  Returns per model an ``InnerFit`` or the ValueError of
+    its failure, the count of lattice shifts and that of the sample classes crossing nodes together.  The
+    models are stacked and the part that reads no signal (``_TableSums``) computed on every call; a
+    ``ModelTable`` passed to ``global_fit`` holds both between calls instead.
     """
     t_model, energies = _stack(models)
-    return _inner_fits(energies, _TableSums(t_model, energies, dataset, t0_range_fs), dataset)
+    sums = _TableSums(t_model, energies, dataset, t0_range_fs)
+    chi2, scale, t0_fs, failed = _inner_fits(energies, sums, dataset)
+    fits = [ValueError(failed[n]) if n in failed else InnerFit(float(s), float(t), float(c))
+            for n, (c, s, t) in enumerate(zip(chi2, scale, t0_fs))]
+    return fits, sums.shifts.size, sums.starts.size
 
 
-def _inner_fits(energies: np.ndarray, sums: _TableSums, dataset: ExperimentDataset) -> tuple[list, int, int]:
-    """``inner_fits`` of ``dataset``'s signal against the stacked models ``energies``, given their ``sums``."""
-    dt, shifts, w, u = sums.dt, sums.shifts, sums.w, sums.u
+def _inner_fits(energies: np.ndarray, sums: _TableSums, dataset: ExperimentDataset) -> tuple:
+    """``inner_fits`` of ``dataset``'s signal against the stacked ``energies``, given their ``sums``, as arrays.
+
+    Per member chi^2 (inf for a failing member), scale and shift in fs, and each failing member's reason.
+    One ``_chi2_rows`` call evaluates every member at its lattice pick and its refined shift together.
+    """
+    dt, shifts = sums.dt, sums.shifts
     d = dataset.signal
-    wd = w * d
+    wd = sums.w * d
     lattice = _lattice_chi2(sums.lattice, wd, d)
     dust = 1e-10 * float(wd @ d)  # the lattice form's rounding: about 2e-15 of sum(w d^2)
-
-    nearest = np.abs(shifts)
-    # a row without a finite value has every step near, and fails at the nearest |T_0|
+    # a row without a finite value has every step near, and takes the nearest |T_0|
     near = lattice <= lattice.min(axis=1, keepdims=True) + dust
-    exact, scales = np.full(lattice.shape, np.inf), np.full(lattice.shape, np.inf)
-    m, c = np.nonzero(near)
-    exact[m, c], scales[m, c] = _chi2_rows(energies, m, shifts[c] / dt, u, d, w, wd)
-    failed = np.where(near & ~(exact < np.inf), nearest, np.inf)  # |T_0| of each failing shift
-    best = exact.min(axis=1)
-    pick = np.where(exact <= best[:, None] * (1.0 + 1e-12), nearest, np.inf).argmin(axis=1)
+    pick = np.where(near, np.abs(shifts), np.inf).argmin(axis=1)
     first = sums.k_lo + pick - 1  # the bracket: shifts (first + delta) dt in the range, delta in [0, 2]
     delta = _bracket_minimum(energies, first, wd[sums.order], *sums.refine)
     refined = np.clip(dt * (first + delta), sums.lo, sums.hi)
-    members = np.arange(len(energies))
-    chi2, scale = _chi2_rows(energies, members, refined / dt, u, d, w, wd)
-    take = chi2 < best * (1.0 - 1e-12)  # else a flat valley: the lattice shift stands
-    kept = exact[members, pick], scales[members, pick], shifts[pick]
-    out = []
-    for n, (chi2_n, scale_n, shift_n) in enumerate(np.where(take, [chi2, scale, refined], kept).T):
-        fit = InnerFit(scale=float(scale_n), t0_fs=float(shift_n) * 1e3, chi2=float(chi2_n))
-        out.append(fit if failed[n].min() == np.inf else ValueError(
-            f"model trace has no amplitude over the data at shift {shifts[failed[n].argmin()] * 1e3:g} fs"))
-    return out, shifts.size, sums.starts.size
+    members = np.tile(np.arange(len(energies)), 2)
+    rows = _chi2_rows(energies, members, np.r_[shifts[pick], refined] / dt, sums.u, d, sums.w, wd)
+    (at_pick, chi2), (pick_scale, scale) = (x.reshape(2, -1) for x in rows)
+    fails = ~(at_pick < np.inf)
+    at_pick[fails] = np.inf  # a NaN too, so that a failing member's grid point sums to inf
+    take = (chi2 < at_pick * (1.0 - 1e-12)) & ~fails  # else a flat valley: the lattice shift stands
+    failed = {int(n): f"model trace has no amplitude over the data at shift {shifts[pick[n]] * 1e3:g} fs"
+              for n in np.flatnonzero(fails)}
+    return (np.where(take, chi2, at_pick), np.where(take, scale, pick_scale),
+            np.where(take, refined, shifts[pick]) * 1e3, failed)
 
 
 def inner_fit(
     model: EnergyTrace,
     dataset: ExperimentDataset,
-    t0_range_fs: tuple[float, float] = (-400.0, 400.0),
+    t0_range_fs: tuple[float, float] = DEFAULT_T0_RANGE_FS,
 ) -> InnerFit:
     """``inner_fits`` of one model: its scale and shift, or the ValueError raised."""
     fit = inner_fits([model], dataset, t0_range_fs)[0][0]
@@ -523,11 +527,19 @@ def inner_fit(
 
 @dataclass(frozen=True)
 class FitGrid:
-    """Logarithmic search grid over the three shared rates."""
+    """Logarithmic search grid over the three shared rates; each axis 1-D, finite, positive and rising."""
 
     g_nev: np.ndarray
     gamma0z_mev: np.ndarray
     gamma_minus_mev: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in (axis.name for axis in fields(self)):
+            nodes = np.asarray(getattr(self, name), dtype=float)
+            steps = np.diff(nodes, prepend=0.0) if nodes.ndim == 1 else np.empty(0)  # from 0 to the first node on
+            if not (steps.size and np.all(steps > 0.0) and np.all(np.isfinite(nodes))):
+                raise ValueError(f"grid axis {name} needs 1-D, non-empty, finite, positive, strictly increasing nodes")
+            object.__setattr__(self, name, nodes)
 
     @classmethod
     def logspace(
@@ -535,7 +547,7 @@ class FitGrid:
         g_bounds_nev: tuple[float, float] = (0.1, 5000.0),
         gamma0z_bounds_mev: tuple[float, float] = (0.1, 5000.0),
         gamma_minus_bounds_mev: tuple[float, float] = (0.001, 1.0),
-        points: int = 9,
+        points: int = DEFAULT_GRID_POINTS,
     ) -> "FitGrid":
         if points < 1:
             raise ValueError(f"points must be at least 1, got {points}")
@@ -553,7 +565,7 @@ class FitGrid:
 
     def __eq__(self, other) -> bool:
         """The same nodes on every axis, bit for bit."""
-        axes = ("g_nev", "gamma0z_mev", "gamma_minus_mev")
+        axes = [axis.name for axis in fields(self)]
         return isinstance(other, FitGrid) and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in axes)
 
     def refined_around(self, i: int, j: int, k: int) -> "FitGrid":
@@ -617,14 +629,14 @@ def trace_window(
     """``solver`` (default ``SolverConfig()``) over the simulation window a model of ``datasets`` needs.
 
     The window covers every sample over the whole shift range, padded by
-    five times the widest detector response plus 50 fs so the edges of the
-    response convolution stay outside it, and starts no later than the
-    leading edge of the pulse centred at ``center_ps``.  Every dataset must
-    carry its ``response_ps``.  ``solver``'s own window is replaced.
+    ``RESPONSE_SUPPORT_SIGMAS`` times the widest detector response plus 50 fs
+    so the response convolution's edges stay outside it, and starts no later
+    than the leading edge of the pulse centred at ``center_ps``.  Every
+    dataset must carry its ``response_ps``; ``solver``'s own window is replaced.
     """
     lo_ps = min(ds.times_fs[0] for ds in datasets) * 1e-3 + t0_range_fs[0] * 1e-3
     hi_ps = max(ds.times_fs[-1] for ds in datasets) * 1e-3 + t0_range_fs[1] * 1e-3
-    pad = 5.0 * max(ds.response_ps for ds in datasets) + 0.05
+    pad = RESPONSE_SUPPORT_SIGMAS * max(ds.response_ps for ds in datasets) + 0.05
     start_ps = min(lo_ps - pad, center_ps - PULSE_SUPPORT_SIGMAS * pulse_sigma_ps)
     return replace(solver or SolverConfig(), t_start_ps=float(start_ps), t_end_ps=float(hi_ps + pad))
 
@@ -715,22 +727,19 @@ def _member_tasks(
     for di, ds in enumerate(datasets):
         pulse = PulseParams(
             amplitude=drive_amplitude_from_photon_ratio(ds.photon_ratio, ds.n_dye),
-            center_ps=0.0,
             sigma_ps=pulse_sigma_ps,
             response_ps=ds.response_ps,
         )
-        for i, g in enumerate(grid.g_nev):
-            for j, gz in enumerate(grid.gamma0z_mev):
-                for k, gm in enumerate(grid.gamma_minus_mev):
-                    params = ModelParams(
-                        n_molecules=ds.n_dye,
-                        g_mev=g * 1e-6,
-                        kappa_mev=kappa,
-                        gamma0z_mev=gz,
-                        n_ref=n_ref,
-                        gamma_minus_mev=gm,
-                    )
-                    tasks[(i, j, k, di)] = (params, pulse, solver)
+        for i, j, k in np.ndindex(grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size):
+            params = ModelParams(
+                n_molecules=ds.n_dye,
+                g_mev=grid.g_nev[i] * 1e-6,
+                kappa_mev=kappa,
+                gamma0z_mev=grid.gamma0z_mev[j],
+                n_ref=n_ref,
+                gamma_minus_mev=grid.gamma_minus_mev[k],
+            )
+            tasks[(i, j, k, di)] = (params, pulse, solver)
     return tasks
 
 
@@ -792,8 +801,9 @@ class ModelTable(Mapping):
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _inner_fits(self, di: int, dataset: ExperimentDataset, t0_range_fs: tuple, keep: bool):
-        """``inner_fits`` of ``dataset`` against the rows of dataset ``di``; ``keep`` holds its ``_TableSums``."""
+    def _inner_fits(self, di: int, dataset: ExperimentDataset, t0_range_fs: tuple, keep: bool) -> tuple:
+        """``_inner_fits`` of ``dataset`` against the rows of dataset ``di``, with the counts of lattice shifts
+        and crossing classes; ``keep`` holds its ``_TableSums``."""
         t_model, energies = self._stacks[di]
         times, sigma, t0_range, sums = self._sums.get(di, (None, None, None, None))
         if not (
@@ -804,7 +814,7 @@ class ModelTable(Mapping):
             sums = _TableSums(t_model, energies, dataset, t0_range_fs)
             if keep:
                 self._sums[di] = (dataset.times_fs.copy(), dataset.sigma.copy(), tuple(t0_range_fs), sums)
-        return _inner_fits(energies, sums, dataset)
+        return _inner_fits(energies, sums, dataset), sums.shifts.size, sums.starts.size
 
 
 def _model_table(traces: Mapping, grid: FitGrid, n_datasets: int) -> ModelTable:
@@ -825,7 +835,7 @@ def model_traces(
     pulse_sigma_ps: float = 0.020,
     n_ref: float = N_REF_DEFAULT,
     solver: SolverConfig | None = None,
-    t0_range_fs: tuple[float, float] = (-400.0, 400.0),
+    t0_range_fs: tuple[float, float] = DEFAULT_T0_RANGE_FS,
     workers: int = 1,
 ) -> ModelTable:
     """Convolved model traces for every (grid point, dataset) pair, as a ``ModelTable``.
@@ -847,11 +857,11 @@ def model_traces(
 def global_fit(
     datasets: list[ExperimentDataset],
     grid: FitGrid,
-    lifetime_fs: float = 120.0,
+    lifetime_fs: float = DEFAULT_LIFETIME_FS,
     pulse_sigma_ps: float = 0.020,
     n_ref: float = N_REF_DEFAULT,
     solver: SolverConfig | None = None,
-    t0_range_fs: tuple[float, float] = (-400.0, 400.0),
+    t0_range_fs: tuple[float, float] = DEFAULT_T0_RANGE_FS,
     workers: int = 1,
     refine: bool = False,
     traces: Mapping | None = None,
@@ -867,20 +877,18 @@ def global_fit(
     (``FitGrid.refined_around``) as a fresh ``global_fit`` with its own table under this call's
     settings, or keeps the coarse result when that grid is the coarse one.  The reduced chi^2 uses
     k_eff = (total samples) - 3: only the shared rates count as parameters, matching how the
-    per-dataset scale and shift are treated as nuisances.
-
-    A member ``inner_fits`` cannot fit fails its grid point (logged, listed in ``failed``); a
-    DataError is raised when every point fails, and an error of a whole dataset propagates.
+    per-dataset scale and shift are treated as nuisances.  The map is the datasets' ``_inner_fits``
+    chi^2 arrays summed in dataset order over k_eff; a member's failure leaves its chi^2, and so its
+    point's, inf, and the point is logged and listed in ``failed`` under the first failing dataset's
+    reason.  Only the best point's fits become ``InnerFit``s.  A DataError is raised when every point
+    fails, and an error of a whole dataset propagates.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
     table = None if traces is None else _model_table(traces, grid, len(datasets))
     labels = [ds.label for ds in datasets]
     for di, ds in enumerate(datasets):
-        if table is None:  # the step the table will have
-            step = (solver or SolverConfig()).output_dt_ps
-        else:
-            step = _grid_step(table._stacks[di][0])
+        step = (solver or SolverConfig()).output_dt_ps if table is None else _grid_step(table._stacks[di][0])
         _shift_steps(ds, t0_range_fs, step)
         if labels.count(ds.label) > 1:
             # labels key the inner fits, the traces and the residual files
@@ -898,48 +906,44 @@ def global_fit(
 
     start = time.perf_counter()
     shape = (grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size)
-    points = list(np.ndindex(shape))
     # only a caller's table can serve another call, so only it keeps the sums
     runs = [table._inner_fits(di, ds, t0_range_fs, table is traces) for di, ds in enumerate(datasets)]
-    columns, shifts, classes = zip(*runs)
-    chi2_map = np.full(shape, np.inf)
-    inner, failed = {}, {}
-    for point, fits in zip(points, zip(*columns)):
-        errors = [f"{ds.label}: {f}" for ds, f in zip(datasets, fits) if not isinstance(f, InnerFit)]
-        if errors:
-            logger.warning("grid point %s failed: %s", point, errors[0])
-            failed[point] = errors[0]
-        else:
-            chi2_map[point] = sum(f.chi2 for f in fits) / k_eff
-            inner[point] = fits
+    arrays, shifts, classes = zip(*runs)
+    chi2, scale, t0_fs, reasons = zip(*arrays)
+    chi2_map = (sum(chi2) / k_eff).reshape(shape)
+    failed = {}
+    for n in sorted(set().union(*reasons)):
+        di = next(di for di, failures in enumerate(reasons) if n in failures)
+        point = tuple(int(v) for v in np.unravel_index(n, shape))
+        failed[point] = f"{labels[di]}: {reasons[di][n]}"
+        logger.warning("grid point %s failed: %s", point, failed[point])
     logger.info(
         "chi^2 reduction: %d members, %d lattice shifts, crossing classes %s, "
         "%d failed grid points, %.3f s",
-        len(points) * len(datasets), sum(shifts), " ".join(map("{}={}".format, labels, classes)),
+        chi2_map.size * len(datasets), sum(shifts), " ".join(map("{}={}".format, labels, classes)),
         len(failed), time.perf_counter() - start,
     )
 
     if not np.any(np.isfinite(chi2_map)):
-        raise DataError(f"every grid point failed; grid point {points[0]}: {failed[points[0]]}")
-    argmin = np.unravel_index(np.argmin(chi2_map), shape)
-    i, j, k = (int(v) for v in argmin)
+        raise DataError("every grid point failed; grid point {}: {}".format(*next(iter(failed.items()))))
+    best = int(np.argmin(chi2_map))
+    i, j, k = (int(v) for v in np.unravel_index(best, shape))
 
     confidence = confidence_intervals(chi2_map, grid, k_eff, (i, j, k))
     if confidence is None:
         warnings.warn(
-            "best fit sits on the grid boundary; confidence intervals are "
-            "unavailable until the grid is extended",
+            "best fit sits on the grid boundary; confidence intervals are unavailable until the grid is extended",
             stacklevel=2,
         )
 
-    fits = inner[(i, j, k)]
     result = FitResult(
         g_nev=float(grid.g_nev[i]),
         gamma0z_mev=float(grid.gamma0z_mev[j]),
         gamma_minus_mev=float(grid.gamma_minus_mev[k]),
         chi2_reduced_min=float(chi2_map[i, j, k]),
         k_eff=k_eff,
-        inner={ds.label: f for ds, f in zip(datasets, fits)},
+        inner={ds.label: InnerFit(float(scale[di][best]), float(t0_fs[di][best]), float(chi2[di][best]))
+               for di, ds in enumerate(datasets)},
         traces={ds.label: table[(i, j, k, di)] for di, ds in enumerate(datasets)},
         grid=grid,
         chi2_reduced_map=chi2_map,
@@ -976,29 +980,15 @@ def confidence_intervals(
     only bounds the interval from one side, which is flagged as a warning;
     a minimum on the edge bounds nothing and returns None instead.
     """
-    i, j, k = argmin
-    shape = chi2_reduced_map.shape
-    if (
-        i in (0, shape[0] - 1)
-        or j in (0, shape[1] - 1)
-        or k in (0, shape[2] - 1)
-    ):
+    if any(at in (0, size - 1) for at, size in zip(argmin, chi2_reduced_map.shape)):
         return None
-    threshold = chi2_reduced_map[i, j, k] + DELTA_CHI2_68 / k_eff
-    region = chi2_reduced_map <= threshold
+    region = chi2_reduced_map <= chi2_reduced_map[tuple(argmin)] + DELTA_CHI2_68 / k_eff
     out = {}
-    axes = (
-        ("g_nev", grid.g_nev, region.any(axis=(1, 2))),
-        ("gamma0z_mev", grid.gamma0z_mev, region.any(axis=(0, 2))),
-        ("gamma_minus_mev", grid.gamma_minus_mev, region.any(axis=(0, 1))),
-    )
-    for name, axis, hit in axes:
-        vals = axis[hit]
+    for n, name in enumerate(axis.name for axis in fields(grid)):
+        hit = region.any(axis=tuple({0, 1, 2} - {n}))  # the region's projection onto axis n
+        vals = getattr(grid, name)[hit]
         if hit[0] or hit[-1]:
-            warnings.warn(
-                f"68% region for {name} touches the grid edge; interval is one-sided",
-                stacklevel=2,
-            )
+            warnings.warn(f"68% region for {name} touches the grid edge; interval is one-sided", stacklevel=2)
         out[name] = (float(vals.min()), float(vals.max()))
     return out
 
@@ -1043,7 +1033,5 @@ def make_synthetic_dataset(
     clean = np.interp(dataset.times_fs * 1e-3 + true_shift_fs * 1e-3, trace.times_ps, trace.energy_mev)
     d = clean / true_scale
     if noise_rms > 0.0:
-        if rng is None:
-            rng = np.random.default_rng()
-        d = d + rng.normal(scale=noise_rms, size=d.size)
+        d = d + (rng or np.random.default_rng()).normal(scale=noise_rms, size=d.size)
     return replace(dataset, signal=d)

@@ -110,11 +110,11 @@ class PulseParams:
 
     def __post_init__(self) -> None:
         if self.amplitude < 0 or not math.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
+            raise ValueError(f"amplitude must be finite and non-negative, got {self.amplitude}")
         if self.sigma_ps <= 0 or not math.isfinite(self.sigma_ps):
-            raise ValueError(f"sigma_ps must be positive, got {self.sigma_ps}")
+            raise ValueError(f"sigma_ps must be finite and positive, got {self.sigma_ps}")
         if self.response_ps < 0 or not math.isfinite(self.response_ps):
-            raise ValueError(f"response_ps must be non-negative, got {self.response_ps}")
+            raise ValueError(f"response_ps must be finite and non-negative, got {self.response_ps}")
         if not math.isfinite(self.center_ps):
             raise ValueError("center_ps must be finite")
 

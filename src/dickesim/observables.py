@@ -31,6 +31,8 @@ NON_RESONANT = "non-resonant"
 
 SWEEP_AXES = ("N", "r")
 
+RESPONSE_SUPPORT_SIGMAS = 5.0  # the detector response kernel's reach either side, in sigma_R
+
 
 class UndefinedMetricError(RuntimeError):
     """A charging metric does not exist for this trace (e.g. no energy at all)."""
@@ -39,16 +41,16 @@ class UndefinedMetricError(RuntimeError):
 def convolve_response(trace: EnergyTrace, response_ps: float) -> EnergyTrace:
     """Smear the energy trace with a normalised Gaussian detector response.
 
-    The kernel extends to +-5 sigma_R; beyond the trace edges the signal is
-    continued with its edge value, so a flat trace convolves to itself
-    exactly.  A zero response width returns the trace unchanged.
+    The kernel reaches ``RESPONSE_SUPPORT_SIGMAS`` sigma_R either side; past
+    the trace edges the signal is continued with its edge value, so a flat
+    trace convolves to itself exactly.  A zero response width returns it as is.
     """
     if response_ps < 0 or not math.isfinite(response_ps):
         raise ValueError(f"response width must be finite and non-negative, got {response_ps}")
     if response_ps == 0.0:
         return trace
     dt = trace.dt_ps
-    k = int(math.ceil(5.0 * response_ps / dt))
+    k = int(math.ceil(RESPONSE_SUPPORT_SIGMAS * response_ps / dt))
     offsets = np.arange(-k, k + 1) * dt
     kernel = np.exp(-0.5 * (offsets / response_ps) ** 2)
     kernel /= kernel.sum()

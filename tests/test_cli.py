@@ -283,6 +283,22 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("pulse.response_fs = -100", "pulse.response_fs must be finite and non-negative, got -100"),
+            ("pulse.response_fs = nan", "pulse.response_fs must be finite and non-negative, got nan"),
+            ("pulse.sigma_fs = -20", "pulse.sigma_fs must be finite and positive, got -20"),
+            ("solver.output_dt_fs = -2", "solver.output_dt_fs must be positive, got -2"),
+            ("model.g_neV = -3", "model.g_neV must be a finite non-negative energy, got -3"),
+        ],
+        ids=["negative-response", "nan-response", "negative-sigma", "negative-output-step", "negative-coupling"],
+    )
+    def test_a_bad_value_is_reported_under_its_key_as_written(self, tmp_path, capsys, line, message):
+        cfg = write_cfg(tmp_path, line + "\n")
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG

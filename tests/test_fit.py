@@ -679,6 +679,19 @@ class TestFitGrid:
         assert fine.g_nev[-1] == pytest.approx(grid.g_nev[2] * step)
         assert fine.g_nev.size == 5
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [np.array([]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0, 2.0]), np.array([1.0, np.nan]),
+         np.array([1.0, np.inf]), np.array([-2.0, -1.0]), np.array([1.0, 1.0]), np.array([2.0, 1.0])],
+        ids=["empty", "2-D", "zero", "nan", "inf", "negative", "repeated", "falling"],
+    )
+    def test_each_axis_is_checked(self, nodes):
+        good = np.array([1.0, 2.0])
+        for name in ("g_nev", "gamma0z_mev", "gamma_minus_mev"):
+            axes = {"g_nev": good, "gamma0z_mev": good, "gamma_minus_mev": good, name: nodes}
+            with pytest.raises(ValueError, match=f"grid axis {name} needs 1-D, non-empty, finite, positive"):
+                FitGrid(**axes)
+
     def test_refined_nodes_on_coarse_nodes_are_exact(self):
         grid = FitGrid.logspace(points=9)
         fine = grid.refined_around(4, 0, 7)
@@ -938,6 +951,42 @@ class TestGlobalFit:
         assert len(reductions) == 1
         assert reductions[0].startswith("chi^2 reduction: 27 members, 401 lattice shifts, ")
         assert ", 1 failed grid points, " in reductions[0]
+
+    @pytest.fixture
+    def two_datasets(self):
+        """The synthetic A2 problem beside an A3 copy at half the signal, and their model table."""
+        ds, grid = synthetic_problem(known_sigma=True)
+        other = replace(ds, label="A3", signal=0.5 * ds.signal)
+        return [ds, other], grid, model_traces([ds, other], grid, lifetime_fs=120.0)
+
+    def test_one_chi2_pass_per_dataset_per_reduction(self, monkeypatch, two_datasets):
+        datasets, grid, table = two_datasets
+        calls = []
+        chi2_rows = fit_module._chi2_rows
+
+        def counted(energies, rows, *args):
+            calls.append(rows.size)
+            return chi2_rows(energies, rows, *args)
+
+        monkeypatch.setattr(fit_module, "_chi2_rows", counted)
+        global_fit(datasets, grid, lifetime_fs=120.0, traces=table)
+        # each dataset's 27 members at their lattice picks and at their refined shifts, in one call
+        assert calls == [2 * 27, 2 * 27]
+
+    def test_the_map_is_the_sum_of_the_datasets_inner_fits(self, two_datasets):
+        datasets, grid, table = two_datasets
+        times_ps = table[(2, 0, 1, 1)].times_ps
+        table = ModelTable({**table, (2, 0, 1, 1): EnergyTrace(times_ps, np.zeros(times_ps.size))}, grid, 2)
+        result = global_fit(datasets, grid, lifetime_fs=120.0, traces=table)
+        points = list(np.ndindex(result.chi2_reduced_map.shape))
+        fits = [inner_fits([table[(*p, di)] for p in points], ds)[0] for di, ds in enumerate(datasets)]
+        assert result.failed == {(2, 0, 1): "A3: model trace has no amplitude over the data at shift 0 fs"}
+        assert isinstance(fits[1][points.index((2, 0, 1))], ValueError)
+        assert np.isinf(result.chi2_reduced_map[2, 0, 1])
+        for n, point in enumerate(points):
+            if point != (2, 0, 1):
+                assert result.chi2_reduced_map[point] == (fits[0][n].chi2 + fits[1][n].chi2) / result.k_eff
+        assert result.inner == {ds.label: fits[di][points.index(result.argmin)] for di, ds in enumerate(datasets)}
 
     def test_duplicate_labels_are_rejected(self):
         ds, grid = synthetic_problem(known_sigma=True)
