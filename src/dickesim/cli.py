@@ -22,10 +22,11 @@ per subcommand), and ``CONFIG_KEYS`` is the one table of them: each key
 sets one field of one section, through one parser.  ``parse_config``
 rejects a key outside the subcommand's namespaces or outside the table,
 and two keys that set the same field; then it parses every value, a
-failure reported as ``bad value for <key>``.  ``ModelParams``,
-``PulseParams``, ``SolverConfig`` and ``OracleConfig`` are built straight
-from their sections; only ``pulse.photon_ratio`` waits for N to become an
-amplitude.
+failure reported as ``<key> must ..., got <value as written>`` when a unit
+conversion names its bound and as ``bad value for <key>`` otherwise.
+``ModelParams``, ``PulseParams``, ``SolverConfig`` and ``OracleConfig`` are
+built straight from their sections; only ``pulse.photon_ratio`` waits for
+N to become an amplitude.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 data
 error.
@@ -251,6 +252,8 @@ def parse_config(cfg: Mapping[str, str], command: str) -> dict[str, dict]:
         try:
             sections[section][field] = CONFIG_KEYS[key][2](cfg[key])
         except ValueError as exc:
+            if reason := str(exc).partition(" must ")[2].partition(", got ")[0]:
+                raise ConfigError(f"{key} must {reason}, got {cfg[key]}") from None
             raise ConfigError(f"bad value for {key}: {cfg[key]!r} ({exc})") from None
     return sections
 

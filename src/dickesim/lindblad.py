@@ -14,13 +14,14 @@ rho's 4,096 entries at three molecules and n_max = 7.  Each term of the
 master equation is a Fock superoperator times a sum over the molecules of
 one 4 x 4 map on a molecule's (ket, bra) state, so the generator is built
 on the class counts, with no operator on the full space, in the form Kirton
-& Keeling (PRL 118, 123602, 2017) and Gegg & Richter (NJP 18, 043037,
-2016) integrate.  The states are complex and scipy's LSODA accepts only
-real ones, so the oracle stays on RK45, at a tenth of the ``SolverConfig``
-tolerances.  Samples are reduced as they are taken, a few steps at a time,
-to the moments (one contraction each), the smallest eigenvalue (one block
-per total spin) and the other diagnostics; the run stops at the first
-sample that fails a check.
+& Keeling (PRL 118, 123602, 2017) and Gegg & Richter (NJP 18, 043037, 2016)
+integrate.  A phase per class makes it and the states real at resonance
+(detuned, they stay complex).  RK45 steps them at a tenth of the
+``SolverConfig`` tolerances: LSODA was only 7% faster on the benchmark's
+nine solves, and would change the reference integrator.  Samples are reduced
+as they are taken, a few steps at a time, to the moments (one contraction
+each), the smallest eigenvalue (one block per total spin) and the other
+diagnostics; the run stops at the first sample that fails a check.
 """
 
 from __future__ import annotations
@@ -105,20 +106,22 @@ def _dissipator(jump: np.ndarray) -> np.ndarray:
 class _Operators:
     """The permutation classes of rho's entries, and the generator, moment rows and spin blocks on them.
 
-    Class value k nf^2 + f nf + f' is rho's entry at the Fock pair (f, f')
-    and at every spin pair whose molecules' states b = 2 ket + bra (0 = up)
-    have the counts ``counts[k]`` = (n_uu, n_ud, n_du, n_dd), in descending
-    lexicographic order, and ``transpose_class`` maps it to the class of the
-    transposed entries.  ``columns[:, i] . x`` = tr(O_i rho) for the moments
+    Class value k nf^2 + f nf + f' is ``phase`` = i^(n_ud - n_du) times
+    rho's entry at the Fock pair (f, f') and at every spin pair whose
+    molecules' states b = 2 ket + bra (0 = up) have the counts ``counts[k]``
+    = (n_uu, n_ud, n_du, n_dd), in descending lexicographic order, and
+    ``transpose_class`` maps it to the class of the transposed entries, of
+    conjugate phase.  ``columns[:, i] . x`` = tr(O_i rho) for the moments
     ``moment_names``, the excited population per molecule, the trace and the
     top Fock population; ``drift`` holds ``_drift``'s rate-free terms.
 
     On total spin j, rho acts as one block rho_j per copy of the spin-j
     multiplet, so its spectrum is the union of the blocks' spectra.
     ``sectors`` holds for each j, N/2 first, the (spin classes, 2j + 1,
-    2j + 1) array C with rho_j = sum_k kron(C_k, X_k), X_k the nf x nf Fock
-    block of spin class k, on the copy of N/2 - j singlet pairs times the
-    Dicke states of the other 2j molecules (Chase & Geremia, PRA 78, 052101).
+    2j + 1) array C with sum_k kron(C_k, X_k) = D rho_j D', X_k the nf x nf
+    Fock block of spin class k and D = diag(i^u), on the copy of N/2 - j
+    singlet pairs times the Dicke states, u up in the ket, of the other 2j
+    molecules (Chase & Geremia, PRA 78, 052101).
     """
 
     def __init__(self, n_molecules: int, n_max: int):
@@ -146,8 +149,10 @@ class _Operators:
         swapped = np.array([self._index[(uu, du, ud, dd)] for uu, ud, du, dd in self.counts])
         fock_transpose = np.arange(nf * nf).reshape(nf, nf).T.ravel()
         self.transpose_class = (swapped[:, None] * nf * nf + fock_transpose).ravel()
+        # rho = Q rho* Q at resonance, Q = (-1)^(up spins): the phase makes rho's class values real
+        self.phase = np.repeat(1j ** (self.counts[:, 1] - self.counts[:, 2]), nf * nf)
 
-        a = np.diag(np.sqrt(np.arange(1, nf)), k=1).astype(complex)
+        a = np.diag(np.sqrt(np.arange(1, nf)), k=1)
         ad = a.T
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -161,15 +166,16 @@ class _Operators:
             for side, sign in ((_left, -1j), (_right, 1j))
             for spin, field in ((sm, ad), (sm.T, a))
         )
-        self.drift = (
-            sparse.kron(spin_id, _commutator(ad @ a), "csr"),
-            sparse.kron(spin_id, _dissipator(a), "csr"),
-            sparse.kron(self.lift(_commutator(sz / 2)), fock_id, "csr"),
-            sparse.kron(self.lift(_dissipator(sz)), fock_id, "csr"),
-            sparse.kron(self.lift(_dissipator(sm)), fock_id, "csr"),
-            coupling.tocsr(),
-        )
-        self.drive = sparse.kron(spin_id, _left(ad - a) - _right(ad - a), "csr")
+        rotate = sparse.diags(self.phase)
+        self.drift = tuple((rotate @ term @ rotate.conj()).tocsr() for term in (
+            sparse.kron(spin_id, _commutator(ad @ a)),
+            sparse.kron(spin_id, _dissipator(a)),
+            sparse.kron(self.lift(_commutator(sz / 2)), fock_id),
+            sparse.kron(self.lift(_dissipator(sz)), fock_id),
+            sparse.kron(self.lift(_dissipator(sm)), fock_id),
+            coupling,
+        ))
+        self.drive = sparse.kron(spin_id, _left(ad - a) - _right(ad - a), "csr")  # Fock only, so unrotated
 
         # tr(rho) = trace . x: rho's diagonal holds C(N, n_uu) spin pairs of
         # each class with n_ud = n_du = 0, each on the Fock diagonal
@@ -177,8 +183,8 @@ class _Operators:
         spin_trace = np.array([math.comb(n, uu) for uu in self.counts[:, 0]]) * diagonal
 
         def row(spin: sparse.spmatrix, field: np.ndarray) -> np.ndarray:
-            """tr(O rho) on the class values, for O rho with class values kron(spin, _left(field)) x."""
-            return np.kron(spin.T @ spin_trace, np.eye(nf).ravel() @ _left(field))
+            """tr(O rho) on the class values, for O rho with unrotated class values kron(spin, _left(field)) x."""
+            return self.phase.conj() * np.kron(spin.T @ spin_trace, np.eye(nf).ravel() @ _left(field))
 
         one = np.eye(nf)
         pauli = dict(zip("xyz", (sx, sy, sz)))
@@ -235,7 +241,7 @@ class _Operators:
         """The class values of |down...down, photons><down...down, photons|."""
         spin = np.arange(len(self.counts)) == self._index[(0, 0, 0, self.n_molecules)]
         fock = np.diag(np.arange(self.n_max + 1) == photons).ravel()
-        return np.kron(spin, fock).astype(complex)
+        return np.kron(spin, fock).astype(float)
 
 
 _operators = lru_cache(maxsize=8)(_Operators)
@@ -263,13 +269,14 @@ def _drift(params: ModelParams, ops: _Operators) -> sparse.csr_matrix:
     """The undriven generator on the class values in 1/ps: each term of ``ops.drift`` times its rate.
 
     -i[a'a, rho], D[a], -i[S_z / 2, rho], sum_j D[sigma_z^j], sum_j D[sigma_-^j] and
-    -i[a' S_- + a S_+, rho] take delta_c, kappa, delta_a, gamma_z, gamma_minus and g.
+    -i[a' S_- + a S_+, rho] take delta_c, kappa, delta_a, gamma_z, gamma_minus and g; real at resonance.
     """
     rates = (
         params.delta_c_mev, params.kappa_mev, params.delta_a_mev,
         effective_dephasing(params), params.gamma_minus_mev, params.g_mev,
     )
-    return sum(rate / HBAR_MEV_PS * term for rate, term in zip(rates, ops.drift)).tocsr()
+    drift = sum(rate / HBAR_MEV_PS * term for rate, term in zip(rates, ops.drift)).tocsr()
+    return drift if drift.data.imag.any() else drift.real
 
 
 def evolve_exact(
@@ -305,7 +312,7 @@ def evolve_exact(
             out += eta * (drive @ y)
         return out
 
-    x0 = ops.ground_state(oracle.initial_photons)
+    x0 = ops.ground_state(oracle.initial_photons).astype(drift.dtype)
     times = output_grid(config)
     window = times[-1] - times[0]
     rate = abs(drift).sum(axis=1).max() + amp * abs(drive).sum(axis=1).max()

@@ -38,15 +38,15 @@ class ConfigError(ValueError):
 
 def lifetime_ps_to_mev(t_ps: float) -> float:
     """Photon lifetime T in ps -> cavity linewidth kappa = hbar/T in meV."""
-    if t_ps <= 0:
-        raise ValueError(f"lifetime must be positive, got {t_ps}")
+    if not 0 < t_ps < math.inf:
+        raise ValueError(f"lifetime must be finite and positive, got {t_ps}")
     return HBAR_MEV_PS / t_ps
 
 
 def wavelength_nm_to_mev(lam_nm: float) -> float:
     """Transition wavelength in nm -> photon energy hc/lambda in meV."""
-    if lam_nm <= 0:
-        raise ValueError(f"wavelength must be positive, got {lam_nm}")
+    if not 0 < lam_nm < math.inf:
+        raise ValueError(f"wavelength must be finite and positive, got {lam_nm}")
     return HC_EV_NM / lam_nm * 1e3
 
 

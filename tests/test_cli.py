@@ -291,8 +291,13 @@ class TestExitCodes:
             ("pulse.sigma_fs = -20", "pulse.sigma_fs must be finite and positive, got -20"),
             ("solver.output_dt_fs = -2", "solver.output_dt_fs must be positive, got -2"),
             ("model.g_neV = -3", "model.g_neV must be a finite non-negative energy, got -3"),
+            ("model.lifetime_fs = -3", "model.lifetime_fs must be finite and positive, got -3"),
+            ("model.lifetime_fs = nan", "model.lifetime_fs must be finite and positive, got nan"),
+            ("model.wavelength_nm = -526", "model.wavelength_nm must be finite and positive, got -526"),
+            ("model.wavelength_nm = inf", "model.wavelength_nm must be finite and positive, got inf"),
         ],
-        ids=["negative-response", "nan-response", "negative-sigma", "negative-output-step", "negative-coupling"],
+        ids=["negative-response", "nan-response", "negative-sigma", "negative-output-step", "negative-coupling",
+             "negative-lifetime", "nan-lifetime", "negative-wavelength", "infinite-wavelength"],
     )
     def test_a_bad_value_is_reported_under_its_key_as_written(self, tmp_path, capsys, line, message):
         cfg = write_cfg(tmp_path, line + "\n")

@@ -66,8 +66,10 @@ class FullSpace:
     class k nf^2 + f nf + f', where spin class k is the orbit of (s, s')
     under the permutations of the molecules: the multiset of the molecules'
     (ket, bra) states 2 ket + bra, numbered in ``np.unique`` order.
-    ``representatives`` holds one entry per class and ``indicator`` the 0/1
-    matrix W with vec(rho) = W x for a symmetric rho of class values x.
+    ``representatives`` holds one entry per class.  The oracle steps the
+    class values times ``phase`` = i^(n_ud - n_du), the numbers of molecules
+    in the states 1 and 2, and ``indicator`` is the matrix W with vec(rho) =
+    W x for a symmetric rho of such rotated class values x.
     """
 
     def __init__(self, n_molecules: int, n_max: int):
@@ -113,8 +115,11 @@ class FullSpace:
             spin_class[:, None, :, None] * nf * nf + fock[None, :, None, None] * nf + fock
         ).ravel()
         _, self.representatives = np.unique(classes, return_index=True)
+        turns = np.sum(kinds == 1, axis=2) - np.sum(kinds == 2, axis=2)
+        turns = np.broadcast_to(turns[:, None, :, None], (n_spin, nf, n_spin, nf)).ravel()
+        self.phase = np.array([1, 1j, -1, -1j])[turns[self.representatives] % 4]
         self.indicator = sparse.csr_matrix(
-            (np.ones(dim * dim), (np.arange(dim * dim), classes)),
+            (self.phase.conj()[classes], (np.arange(dim * dim), classes)),
             shape=(dim * dim, (spin_class.max() + 1) * nf * nf),
         )
 
@@ -153,11 +158,11 @@ class FullSpace:
         return drift.tocsr(), drive.tocsr()
 
     def restrict(self, superop: sparse.csr_matrix) -> sparse.csr_matrix:
-        """``superop`` on the class values, (superop W)[representatives].
+        """``superop`` on the rotated class values, phase (superop W)[representatives].
 
         Exact when ``superop`` commutes with the permutations of the molecules.
         """
-        return (superop[self.representatives] @ self.indicator).tocsr()
+        return (sparse.diags(self.phase) @ superop[self.representatives] @ self.indicator).tocsr()
 
     def ground_state(self, photons: int) -> np.ndarray:
         """|down...down> tensor |photons>, as a density matrix."""
@@ -326,8 +331,8 @@ def random_states(full: FullSpace, count: int, rng: np.random.Generator) -> np.n
 
 
 def class_values(full: FullSpace, rho: np.ndarray) -> np.ndarray:
-    """The class values x of permutation-symmetric matrices, one row per matrix."""
-    return rho.reshape(-1, full.dim * full.dim)[:, full.representatives]
+    """The rotated class values x of permutation-symmetric matrices, one row per matrix."""
+    return rho.reshape(-1, full.dim * full.dim)[:, full.representatives] * full.phase
 
 
 @pytest.mark.parametrize("n, detuning", GENERATOR_CASES)
@@ -543,6 +548,42 @@ def test_tolerances_are_a_tenth_of_the_solver_config(monkeypatch, caplog):
     steps, rhs_calls = map(int, match.groups())
     # RK45 takes six evaluations per step, and one more to start each segment
     assert 0 < steps and 6 * steps <= rhs_calls
+
+
+@pytest.mark.parametrize("detuning, dtype", [({}, np.float64), ({"delta_c_mev": 0.3}, np.complex128)])
+def test_a_resonant_run_steps_real_values(monkeypatch, detuning, dtype):
+    params = params_for(2.0, **detuning)
+    assert _drift(params, _operators(2, 8)).dtype == dtype
+    seen = set()
+    solve = lindblad._segmented_solve
+
+    def recording(rhs, y0, times, pulse, rel_tol, abs_tol, stepper, reduce, **kwargs):
+        def reduce_seen(t, states):
+            seen.add(states.dtype)
+            return reduce(t, states)
+
+        seen.update((y0.dtype, rhs(times[0], y0).dtype))
+        return solve(rhs, y0, times, pulse, rel_tol, abs_tol, stepper, reduce_seen, **kwargs)
+
+    monkeypatch.setattr(lindblad, "_segmented_solve", recording)
+    evolve_exact(params, PulseParams(amplitude=0.1, sigma_ps=0.020), WINDOW)
+    assert seen == {np.dtype(dtype)}
+
+
+def test_real_stepping_matches_the_complex_rotated_generator(monkeypatch):
+    # the same rotated generator, stepped on complex values: |phase| = 1 leaves
+    # RK45's error weights, and so its steps, as they are
+    params = params_for(2.0)
+    pulse = PulseParams(amplitude=0.1, center_ps=0.0, sigma_ps=0.020)
+    real = evolve_exact(params, pulse, WINDOW)
+    drift = lindblad._drift
+    monkeypatch.setattr(lindblad, "_drift", lambda *args: drift(*args).astype(complex))
+    stepped_complex = evolve_exact(params, pulse, WINDOW)
+    for name, reference in stepped_complex.moments.items():
+        np.testing.assert_allclose(
+            real.moments[name], reference, rtol=0, atol=1e-12 * np.max(np.abs(reference))
+        )
+    np.testing.assert_allclose(real.min_eigenvalue, stepped_complex.min_eigenvalue, rtol=0, atol=1e-15)
 
 
 def test_hermiticity_guard_names_the_sample():

@@ -32,15 +32,17 @@ def test_lifetime_to_linewidth_at_120_fs():
 def test_wavelength_to_energy_at_526_nm():
     # the dye's 526 nm transition is the 2357 meV default omega_a
     assert wavelength_nm_to_mev(526.0) == pytest.approx(2357.1, abs=0.05)
-    with pytest.raises(ValueError):
-        wavelength_nm_to_mev(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="wavelength must be finite and positive"):
+            wavelength_nm_to_mev(bad)
 
 
 def test_rate_conversion_uses_hbar():
     # a lifetime of 1 ps is a linewidth of hbar / (1 ps)
     assert lifetime_ps_to_mev(1.0) == pytest.approx(HBAR_MEV_PS)
-    with pytest.raises(ValueError):
-        lifetime_ps_to_mev(-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lifetime must be finite and positive"):
+            lifetime_ps_to_mev(bad)
 
 
 def test_default_params_are_the_best_fit_values():
