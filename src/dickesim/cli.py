@@ -578,6 +578,8 @@ def cmd_spectrum(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Pat
 def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
     common = params, pulse, solver = _build_common(cfg, sections)
     oracle = _checked(OracleConfig, **sections["oracle"])
+    if oracle.initial_photons:
+        raise ConfigError("oracle.initial_photons must be 0 for oracle-check: the closures start from an empty cavity")
     _echo_config(out_dir, "oracle-check", *common, oracle)
     lines = []
     ok = True
@@ -612,18 +614,21 @@ def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir:
         f"{errors['cumulant']:.3e}, meanfield {errors['meanfield']:.3e} (limit 2e-2)"
     )
 
-    # both bracket forms on the cumulant closure, the only one with an <a sx> equation
-    variant = integrate(params, pulse, replace(solver, closure="cumulant"), ax_bracket="variant")
-    bracket_errs = {
-        bracket: compare_cumulant(exact, trace, observables=("c_z",))["c_z"].max_rel_error
-        for bracket, trace in (("consistent", closure_runs["cumulant"]), ("variant", variant))
-    }
-    passed = bracket_errs["consistent"] <= bracket_errs["variant"]
-    ok &= passed
-    lines.append(
-        f"{'PASS' if passed else 'FAIL'} pair-bracket forms: consistent rel err "
-        f"{bracket_errs['consistent']:.3e} vs variant {bracket_errs['variant']:.3e}"
-    )
+    # both bracket forms on the cumulant closure, the only one with an <a sx> equation; the variant
+    # is a diagnostic, so a variant the solver cannot finish leaves this line undecided
+    consistent = compare_cumulant(exact, closure_runs["cumulant"], observables=("c_z",))["c_z"].max_rel_error
+    try:
+        variant = integrate(params, pulse, replace(solver, closure="cumulant"), ax_bracket="variant")
+    except IntegrationError as exc:
+        lines.append(f"SKIP pair-bracket forms: consistent rel err {consistent:.3e}, variant not integrated ({exc})")
+    else:
+        variant_err = compare_cumulant(exact, variant, observables=("c_z",))["c_z"].max_rel_error
+        passed = consistent <= variant_err
+        ok &= passed
+        lines.append(
+            f"{'PASS' if passed else 'FAIL'} pair-bracket forms: consistent rel err "
+            f"{consistent:.3e} vs variant {variant_err:.3e}"
+        )
 
     g0 = replace(params, g_mev=0.0, delta_c_mev=0.0)
     trace = integrate(g0, pulse, solver)

@@ -35,8 +35,9 @@ gather, multiply and sum, and the exact Jacobian from the same terms,
 banded for LSODA.  One set-up, ``_solve``, integrates any number of members
 under one pulse as one stacked system: ``integrate`` keeps one member's
 full state, ``simulate_energies`` (the fit's table, and ``simulate_energy``
-as a batch of one) only <sigma_z>.  One stepping loop,
-``_segmented_solve``, runs it and the exact oracle alike.
+as a batch of one) only <sigma_z>, returned as one batched ``EnergyTrace``
+with a row per member.  One stepping loop, ``_segmented_solve``, runs it
+and the exact oracle alike.
 """
 
 from __future__ import annotations
@@ -191,7 +192,10 @@ class MomentTrace:
 
 @dataclass(frozen=True)
 class EnergyTrace:
-    """Stored energy per molecule (meV) on a uniform time grid (ps)."""
+    """Stored energy per molecule (meV) of one member, or of a batch (members x steps), on a uniform time grid (ps).
+
+    The grid is uniform when every time lies within 1e-6 of a step of the line through its ends.
+    """
 
     times_ps: np.ndarray
     energy_mev: np.ndarray
@@ -201,15 +205,13 @@ class EnergyTrace:
         e = np.asarray(self.energy_mev, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("need at least two samples")
-        if e.shape != t.shape:
+        if e.ndim not in (1, 2) or e.shape[-1] != t.size:
             raise ValueError("energy and time arrays must match")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
             raise ValueError("trace contains non-finite values")
-        dt = np.diff(t)
-        if dt.min() <= 0:
-            raise ValueError("times must be strictly increasing")
-        if (dt.max() - dt.min()) > 1e-7 * dt.max():
-            raise ValueError("time grid must be uniform")
+        step = (t[-1] - t[0]) / (t.size - 1)
+        if not (step > 0 and np.max(np.abs(t - t[0] - step * np.arange(t.size))) <= 1e-6 * step):
+            raise ValueError("times must be strictly increasing on a uniform grid")
         object.__setattr__(self, "times_ps", t)
         object.__setattr__(self, "energy_mev", e)
 
@@ -697,30 +699,28 @@ def simulate_energy(
     config: SolverConfig,
 ) -> EnergyTrace:
     """Stored energy per molecule (meV) of one member: a batch of one of ``simulate_energies``."""
-    return simulate_energies([params], pulse, config)[0][0]
+    trace = simulate_energies([params], pulse, config)[0]
+    return EnergyTrace(trace.times_ps, trace.energy_mev[0])
 
 
 def simulate_energies(
     params: Sequence[ModelParams],
     pulse: PulseParams,
     config: SolverConfig,
-):
-    """Energy traces of a batch of members driven by one pulse, integrated as one stacked system.
+) -> tuple[EnergyTrace, SolverStats]:
+    """The batched energy trace of members driven by one pulse, integrated as one stacked system.
 
     See ``_solve``.  Only <sigma_z> is kept; a lone member's energy is bit
-    for bit ``energy_trace`` of its ``integrate`` trace.  Returns the traces
-    and the solver's work.
+    for bit ``energy_trace`` of its ``integrate`` trace.  Returns the trace,
+    one row per member in the order of ``params``, and the solver's work.
     """
     def sigma_z(t: np.ndarray, states: np.ndarray) -> np.ndarray:
         # a copy, since a view of the sampled states would keep them all alive
         return moment(states.reshape(len(t), len(params), STATE_SIZE), "c_z").copy()
 
     times, c_z, stats = _solve(params, pulse, config, sigma_z)
-    traces = [
-        EnergyTrace(times_ps=times, energy_mev=energy_density_from_inversion(c_z[:, m], p.omega_a_mev))
-        for m, p in enumerate(params)
-    ]
-    return traces, stats
+    omega_a = np.array([[p.omega_a_mev] for p in params])
+    return EnergyTrace(times_ps=times, energy_mev=energy_density_from_inversion(c_z.T, omega_a)), stats
 
 
 def process_map(fn: Callable, items: Sequence, workers: int = 1) -> list:

@@ -14,7 +14,9 @@ chi^2 = sum_i [ (S * d_i - E(t_i + T_0)) / (S * sigma_i) ]^2
 with sigma_i estimated from quiet stretches of the measured signal itself.
 The noise of the scaled data S d_i is S sigma_i, so chi^2 does not depend
 on the units the data come in, and its minimum over S is closed form:
-a = sum(w d E) / sum(w E^2).
+a = sum(w d E) / sum(w E^2).  A dataset's model traces stay one batched
+``EnergyTrace`` (a row per grid point, in ``np.ndindex`` order of the grid's
+shape) from the stacked solve to the chi^2 reduction, held by a ``ModelTable``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import logging
 import math
 import time
 import warnings
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -413,26 +415,16 @@ def _grid_step(t_model: np.ndarray) -> float:
     return (t_model[-1] - t_model[0]) / (t_model.size - 1)
 
 
-def _stack(traces: list[EnergyTrace]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only copies of the one uniform time grid of ``traces``, to 1e-6 of a step, and of their energy rows."""
-    t_model = traces[0].times_ps
-    dt = _grid_step(t_model)
-    uniform = np.max(np.abs(t_model - t_model[0] - dt * np.arange(t_model.size))) <= 1e-6 * dt
-    if not uniform or any(not np.array_equal(trace.times_ps, t_model) for trace in traces):
-        raise ValueError("the model traces of one dataset must share one uniform time grid")
-    times, energies = t_model.copy(), np.stack([trace.energy_mev for trace in traces])
-    times.flags.writeable = energies.flags.writeable = False
-    return times, energies
-
-
 class _TableSums:
     """What ``inner_fits`` computes from the models, the sample times, sigma and the shift range alone.
 
-    That is the span check of the models' grid ``t_model``, the samples' phase classes, and the lattice
-    rows of the stacked ``energies`` (read, not copied) with their S2 sums (``_lattice_s2``).
+    That is the span check of the grid ``t_model`` of the batched trace ``models``, the samples' phase
+    classes, and the lattice rows of its ``energies`` (read, not copied) with their S2 (``_lattice_s2``).
     """
 
-    def __init__(self, t_model: np.ndarray, energies: np.ndarray, dataset: ExperimentDataset, t0_range_fs: tuple):
+    def __init__(self, models: EnergyTrace, dataset: ExperimentDataset, t0_range_fs: tuple):
+        t_model = models.times_ps
+        self.energies = energies = np.atleast_2d(models.energy_mev)
         self.dt = dt = _grid_step(t_model)
         self.k_lo, k_hi = _shift_steps(dataset, t0_range_fs, dt)
         t_data_ps = dataset.times_fs * 1e-3
@@ -460,11 +452,11 @@ class _TableSums:
 
 
 def inner_fits(
-    models: list[EnergyTrace],
+    models: EnergyTrace,
     dataset: ExperimentDataset,
     t0_range_fs: tuple[float, float] = DEFAULT_T0_RANGE_FS,
 ) -> tuple[list, int, int]:
-    """Best scale and time shift of one dataset against each of ``models``, which share one uniform grid.
+    """Best scale and time shift of one dataset against each member of the batched trace ``models``.
 
     At fixed shift chi^2 = sum w (d - a E)^2 is least at a = 1/S = sum(w d E) / sum(w E^2).  Each member
     picks its least whole step of the grid (``_lattice_chi2``), ties within rounding going to the smaller
@@ -472,25 +464,24 @@ def inner_fits(
     ``REFINE_SIZE``), taken unless the valley is flat.  A member fails when its trace has no amplitude over
     the data at its pick.  Only the pick is evaluated, so where two or more steps are near-least, a tie or
     a failure at another of them does not count.  Returns per model an ``InnerFit`` or the ValueError of
-    its failure, the count of lattice shifts and that of the sample classes crossing nodes together.  The
-    models are stacked and the part that reads no signal (``_TableSums``) computed on every call; a
-    ``ModelTable`` passed to ``global_fit`` holds both between calls instead.
+    its failure, the count of lattice shifts and that of the sample classes crossing nodes together.  A
+    one-member trace counts as a batch of one.  The part that reads no signal (``_TableSums``) is computed
+    on every call; a ``ModelTable`` passed to ``global_fit`` holds it between calls instead.
     """
-    t_model, energies = _stack(models)
-    sums = _TableSums(t_model, energies, dataset, t0_range_fs)
-    chi2, scale, t0_fs, failed = _inner_fits(energies, sums, dataset)
+    sums = _TableSums(models, dataset, t0_range_fs)
+    chi2, scale, t0_fs, failed = _inner_fits(sums, dataset)
     fits = [ValueError(failed[n]) if n in failed else InnerFit(float(s), float(t), float(c))
             for n, (c, s, t) in enumerate(zip(chi2, scale, t0_fs))]
     return fits, sums.shifts.size, sums.starts.size
 
 
-def _inner_fits(energies: np.ndarray, sums: _TableSums, dataset: ExperimentDataset) -> tuple:
-    """``inner_fits`` of ``dataset``'s signal against the stacked ``energies``, given their ``sums``, as arrays.
+def _inner_fits(sums: _TableSums, dataset: ExperimentDataset) -> tuple:
+    """``inner_fits`` of ``dataset``'s signal against the energies that ``sums`` were computed for, as arrays.
 
     Per member chi^2 (inf for a failing member), scale and shift in fs, and each failing member's reason.
     One ``_chi2_rows`` call evaluates every member at its lattice pick and its refined shift together.
     """
-    dt, shifts = sums.dt, sums.shifts
+    dt, shifts, energies = sums.dt, sums.shifts, sums.energies
     d = dataset.signal
     wd = sums.w * d
     lattice = _lattice_chi2(sums.lattice, wd, d)
@@ -519,7 +510,7 @@ def inner_fit(
     t0_range_fs: tuple[float, float] = DEFAULT_T0_RANGE_FS,
 ) -> InnerFit:
     """``inner_fits`` of one model: its scale and shift, or the ValueError raised."""
-    fit = inner_fits([model], dataset, t0_range_fs)[0][0]
+    fit = inner_fits(model, dataset, t0_range_fs)[0][0]
     if isinstance(fit, ValueError):
         raise fit
     return fit
@@ -540,6 +531,11 @@ class FitGrid:
             if not (steps.size and np.all(steps > 0.0) and np.all(np.isfinite(nodes))):
                 raise ValueError(f"grid axis {name} needs 1-D, non-empty, finite, positive, strictly increasing nodes")
             object.__setattr__(self, name, nodes)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Nodes per axis; a model table's rows are the grid points in ``np.ndindex`` order of it."""
+        return (self.g_nev.size, self.gamma0z_mev.size, self.gamma_minus_mev.size)
 
     @classmethod
     def logspace(
@@ -670,44 +666,39 @@ def _regime(params: ModelParams) -> tuple[float, float]:
     )
 
 
-def _batches(tasks: dict) -> list[list]:
-    """Keys of ``tasks`` grouped into the batches that are integrated together.
+def _batches(tasks: list) -> list[tuple[int, np.ndarray]]:
+    """(dataset index, member rows) of each batch of ``tasks`` that is integrated together.
 
     A batch holds members of one dataset only, ordered by g sqrt(N)/kappa and
     then gamma_tot/kappa so that neighbours step alike, cut into near-equal
     runs of at most ``BATCH_CAP``.  Only the members' own parameters decide
     it, so the traces do not depend on the number of workers.
     """
-    by_dataset: dict[int, list] = {}
-    for key in tasks:
-        by_dataset.setdefault(key[3], []).append(key)
     batches = []
-    for di in sorted(by_dataset):
-        keys = sorted(by_dataset[di], key=lambda k: (_regime(tasks[k][0]), k))
-        runs = -(-len(keys) // BATCH_CAP)
-        batches.extend([keys[i] for i in run] for run in np.array_split(np.arange(len(keys)), runs))
+    for di, (params, _, _) in enumerate(tasks):
+        rows = sorted(range(len(params)), key=lambda m: _regime(params[m]))
+        runs = -(-len(rows) // BATCH_CAP)
+        batches += [(di, run) for run in np.array_split(np.array(rows), runs)]
     return batches
 
 
-def _fit_batch_task(batch: list) -> tuple[list, object, float]:
-    """Convolved traces of one batch of (key, task) pairs, its solver work and wall time."""
+def _fit_batch_task(batch: tuple) -> tuple[EnergyTrace, object, float]:
+    """The convolved trace of one (label, members' params, pulse, solver) batch, its solver work and wall time."""
     start = time.perf_counter()
-    # a batch holds one dataset, to which _member_tasks gives one pulse and one solver
-    _, (_, pulse, solver) = batch[0]
+    label, params, pulse, solver = batch
     try:
-        traces, stats = simulate_energies([task[0] for _, task in batch], pulse, solver)
+        trace, stats = simulate_energies(params, pulse, solver)
     except IntegrationError as exc:
         if exc.member is None:
             raise
-        key, (params, *_) = batch[exc.member]
+        p = params[exc.member]
         raise IntegrationError(
-            f"grid point {key[:3]} of dataset {key[3]} (g = {params.g_mev * 1e6:g} neV, "
-            f"gamma0z = {params.gamma0z_mev:g} meV, gamma_minus = {params.gamma_minus_mev:g} meV): {exc}",
+            f"{label} member at g = {p.g_mev * 1e6:g} neV, gamma0z = {p.gamma0z_mev:g} meV, "
+            f"gamma_minus = {p.gamma_minus_mev:g} meV: {exc}",
             exc.last_good_time_ps,
             member=exc.member,
         ) from None
-    convolved = [convolve_response(trace, pulse.response_ps) for trace in traces]
-    return convolved, stats, time.perf_counter() - start
+    return convolve_response(trace, pulse.response_ps), stats, time.perf_counter() - start
 
 
 def _member_tasks(
@@ -718,20 +709,20 @@ def _member_tasks(
     n_ref: float,
     solver: SolverConfig | None,
     t0_range_fs: tuple[float, float],
-) -> dict:
-    """One hashable integration task per (i_g, i_z, i_m, dataset_index) key."""
+) -> list[tuple]:
+    """Per dataset one (members' ``ModelParams``, pulse, solver) task, its members in the grid's row order."""
     kappa = HBAR_MEV_PS / (lifetime_fs * 1e-3)
     datasets, solver = table_window(datasets, lifetime_fs, pulse_sigma_ps, t0_range_fs, solver)
 
-    tasks = {}
-    for di, ds in enumerate(datasets):
+    tasks = []
+    for ds in datasets:
         pulse = PulseParams(
             amplitude=drive_amplitude_from_photon_ratio(ds.photon_ratio, ds.n_dye),
             sigma_ps=pulse_sigma_ps,
             response_ps=ds.response_ps,
         )
-        for i, j, k in np.ndindex(grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size):
-            params = ModelParams(
+        params = [
+            ModelParams(
                 n_molecules=ds.n_dye,
                 g_mev=grid.g_nev[i] * 1e-6,
                 kappa_mev=kappa,
@@ -739,61 +730,62 @@ def _member_tasks(
                 n_ref=n_ref,
                 gamma_minus_mev=grid.gamma_minus_mev[k],
             )
-            tasks[(i, j, k, di)] = (params, pulse, solver)
+            for i, j, k in np.ndindex(grid.shape)
+        ]
+        tasks.append((params, pulse, solver))
     return tasks
 
 
-def _integrate(tasks: dict, labels: list[str], workers: int) -> dict:
-    """Traces of ``tasks`` integrated batch by batch; ``process_map`` maps over batches."""
+def _integrate(tasks: list, labels: list[str], workers: int) -> list[EnergyTrace]:
+    """Per dataset the batched trace of its task's members, integrated batch by batch (``process_map``)."""
     start = time.perf_counter()
-    batches = [[(key, tasks[key]) for key in keys] for keys in _batches(tasks)]
-    results = process_map(_fit_batch_task, batches, workers)
-    out = {}
-    for batch, (traces, stats, wall) in zip(batches, results):
-        regimes = np.array([_regime(task[0]) for _, task in batch])
+    batches = _batches(tasks)
+    items = [(labels[di], [tasks[di][0][m] for m in rows], *tasks[di][1:]) for di, rows in batches]
+    results = process_map(_fit_batch_task, items, workers)
+    times, energies = {}, {}
+    for (di, rows), (label, params, *_) in zip(batches, items):
+        trace, stats, wall = results.pop(0)  # a batch goes once its rows are written
+        regimes = np.array([_regime(p) for p in params])
         (coupling_lo, decay_lo), (coupling_hi, decay_hi) = regimes.min(axis=0), regimes.max(axis=0)
         logger.info(
             "%s: %d members, g sqrt(N)/kappa %.3g..%.3g, gamma_tot/kappa %.3g..%.3g: "
             "%d rhs calls, %d jacobians, %d steps, %.2f s",
-            labels[batch[0][0][3]], len(batch), coupling_lo, coupling_hi, decay_lo, decay_hi,
+            label, len(params), coupling_lo, coupling_hi, decay_lo, decay_hi,
             stats.rhs_calls, stats.jacobians, stats.steps, wall,
         )
-        out.update(zip((key for key, _ in batch), traces))
-    logger.info("table: %d members, %.2f s", len(tasks), time.perf_counter() - start)
-    return {key: out[key] for key in tasks}
-
-
-class _Spent(dict):
-    """Traces a ``ModelTable`` is built from and nothing else reads: each gives itself up when read."""
-    __getitem__ = dict.pop
+        if di not in energies:
+            times[di], energies[di] = trace.times_ps, np.empty((len(tasks[di][0]), trace.times_ps.size))
+        energies[di][rows] = trace.energy_mev
+    logger.info("table: %d members, %.2f s", sum(len(task[0]) for task in tasks), time.perf_counter() - start)
+    return [EnergyTrace(times[di], energies.pop(di)) for di in range(len(tasks))]
 
 
 class ModelTable(Mapping):
-    """Convolved model traces keyed (i_g, i_z, i_m, dataset_index), built for one grid and dataset count.
+    """Convolved model traces keyed (i_g, i_z, i_m, dataset_index), built for one grid.
 
-    ``traces`` must hold every key, each dataset's on one uniform time grid.  The table keeps per
-    dataset a copy of that grid and one read-only (members x steps) energy array, its rows in the
-    grid points' ``np.ndindex`` order.  It cannot be assigned to: ``table[key]`` is a new trace over
-    a copy of its row, and ``ModelTable({**table, key: trace}, table.grid, table.n_datasets)``
-    changes a member.  Beside them it keeps each dataset's ``_TableSums``, the part of ``inner_fits``
-    that reads no signal, until a ``global_fit`` brings other sample times, sigma or shift range; a
-    table ``global_fit`` built or wrapped itself keeps none, since no later call could read it.
+    ``traces`` holds per dataset one batched ``EnergyTrace`` with a row per grid point, in the grid's row
+    order (``FitGrid.shape``).  The table keeps them as ``traces``, their arrays made read-only, and cannot
+    be assigned to: ``table[key]`` is a new trace over a copy of its row, and a member is changed by
+    copying a dataset's ``energy_mev``, editing its row and building a new table.  Beside them it keeps
+    each dataset's ``_TableSums``, the part of ``inner_fits`` that reads no signal, until a ``global_fit``
+    brings other sample times, sigma or shift range; a table ``global_fit`` built itself keeps none,
+    since no later call could read it.
     """
 
-    def __init__(self, traces: Mapping, grid: FitGrid, n_datasets: int) -> None:
-        self.grid, self.n_datasets = grid, n_datasets
-        points = list(np.ndindex(grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size))
-        self._rows = {(*p, di): row for di in range(n_datasets) for row, p in enumerate(points)}
-        for key in self._rows:
-            if key not in traces:
-                raise ValueError(f"model table has no trace for (i_g, i_z, i_m, dataset_index) = {key}")
-        self._stacks = [_stack([traces[(*p, di)] for p in points]) for di in range(n_datasets)]
+    def __init__(self, traces: Sequence[EnergyTrace], grid: FitGrid) -> None:
+        self.grid, self.traces, self.n_datasets = grid, tuple(traces), len(traces)
+        points = list(np.ndindex(grid.shape))
+        for di, trace in enumerate(self.traces):
+            if trace.energy_mev.shape[:-1] != (len(points),):
+                raise ValueError(f"dataset {di} energies of shape {trace.energy_mev.shape}: not one row per grid point")
+            trace.times_ps.flags.writeable = trace.energy_mev.flags.writeable = False
+        self._rows = {(*p, di): row for di in range(self.n_datasets) for row, p in enumerate(points)}
         self._sums: dict[int, tuple] = {}  # dataset index -> (times, sigma, range, _TableSums)
 
     def __getitem__(self, key: tuple) -> EnergyTrace:
         row = self._rows[key]
-        t_model, energies = self._stacks[key[3]]
-        return EnergyTrace(t_model, energies[row].copy())
+        trace = self.traces[key[3]]
+        return EnergyTrace(trace.times_ps, trace.energy_mev[row].copy())
 
     def __iter__(self):
         return iter(self._rows)
@@ -804,28 +796,16 @@ class ModelTable(Mapping):
     def _inner_fits(self, di: int, dataset: ExperimentDataset, t0_range_fs: tuple, keep: bool) -> tuple:
         """``_inner_fits`` of ``dataset`` against the rows of dataset ``di``, with the counts of lattice shifts
         and crossing classes; ``keep`` holds its ``_TableSums``."""
-        t_model, energies = self._stacks[di]
         times, sigma, t0_range, sums = self._sums.get(di, (None, None, None, None))
         if not (
             np.array_equal(times, dataset.times_fs) and np.array_equal(sigma, dataset.sigma)
             and t0_range == tuple(t0_range_fs)
         ):
             self._sums.pop(di, None)  # free the old entry before building its successor
-            sums = _TableSums(t_model, energies, dataset, t0_range_fs)
+            sums = _TableSums(self.traces[di], dataset, t0_range_fs)
             if keep:
                 self._sums[di] = (dataset.times_fs.copy(), dataset.sigma.copy(), tuple(t0_range_fs), sums)
-        return _inner_fits(energies, sums, dataset), sums.shifts.size, sums.starts.size
-
-
-def _model_table(traces: Mapping, grid: FitGrid, n_datasets: int) -> ModelTable:
-    """``traces`` as a ``ModelTable`` of ``grid`` and ``n_datasets``: a fresh one, or the table checked to be one."""
-    if not isinstance(traces, ModelTable):
-        return ModelTable(traces, grid, n_datasets)
-    if traces.n_datasets != n_datasets:
-        raise ValueError(f"model table was built for {traces.n_datasets} datasets, not {n_datasets}")
-    if traces.grid != grid:
-        raise ValueError("model table was built on another grid")
-    return traces
+        return _inner_fits(sums, dataset), sums.shifts.size, sums.starts.size
 
 
 def model_traces(
@@ -851,7 +831,7 @@ def model_traces(
     Every batch logs its size, regime range, solver work and wall time at INFO.
     """
     tasks = _member_tasks(datasets, grid, lifetime_fs, pulse_sigma_ps, n_ref, solver, t0_range_fs)
-    return ModelTable(_Spent(_integrate(tasks, [ds.label for ds in datasets], workers)), grid, len(datasets))
+    return ModelTable(_integrate(tasks, [ds.label for ds in datasets], workers), grid)
 
 
 def global_fit(
@@ -864,15 +844,14 @@ def global_fit(
     t0_range_fs: tuple[float, float] = DEFAULT_T0_RANGE_FS,
     workers: int = 1,
     refine: bool = False,
-    traces: Mapping | None = None,
+    traces: ModelTable | None = None,
 ) -> FitResult:
     """Scan the rate grid, minimise chi^2 jointly over all datasets.
 
     Every dataset must already carry a noise estimate and a label of its own, checked with the rest
-    of ``_shift_steps`` before the table.  ``traces``, a ``model_traces`` table built for this grid
-    and dataset count, keeps the part of the fit that reads no signal for the next call; any other
-    mapping of every key (a ValueError names the first missing one) is wrapped in a fresh
-    ``ModelTable`` that keeps nothing.  The shift range is checked against the table's own step.
+    of ``_shift_steps`` before the table.  ``traces``, a ``ModelTable`` built for this grid and dataset
+    count (``model_traces``), keeps the part of the fit that reads no signal for the next call; any
+    other object is a TypeError.  The shift range is checked against the table's own step.
     ``refine`` runs one extra pass on a four-times-finer grid around the coarse minimum
     (``FitGrid.refined_around``) as a fresh ``global_fit`` with its own table under this call's
     settings, or keeps the coarse result when that grid is the coarse one.  The reduced chi^2 uses
@@ -885,10 +864,17 @@ def global_fit(
     """
     if not datasets:
         raise ValueError("need at least one dataset")
-    table = None if traces is None else _model_table(traces, grid, len(datasets))
+    table = traces
+    if table is not None:
+        if not isinstance(table, ModelTable):
+            raise TypeError(f"traces must be a ModelTable, as model_traces builds, not a {type(table).__name__}")
+        if table.n_datasets != len(datasets):
+            raise ValueError(f"model table was built for {table.n_datasets} datasets, not {len(datasets)}")
+        if table.grid != grid:
+            raise ValueError("model table was built on another grid")
     labels = [ds.label for ds in datasets]
     for di, ds in enumerate(datasets):
-        step = (solver or SolverConfig()).output_dt_ps if table is None else _grid_step(table._stacks[di][0])
+        step = (solver or SolverConfig()).output_dt_ps if table is None else _grid_step(table.traces[di].times_ps)
         _shift_steps(ds, t0_range_fs, step)
         if labels.count(ds.label) > 1:
             # labels key the inner fits, the traces and the residual files
@@ -905,16 +891,15 @@ def global_fit(
         )
 
     start = time.perf_counter()
-    shape = (grid.g_nev.size, grid.gamma0z_mev.size, grid.gamma_minus_mev.size)
     # only a caller's table can serve another call, so only it keeps the sums
     runs = [table._inner_fits(di, ds, t0_range_fs, table is traces) for di, ds in enumerate(datasets)]
     arrays, shifts, classes = zip(*runs)
     chi2, scale, t0_fs, reasons = zip(*arrays)
-    chi2_map = (sum(chi2) / k_eff).reshape(shape)
+    chi2_map = (sum(chi2) / k_eff).reshape(grid.shape)
     failed = {}
     for n in sorted(set().union(*reasons)):
         di = next(di for di, failures in enumerate(reasons) if n in failures)
-        point = tuple(int(v) for v in np.unravel_index(n, shape))
+        point = tuple(int(v) for v in np.unravel_index(n, grid.shape))
         failed[point] = f"{labels[di]}: {reasons[di][n]}"
         logger.warning("grid point %s failed: %s", point, failed[point])
     logger.info(
@@ -927,7 +912,7 @@ def global_fit(
     if not np.any(np.isfinite(chi2_map)):
         raise DataError("every grid point failed; grid point {}: {}".format(*next(iter(failed.items()))))
     best = int(np.argmin(chi2_map))
-    i, j, k = (int(v) for v in np.unravel_index(best, shape))
+    i, j, k = (int(v) for v in np.unravel_index(best, grid.shape))
 
     confidence = confidence_intervals(chi2_map, grid, k_eff, (i, j, k))
     if confidence is None:

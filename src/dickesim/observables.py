@@ -39,7 +39,7 @@ class UndefinedMetricError(RuntimeError):
 
 
 def convolve_response(trace: EnergyTrace, response_ps: float) -> EnergyTrace:
-    """Smear the energy trace with a normalised Gaussian detector response.
+    """Smear the energy trace, each row of a batched one alone, with a normalised Gaussian detector response.
 
     The kernel reaches ``RESPONSE_SUPPORT_SIGMAS`` sigma_R either side; past
     the trace edges the signal is continued with its edge value, so a flat
@@ -54,9 +54,9 @@ def convolve_response(trace: EnergyTrace, response_ps: float) -> EnergyTrace:
     offsets = np.arange(-k, k + 1) * dt
     kernel = np.exp(-0.5 * (offsets / response_ps) ** 2)
     kernel /= kernel.sum()
-    padded = np.pad(trace.energy_mev, k, mode="edge")
-    smeared = np.convolve(padded, kernel, mode="valid")
-    return EnergyTrace(times_ps=trace.times_ps, energy_mev=smeared)
+    rows = np.atleast_2d(trace.energy_mev)
+    smeared = [np.convolve(np.pad(row, k, mode="edge"), kernel, mode="valid") for row in rows]
+    return EnergyTrace(times_ps=trace.times_ps, energy_mev=np.reshape(smeared, trace.energy_mev.shape))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+from collections.abc import Mapping
 from pathlib import Path
+
+from dickesim import fit
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 SPANS = BENCHMARKS / "spans.py"
@@ -56,3 +59,8 @@ def test_every_name_the_workloads_read_resolves():
     for name, attr in sorted(read):
         module = importlib.import_module(f"dickesim.{modules[name]}")
         assert hasattr(module, attr), f"dickesim.{modules[name]}.{attr}"
+
+
+def test_the_model_table_is_a_mapping():
+    # the fit_stiff workload iterates ``table.items()`` of a ``model_traces`` table
+    assert issubclass(fit.ModelTable, Mapping)

@@ -518,9 +518,10 @@ fit.refine = true
 
         def with_a_flat_member(*args, **kwargs):
             table = build(*args, **kwargs)
-            trace = table[(0, 0, 0, 0)]
-            flat = EnergyTrace(trace.times_ps, np.zeros(trace.times_ps.size))
-            return fit.ModelTable({**table, (0, 0, 0, 0): flat}, table.grid, table.n_datasets)
+            (trace,) = table.traces
+            energies = trace.energy_mev.copy()
+            energies[0] = 0.0  # the first grid point's row
+            return fit.ModelTable([EnergyTrace(trace.times_ps, energies)], table.grid)
 
         monkeypatch.setattr(fit, "model_traces", with_a_flat_member)
         cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\
@@ -683,8 +684,7 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         (dataset,) = cli._fit_datasets(sections, *cli._build_common(cfg, sections), seed=0)
         assert dataset.response_ps == response_ps
         grid = fit.FitGrid(np.array([10.6]), np.array([1.68]), np.array([0.0141]))
-        tasks = fit._member_tasks([dataset], grid, 185.0, 0.020, 8.08e10, None, (-400.0, 400.0))
-        ((_, pulse, solver),) = tasks.values()
+        ((_, pulse, solver),) = fit._member_tasks([dataset], grid, 185.0, 0.020, 8.08e10, None, (-400.0, 400.0))
         assert pulse.response_ps == pytest.approx(response_ps or 0.185)
         assert solver.t_end_ps == pytest.approx(times[-1] * 1e-3 + 0.4 + 5.0 * (response_ps or 0.185) + 0.05)
 
@@ -829,6 +829,31 @@ oracle.n_max = 8
         assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "no excitation" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["resolved_config.txt"]
+
+    @pytest.mark.filterwarnings("ignore:lsoda")
+    def test_a_detuned_check_writes_every_line_it_can(self, tmp_path, capsys):
+        # at the golden coupling the variant bracket cannot be integrated off resonance; that line is
+        # left undecided and every other line is written
+        cfg = write_cfg(tmp_path, self.GOLDEN_CFG + "model.delta_c_meV = 0.3\n")
+        out = tmp_path / "oracle_out"
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        closure, bracket, quadrature, *diagnostics = (out / "oracle_report.txt").read_text().splitlines()
+        assert closure.startswith("PASS closure vs exact: cumulant rel err ")
+        assert re.fullmatch(r"SKIP pair-bracket forms: consistent rel err \S+, variant not integrated "
+                            r"\(integration failed in \[-0.16, 0.16\] ps: .*\)", bracket)
+        assert quadrature.startswith("PASS empty-coupling cavity quadrature: max dev ")
+        assert [line.partition(" = ")[0] for line in diagnostics] == [
+            "top_fock_population", "trace_error", "min_eigenvalue"]
+        assert (out / "oracle_trace.csv").exists()
+
+    def test_a_primed_cavity_is_refused(self, tmp_path, capsys):
+        # the closures start from an empty cavity, so the check would compare two initial states
+        cfg = write_cfg(tmp_path, self.GOLDEN_CFG + "oracle.initial_photons = 1\n")
+        out = tmp_path / "oracle_out"
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "error: oracle.initial_photons must be 0 for oracle-check" in capsys.readouterr().err
+        assert not (out / "oracle_trace.csv").exists()
 
     def test_bracket_forms_run_on_the_cumulant_closure(self, tmp_path, capsys):
         # mean field has no <a sx> equation, so a bracket check on it could not fail

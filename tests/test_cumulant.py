@@ -367,20 +367,22 @@ def _b2_members(closure="cumulant"):
 @pytest.mark.parametrize("closure", CLOSURES)
 def test_stacked_members_match_their_scalar_traces(closure):
     params, pulse, config = _b2_members(closure)
-    traces, stats = cumulant.simulate_energies(params, pulse, config)
+    batch, stats = cumulant.simulate_energies(params, pulse, config)
     assert stats.jacobians > 0 and stats.steps > 0 and stats.rhs_calls > 0
-    for p, trace in zip(params, traces):
+    np.testing.assert_array_equal(batch.times_ps, output_grid(config))
+    assert batch.energy_mev.shape == (len(params), batch.times_ps.size)
+    for p, energy in zip(params, batch.energy_mev):
         ref = simulate_energy(p, pulse, config).energy_mev
-        np.testing.assert_array_equal(trace.times_ps, output_grid(config))
-        assert np.max(np.abs(trace.energy_mev - ref)) <= 1e-6 * np.max(ref), p
+        assert np.max(np.abs(energy - ref)) <= 1e-6 * np.max(ref), p
 
 
 def test_lone_member_takes_the_scalar_path_bit_for_bit():
     # the c_z-only reduction of a batch of one against the full state of ``integrate``
     params, pulse, config = _b2_members()
-    (trace,), _ = cumulant.simulate_energies(params[:1], pulse, config)
+    batch, _ = cumulant.simulate_energies(params[:1], pulse, config)
     full = energy_trace(integrate(params[0], pulse, config), params[0])
-    np.testing.assert_array_equal(trace.energy_mev, full.energy_mev)
+    np.testing.assert_array_equal(batch.energy_mev, full.energy_mev[None])
+    np.testing.assert_array_equal(simulate_energy(params[0], pulse, config).energy_mev, full.energy_mev)
 
 
 def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():

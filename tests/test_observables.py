@@ -39,6 +39,8 @@ def test_trace_validation():
         EnergyTrace(times_ps=np.array([0.0, 0.0, 1.0]), energy_mev=np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):
         EnergyTrace(times_ps=np.array([0.0, 1.0]), energy_mev=np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="must match"):
+        EnergyTrace(times_ps=np.array([0.0, 1.0]), energy_mev=np.zeros((2, 3)))
 
 
 def test_convolution_identities():
@@ -49,6 +51,15 @@ def test_convolution_identities():
     assert convolve_response(trace, 0.0) is trace
     with pytest.raises(ValueError):
         convolve_response(trace, -0.1)
+
+
+def test_a_batch_convolves_each_row_as_it_would_alone():
+    t = np.arange(-2.0, 2.0, 0.004)
+    rows = np.stack([np.exp(-0.5 * (t / 0.05) ** 2), np.tanh(t / 0.3) + 1.0])
+    batch = convolve_response(EnergyTrace(t, rows), 0.12)
+    assert batch.energy_mev.shape == rows.shape
+    for row, smeared in zip(rows, batch.energy_mev):
+        np.testing.assert_array_equal(smeared, convolve_response(EnergyTrace(t, row), 0.12).energy_mev)
 
 
 def test_convolution_preserves_area_of_a_bump():
