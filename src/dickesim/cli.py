@@ -38,6 +38,7 @@ import argparse
 import logging
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Mapping
@@ -46,7 +47,6 @@ import numpy as np
 
 from .cumulant import IntegrationError, SolverConfig, energy_trace, integrate
 from .fit import (
-    DEFAULT_GRID_POINTS,
     DEFAULT_LIFETIME_FS,
     DEFAULT_T0_RANGE_FS,
     DataError,
@@ -135,6 +135,12 @@ def _scaled(factor: float):
     return lambda raw: float(raw) * factor
 
 
+def _lifetime_fs(raw: str) -> float:
+    """A lifetime in fs, refused where its linewidth, ``lifetime_ps_to_mev``, is undefined."""
+    lifetime_ps_to_mev(float(raw) * 1e-3)
+    return float(raw)
+
+
 # key -> (section, field, parser).  A section is named after its namespace;
 # the model, pulse, solver and oracle fields are those of ModelParams,
 # PulseParams, SolverConfig and OracleConfig.  Keys that set the same field
@@ -174,8 +180,9 @@ CONFIG_KEYS = {
     "fit.labels": ("fit", "labels", _parse_strings),
     "fit.n_dye": ("fit", "n_dye", _parse_floats),
     "fit.photon_ratio": ("fit", "photon_ratio", _parse_floats),
-    "fit.lifetime_fs": ("fit", "lifetime_fs", float),
-    "fit.grid_points": ("fit", "grid_points", int),
+    "fit.lifetime_fs": ("fit", "lifetime_fs", _lifetime_fs),
+    # the next four set FitGrid.logspace's parameters by name, so that its errors name their keys
+    "fit.grid_points": ("fit", "points", int),
     "fit.g_bounds_neV": ("fit", "g_bounds_nev", _parse_pair),
     "fit.gamma0z_bounds_meV": ("fit", "gamma0z_bounds_mev", _parse_pair),
     "fit.gammaminus_bounds_meV": ("fit", "gamma_minus_bounds_mev", _parse_pair),
@@ -189,7 +196,6 @@ CONFIG_KEYS = {
     "spectrum.span_meV": ("spectrum", "span_meV", float),
     "spectrum.points": ("spectrum", "points", int),
     "oracle.n_max": ("oracle", "n_max", int),
-    "oracle.initial_photons": ("oracle", "initial_photons", int),
     "oracle.top_level_tol": ("oracle", "top_level_tol", float),
 }
 
@@ -461,6 +467,10 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
         else:
             continue
         raise ConfigError(f"{key} = {cfg[key]} is not supported by fit, {reason}; remove the key")
+    section = sections["fit"]
+    axes = ("g_bounds_nev", "gamma0z_bounds_mev", "gamma_minus_bounds_mev", "points")
+    grid = _checked(FitGrid.logspace, cfg=cfg, **{name: section[name] for name in axes if name in section})
+
     # each stage logs its wall time at INFO; no timing enters an output file
     start = time.perf_counter()
     datasets = _fit_datasets(sections, params, pulse, solver, args.seed)
@@ -469,12 +479,6 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
     datasets = [estimate_noise(ds) for ds in datasets]
     logger.info("noise: %.3f s", time.perf_counter() - start)
 
-    section = sections["fit"]
-    points = section.get("grid_points", DEFAULT_GRID_POINTS)
-    axes = ("g_bounds_nev", "gamma0z_bounds_mev", "gamma_minus_bounds_mev")
-    bounds = {name: section[name] for name in axes if name in section}
-    grid = _checked(FitGrid.logspace, points=points, **bounds)
-
     lifetime_fs = section.get("lifetime_fs", DEFAULT_LIFETIME_FS)
     t0_pair = section.get("t0_range_fs", DEFAULT_T0_RANGE_FS)
     refine = section.get("refine", False)
@@ -482,7 +486,7 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
     _, window = table_window(datasets, lifetime_fs, pulse.sigma_ps, t0_pair, solver)
     _echo_config(out_dir, "fit", params, pulse, window, {
         "datasets": [ds.label for ds in datasets],
-        "lifetime_fs": lifetime_fs, "grid_points": points,
+        "lifetime_fs": lifetime_fs, "grid_points": grid.shape[0],
         "g_bounds_neV": (float(grid.g_nev[0]), float(grid.g_nev[-1])),
         "gamma0z_bounds_meV": (float(grid.gamma0z_mev[0]), float(grid.gamma0z_mev[-1])),
         "gammaminus_bounds_meV": (float(grid.gamma_minus_mev[0]), float(grid.gamma_minus_mev[-1])),
@@ -577,9 +581,7 @@ def cmd_spectrum(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Pat
 
 def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
     common = params, pulse, solver = _build_common(cfg, sections)
-    oracle = _checked(OracleConfig, **sections["oracle"])
-    if oracle.initial_photons:
-        raise ConfigError("oracle.initial_photons must be 0 for oracle-check: the closures start from an empty cavity")
+    oracle = _checked(OracleConfig, cfg=cfg, **sections["oracle"])
     _echo_config(out_dir, "oracle-check", *common, oracle)
     lines = []
     ok = True
@@ -618,10 +620,19 @@ def cmd_oracle_check(cfg: Mapping[str, str], sections: dict[str, dict], out_dir:
     # is a diagnostic, so a variant the solver cannot finish leaves this line undecided
     consistent = compare_cumulant(exact, closure_runs["cumulant"], observables=("c_z",))["c_z"].max_rel_error
     try:
-        variant = integrate(params, pulse, replace(solver, closure="cumulant"), ax_bracket="variant")
+        # the solver's warnings about a variant it cannot finish belong on its SKIP line; recorded
+        # under "always", an error filter cannot turn them into the failure itself
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            variant = integrate(params, pulse, replace(solver, closure="cumulant"), ax_bracket="variant")
     except IntegrationError as exc:
-        lines.append(f"SKIP pair-bracket forms: consistent rel err {consistent:.3e}, variant not integrated ({exc})")
+        reason = "; ".join(dict.fromkeys([str(exc), *(str(w.message) for w in caught)]))
+        lines.append(f"SKIP pair-bracket forms: consistent rel err {consistent:.3e}, variant not integrated ({reason})")
     else:
+        # filters match a warning's module by name, which a recorded warning does not keep
+        modules = {getattr(module, "__file__", None): name for name, module in sys.modules.items()}
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, module=modules.get(w.filename))
         variant_err = compare_cumulant(exact, variant, observables=("c_z",))["c_z"].max_rel_error
         passed = consistent <= variant_err
         ok &= passed

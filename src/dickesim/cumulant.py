@@ -4,8 +4,8 @@ The state tracks the cavity amplitude <a>, the single-molecule Bloch vector
 (<sigma_x>, <sigma_y>, <sigma_z>), the photon number <a'a>, and all
 photon-photon, photon-molecule and molecule-molecule second moments of a
 permutation-symmetric ensemble.  Third cumulants are set to zero, which
-closes the hierarchy; setting the second cumulants to products of first
-moments instead gives the mean-field limit.
+closes the hierarchy; mean field sets the second cumulants to zero too,
+and steps <a>, the Bloch vector and <a'a> by the same equations.
 
 Moments named c_ab are raw expectation values (not centered), e.g.
 c_az = <a sigma_z> and c_xy = <sigma_x^(i) sigma_y^(j)> for i != j.
@@ -25,19 +25,19 @@ member.  What remains costly are the strongly coupled corners (g near
 5000 neV): they oscillate fast rather than decay, so the step stays bound
 to the Rabi period there.
 
-The equations are written once (``_moment_equations``), reading and
-writing moments by name; ``_LAYOUT`` alone places the names in the state.
-``_batch_system`` traces them once through a small polynomial type into
-dy/dt = P0(y) + eta(t) P1(y) with one coefficient per member (for the
-cumulant closure at resonance 83 monomials of degree at most three in 133
-terms, for mean field 12 in 18), then evaluates the right-hand side by
-gather, multiply and sum, and the exact Jacobian from the same terms,
-banded for LSODA.  One set-up, ``_solve``, integrates any number of members
-under one pulse as one stacked system: ``integrate`` keeps one member's
-full state, ``simulate_energies`` (the fit's table, and ``simulate_energy``
-as a batch of one) only <sigma_z>, returned as one batched ``EnergyTrace``
-with a row per member.  One stepping loop, ``_segmented_solve``, runs it
-and the exact oracle alike.
+The equations are written once, for both closures (``_moment_equations``),
+reading and writing moments by name; ``_LAYOUT`` alone places the names in
+the state.  ``_batch_system`` traces them once through a small polynomial
+type into dy/dt = P0(y) + eta(t) P1(y) with one coefficient per member (at
+resonance 83 monomials of degree at most three in 133 terms for the
+cumulant closure, and 12 in 18 for mean field), then evaluates the
+right-hand side by gather, multiply and sum, and the exact Jacobian from
+the same terms, banded for LSODA.  One set-up, ``_solve``, integrates any
+number of members under one pulse as one stacked system: ``integrate`` keeps
+one member's full state, ``simulate_energies`` (the fit's table, and
+``simulate_energy`` as a batch of one) only <sigma_z>, returned as one
+batched ``EnergyTrace`` with a row per member.  One stepping loop,
+``_segmented_solve``, runs it and the exact oracle alike.
 """
 
 from __future__ import annotations
@@ -231,8 +231,9 @@ def _moment_equations(
     derivative at drive rate ``eta``: ``m`` maps each name of
     ``MOMENT_NAMES`` to its moment, complex for a complex one (``_named``
     builds it from a state), and ``rhs`` returns the derivatives by the same
-    names; mean field, which carries first moments and <a'a> only, returns
-    those five.  ``_batch_system`` runs it once on ``_Poly`` components.
+    names; mean field returns those of <a>, the Bloch vector and <a'a> only,
+    at second moments factorised from the first.  ``_batch_system`` runs it
+    once on ``_Poly`` components.
 
     ``ax_bracket`` selects the saturation bracket in the <a sx> equation:
     "consistent" uses 1 + (N-1) c_xx, the form its companion <a sy> and
@@ -342,16 +343,14 @@ def _moment_equations(
         }
 
     def rhs_meanfield(eta, m):
+        # the closure's equations with every second moment the product of two first ones,
+        # <pq> = <p><q>; <a'a> = |<a>|^2 is summed from re and im, so it stays real
+        pairs = itertools.combinations_with_replacement("axyz", 2)
+        factorised = {f"c_{p}{q}": m[f"c_{p}"] * m[f"c_{q}"] for p, q in pairs}
         ca = m["c_a"]
-        cx, cy, cz = m["c_x"], m["c_y"], m["c_z"]
-
-        d_ca = cav * ca - half_g * n * (1j * cx + cy) + eta
-        d_cx = -da * cy - 2.0 * g * cz * ca.imag - gtot * cx
-        d_cy = da * cx - 2.0 * g * cz * ca.real - gtot * cy
-        d_cz = 2.0 * g * (ca.real * cy + ca.imag * cx) - gm * (cz + 1.0)
-        # keep the factorised moments consistent for observers of <a'a> etc.
-        d_cn = 2.0 * (ca.real * d_ca.real + ca.imag * d_ca.imag)
-        return {"c_a": d_ca, "c_x": d_cx, "c_y": d_cy, "c_z": d_cz, "c_n": d_cn}
+        factorised["c_n"] = ca.real * ca.real + ca.imag * ca.imag
+        derivatives = rhs_cumulant(eta, {**m, **factorised})
+        return {name: derivatives[name] for name in ("c_a", "c_x", "c_y", "c_z", "c_n")}
 
     return rhs_meanfield if closure == "meanfield" else rhs_cumulant
 

@@ -33,13 +33,13 @@ from scipy import linalg
 
 from .cumulant import IntegrationError, SolverConfig, process_map, simulate_energies, simulate_energy
 from .model import (
-    HBAR_MEV_PS,
     N_REF_DEFAULT,
     PULSE_SUPPORT_SIGMAS,
     ModelParams,
     PulseParams,
     drive_amplitude_from_photon_ratio,
     gamma_total,
+    lifetime_ps_to_mev,
 )
 from .observables import RESPONSE_SUPPORT_SIGMAS, EnergyTrace, convolve_response
 
@@ -548,15 +548,16 @@ class FitGrid:
         if points < 1:
             raise ValueError(f"points must be at least 1, got {points}")
 
-        def axis(lo, hi):
-            if not (0 < lo < hi):
-                raise ValueError(f"bad axis bounds ({lo}, {hi})")
+        def axis(name, bounds):
+            lo, hi = bounds
+            if not (0 < lo < hi < math.inf):
+                raise ValueError(f"{name} must be finite, positive and increasing, got {bounds}")
             return np.geomspace(lo, hi, points)
 
         return cls(
-            g_nev=axis(*g_bounds_nev),
-            gamma0z_mev=axis(*gamma0z_bounds_mev),
-            gamma_minus_mev=axis(*gamma_minus_bounds_mev),
+            g_nev=axis("g_bounds_nev", g_bounds_nev),
+            gamma0z_mev=axis("gamma0z_bounds_mev", gamma0z_bounds_mev),
+            gamma_minus_mev=axis("gamma_minus_bounds_mev", gamma_minus_bounds_mev),
         )
 
     def __eq__(self, other) -> bool:
@@ -711,7 +712,7 @@ def _member_tasks(
     t0_range_fs: tuple[float, float],
 ) -> list[tuple]:
     """Per dataset one (members' ``ModelParams``, pulse, solver) task, its members in the grid's row order."""
-    kappa = HBAR_MEV_PS / (lifetime_fs * 1e-3)
+    kappa = lifetime_ps_to_mev(lifetime_fs * 1e-3)
     datasets, solver = table_window(datasets, lifetime_fs, pulse_sigma_ps, t0_range_fs, solver)
 
     tasks = []

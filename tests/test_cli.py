@@ -9,6 +9,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,8 +254,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, cfg_text, message",
         [
-            ("oracle-check", A1_CFG + "oracle.n_max = 0\n", "n_max must be at least 1"),
-            ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 0\n", "points must be at least 1"),
+            ("oracle-check", A1_CFG + "oracle.n_max = 0\n", "oracle.n_max must be at least 1, got 0"),
+            ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 0\n", "fit.grid_points must be at least 1, got 0"),
             ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 1\nfit.t0_range_fs = 0.5, 1.5\n",
              "t0 range holds no whole model step"),
             ("fit", SYNTHETIC_FIT_CFG + "fit.g_bounds_neV = 5, 10, 20\n",
@@ -295,13 +296,26 @@ class TestExitCodes:
             ("model.lifetime_fs = nan", "model.lifetime_fs must be finite and positive, got nan"),
             ("model.wavelength_nm = -526", "model.wavelength_nm must be finite and positive, got -526"),
             ("model.wavelength_nm = inf", "model.wavelength_nm must be finite and positive, got inf"),
+            # a fit. value is reported before any dataset is read: here the missing file never is
+            ("fit.datasets = missing.csv\nfit.lifetime_fs = -120",
+             "fit.lifetime_fs must be finite and positive, got -120"),
+            ("fit.synthetic = true\nfit.lifetime_fs = -120",
+             "fit.lifetime_fs must be finite and positive, got -120"),
+            ("fit.lifetime_fs = 0", "fit.lifetime_fs must be finite and positive, got 0"),
+            ("fit.datasets = missing.csv\nfit.grid_points = 0", "fit.grid_points must be at least 1, got 0"),
+            ("fit.g_bounds_neV = 5, 1", "fit.g_bounds_neV must be finite, positive and increasing, got 5, 1"),
+            ("oracle.n_max = 0", "oracle.n_max must be at least 1, got 0"),
+            ("oracle.top_level_tol = 0", "oracle.top_level_tol must be positive, got 0"),
         ],
         ids=["negative-response", "nan-response", "negative-sigma", "negative-output-step", "negative-coupling",
-             "negative-lifetime", "nan-lifetime", "negative-wavelength", "infinite-wavelength"],
+             "negative-lifetime", "nan-lifetime", "negative-wavelength", "infinite-wavelength",
+             "negative-fit-lifetime", "negative-synthetic-fit-lifetime", "zero-fit-lifetime", "zero-grid-points",
+             "inverted-g-bounds", "zero-n-max", "zero-top-level-tol"],
     )
     def test_a_bad_value_is_reported_under_its_key_as_written(self, tmp_path, capsys, line, message):
         cfg = write_cfg(tmp_path, line + "\n")
-        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        command = "oracle-check" if line.startswith("oracle.") else "fit"
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
@@ -830,30 +844,56 @@ oracle.n_max = 8
         assert "no excitation" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["resolved_config.txt"]
 
-    @pytest.mark.filterwarnings("ignore:lsoda")
     def test_a_detuned_check_writes_every_line_it_can(self, tmp_path, capsys):
         # at the golden coupling the variant bracket cannot be integrated off resonance; that line is
-        # left undecided and every other line is written
+        # left undecided, with the solver's warnings, and every other line is written
         cfg = write_cfg(tmp_path, self.GOLDEN_CFG + "model.delta_c_meV = 0.3\n")
         out = tmp_path / "oracle_out"
         assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
+        assert "lsoda" not in capsys.readouterr().err
         closure, bracket, quadrature, *diagnostics = (out / "oracle_report.txt").read_text().splitlines()
         assert closure.startswith("PASS closure vs exact: cumulant rel err ")
         assert re.fullmatch(r"SKIP pair-bracket forms: consistent rel err \S+, variant not integrated "
                             r"\(integration failed in \[-0.16, 0.16\] ps: .*\)", bracket)
+        assert "Repeated convergence failures" in bracket
         assert quadrature.startswith("PASS empty-coupling cavity quadrature: max dev ")
         assert [line.partition(" = ")[0] for line in diagnostics] == [
             "top_fock_population", "trace_error", "min_eigenvalue"]
         assert (out / "oracle_trace.csv").exists()
 
+    def test_a_finished_variant_reissues_its_warnings(self, tmp_path, capsys, monkeypatch):
+        # a warning the variant run raises on its way to a result is not the check's to keep
+        lsoda = sys.modules["scipy.integrate._ivp.lsoda"]
+        integrate = cli.integrate
+
+        def warning_integrate(*args, **kwargs):
+            if kwargs.get("ax_bracket") == "variant":
+                warnings.warn_explicit("lsoda: a test warning", UserWarning, lsoda.__file__, 7,
+                                       module=lsoda.__name__)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate", warning_integrate)
+        cfg = write_cfg(tmp_path, self.GOLDEN_CFG)
+        out = tmp_path / "oracle_out"
+        with pytest.warns(UserWarning, match="lsoda: a test warning") as record:
+            assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert [(w.filename, w.lineno) for w in record] == [(lsoda.__file__, 7)]
+        assert "PASS pair-bracket forms" in (out / "oracle_report.txt").read_text()
+        # and it keeps its module, so a filter on the module still applies to it
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", category=UserWarning, module="scipy.integrate._ivp.lsoda")
+            with pytest.raises(UserWarning, match="lsoda: a test warning"):
+                main(["oracle-check", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+
     def test_a_primed_cavity_is_refused(self, tmp_path, capsys):
-        # the closures start from an empty cavity, so the check would compare two initial states
+        # the closures start from an empty cavity, so oracle-check takes no initial photon number
         cfg = write_cfg(tmp_path, self.GOLDEN_CFG + "oracle.initial_photons = 1\n")
         out = tmp_path / "oracle_out"
         assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert "error: oracle.initial_photons must be 0 for oracle-check" in capsys.readouterr().err
-        assert not (out / "oracle_trace.csv").exists()
+        assert capsys.readouterr().err == "error: unknown configuration key 'oracle.initial_photons'\n"
+        assert not out.exists()
 
     def test_bracket_forms_run_on_the_cumulant_closure(self, tmp_path, capsys):
         # mean field has no <a sx> equation, so a bracket check on it could not fail

@@ -35,6 +35,7 @@ from dickesim.model import (
     ModelParams,
     PulseParams,
     drive_amplitude_from_photon_ratio,
+    gamma_total,
     pulse_shape,
 )
 
@@ -456,6 +457,46 @@ def test_polynomial_matches_the_equations_on_floats(closure, ax_bracket, amplitu
                 exact = packed[STATE_SIZE - 1 + rows - columns, m * STATE_SIZE + columns]
                 central = diffs[block, block]
                 assert np.max(np.abs(exact - central)) <= 1e-10 * np.max(np.abs(central)), (m, t)
+
+
+def _factorised_meanfield(params: ModelParams, eta: float, m: dict) -> dict:
+    """The mean-field equations written out by hand, as the closure with <pq> = <p><q> gives them."""
+    dc, da, g, kap, gm, gtot = (
+        rate / HBAR_MEV_PS
+        for rate in (params.delta_c_mev, params.delta_a_mev, params.g_mev, params.kappa_mev,
+                     params.gamma_minus_mev, gamma_total(params))
+    )
+    n = params.n_molecules
+    ca, cx, cy, cz = m["c_a"], m["c_x"], m["c_y"], m["c_z"]
+    d_ca = -(1j * dc + 0.5 * kap) * ca - 0.5 * g * n * (1j * cx + cy) + eta
+    d_cx = -da * cy - 2.0 * g * cz * ca.imag - gtot * cx
+    d_cy = da * cx - 2.0 * g * cz * ca.real - gtot * cy
+    d_cz = 2.0 * g * (ca.real * cy + ca.imag * cx) - gm * (cz + 1.0)
+    # d|<a>|^2/dt
+    d_cn = 2.0 * (ca.real * d_ca.real + ca.imag * d_ca.imag)
+    return {"c_a": d_ca, "c_x": d_cx, "c_y": d_cy, "c_z": d_cz, "c_n": d_cn}
+
+
+def test_meanfield_is_the_closure_at_factorised_second_moments():
+    # a resonant and a detuned member in one batch; at random states, inside
+    # the pulse (5 fs) and past it (0.3 ps), every slot against the hand-written
+    # equations, which leave the unstepped second moments at rest
+    params = [SMALL_N, replace(SMALL_N, delta_a_mev=0.3, delta_c_mev=-0.2)]
+    pulse = PulseParams(amplitude=1.0, center_ps=0.0, sigma_ps=0.020)
+    peak, t0, inv_sig = pulse_shape(pulse)
+    rhs, _ = cumulant._batch_system(params, pulse, "meanfield")
+    rng = np.random.default_rng(7)
+    for t in (0.005, 0.3):
+        eta = peak * math.exp(-0.5 * ((t - t0) * inv_sig) ** 2)
+        for _ in range(4):
+            y = rng.uniform(-1.0, 1.0, size=len(params) * STATE_SIZE)
+            dy = rhs(t, y).reshape(len(params), STATE_SIZE)
+            for m, p in enumerate(params):
+                want = np.zeros(STATE_SIZE)
+                state = cumulant._named(y[m * STATE_SIZE:(m + 1) * STATE_SIZE])
+                for slot, value in cumulant._stored(_factorised_meanfield(p, eta, state)):
+                    want[slot] = value
+                assert np.max(np.abs(dy[m] - want)) <= 1e-14 * np.max(np.abs(want)), (m, t)
 
 
 def test_import_does_not_load_sympy():
