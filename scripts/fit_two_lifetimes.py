@@ -14,23 +14,22 @@ A1.csv, A2.csv, A3.csv, B1.csv and B2.csv (time in fs, differential
 reflectivity; `#` comments allowed); molecule and photon numbers for these
 labels are built in.
 
-Expect about half a minute per lifetime on one core with the default
-9-point grid; --threads spreads the fit's batches of stacked traces over
-workers.  On a 2-core machine (one BLAS thread) one whole `dickesim fit`
-of five synthetic labels (samples every 4 fs from -500 to 1500 fs, the
-default +-400 fs shift range, `fit.refine = true`) took 25.1-25.2 s over
-two runs, of which the refine around the coarse cell nearest the bundled
-best fit took 3.4-3.5 s, 3.2 s of it for the fine table's 3,645 members.
-When the refine still took the 135 members on coarse nodes from the
-coarse table, the same fit took 25.1-25.7 s, its refine 3.3-3.7 s and
-the 3,510 new members 3.1-3.5 s.  Most of the coarse pass (13 of 22 s)
-goes to the batches that hold the g = 5000 neV corners: those oscillate at
-the collective Rabi frequency, so their whole batch steps at that period.
-The five labels' traces over all 81 (g, gamma0z) pairs at the middle
-gamma_minus take 6.1-6.3 s, where each label's batch of the upper half of
-the g axis pays that period for 40 members (1.66-1.68 s of the A1 label's
-1.76-1.78 s); the whole table sorts its 729 members per label by coupling
-into batches of nearly one g each, so it costs less than nine such slices.
+Expect about a minute per lifetime on one core with the default 9-point
+grid; --threads spreads the fit's batches of stacked traces over workers.
+On a shared 2-vCPU machine (one BLAS thread) one whole `dickesim fit` of
+five synthetic labels (samples every 4 fs from -500 to 1500 fs, the
+default +-400 fs shift range, `fit.refine = true`) took 41.6-50.1 s over
+three runs, where the same host took 63.6-76.1 s in three alternating
+runs while the solver still stepped all 20 moment slots of a resonant
+member instead of the 12 it can reach.  The refine around the coarse cell
+nearest the bundled best fit took 6.1-6.7 s, 5.6-6.2 s of it for the fine
+table's 3,645 members.  Most of the coarse pass (21-25 s of its 34-42 s of
+batch time) goes to the batches that hold the g = 5000 neV corners: those
+oscillate at the collective Rabi frequency, so their whole batch steps at
+that period.  The five labels' traces over all 81 (g, gamma0z) pairs at
+the middle gamma_minus take 9.9-11.6 s (16.5-17.3 s with all 20 slots);
+the whole table sorts its 729 members per label by coupling into batches
+of nearly one g each, so it costs less than nine such slices.
 """
 
 from __future__ import annotations

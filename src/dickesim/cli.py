@@ -51,6 +51,7 @@ from .fit import (
     DEFAULT_T0_RANGE_FS,
     DataError,
     FitGrid,
+    check_t0_range,
     estimate_noise,
     global_fit,
     load_dataset,
@@ -415,7 +416,7 @@ def cmd_sweep(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, 
     return EXIT_OK
 
 
-def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
+def _fit_datasets(cfg: Mapping[str, str], sections: dict[str, dict], params, pulse, solver, seed: int):
     """The datasets ``fit`` configures, synthetic or read from files, before their noise estimates."""
     section = sections["fit"]
     if section.get("synthetic", False):
@@ -423,8 +424,8 @@ def _fit_datasets(sections: dict[str, dict], params, pulse, solver, seed: int):
         if len(times_spec) != 3 or times_spec[2] <= 0 or times_spec[1] <= times_spec[0]:
             raise ConfigError("fit.times_fs must be start, stop, step with stop > start")
         times = np.arange(times_spec[0], times_spec[1] + 0.5 * times_spec[2], times_spec[2])
-        return [make_synthetic_dataset(
-            params, pulse, times,
+        return [_checked(
+            make_synthetic_dataset, params, pulse, times, cfg=cfg,
             true_scale=section.get("true_scale", 1.0),
             true_shift_fs=section.get("true_shift_fs", 0.0),
             noise_rms=section.get("noise_rms", 0.0),
@@ -470,17 +471,18 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
     section = sections["fit"]
     axes = ("g_bounds_nev", "gamma0z_bounds_mev", "gamma_minus_bounds_mev", "points")
     grid = _checked(FitGrid.logspace, cfg=cfg, **{name: section[name] for name in axes if name in section})
+    t0_pair = section.get("t0_range_fs", DEFAULT_T0_RANGE_FS)
+    _checked(check_t0_range, t0_pair, cfg=cfg)
 
     # each stage logs its wall time at INFO; no timing enters an output file
     start = time.perf_counter()
-    datasets = _fit_datasets(sections, params, pulse, solver, args.seed)
+    datasets = _fit_datasets(cfg, sections, params, pulse, solver, args.seed)
     logger.info("load: %d datasets, %.3f s", len(datasets), time.perf_counter() - start)
     start = time.perf_counter()
     datasets = [estimate_noise(ds) for ds in datasets]
     logger.info("noise: %.3f s", time.perf_counter() - start)
 
     lifetime_fs = section.get("lifetime_fs", DEFAULT_LIFETIME_FS)
-    t0_pair = section.get("t0_range_fs", DEFAULT_T0_RANGE_FS)
     refine = section.get("refine", False)
 
     _, window = table_window(datasets, lifetime_fs, pulse.sigma_ps, t0_pair, solver)

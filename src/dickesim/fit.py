@@ -388,13 +388,19 @@ def _piecewise_argmax(de, ee, en, phases, first, lo, hi) -> np.ndarray:
     return x.reshape(first.size, -1)[np.arange(first.size), score.reshape(first.size, -1).argmax(axis=1)]
 
 
+def check_t0_range(t0_range_fs: tuple) -> None:
+    """Refuse a shift range (lo, hi) in fs unless hi > lo."""
+    lo_fs, hi_fs = t0_range_fs
+    if not hi_fs > lo_fs:
+        raise ValueError(f"t0_range_fs must have positive width, got {lo_fs:g}, {hi_fs:g}")
+
+
 def _shift_steps(dataset: ExperimentDataset, t0_range_fs: tuple, dt_ps: float) -> tuple[int, int]:
     """Whole steps k_lo..k_hi of ``dt_ps`` in the shift range, after the checks that need no trace."""
     if dataset.sigma is None:
         raise DataError(f"dataset {dataset.label!r} has no noise estimate; run estimate_noise")
+    check_t0_range(t0_range_fs)
     lo_fs, hi_fs = t0_range_fs
-    if not hi_fs > lo_fs:
-        raise ValueError("t0 range must have positive width")
     k_lo, k_hi = math.ceil(lo_fs * 1e-3 / dt_ps - 1e-9), math.floor(hi_fs * 1e-3 / dt_ps + 1e-9)
     if k_hi < k_lo:
         raise ValueError(f"t0 range holds no whole model step of {dt_ps * 1e3:g} fs")
@@ -1010,6 +1016,10 @@ def make_synthetic_dataset(
     output step; its own window is ignored.  Useful for self-consistency
     tests and for exercising the pipeline without measured data.
     """
+    if not (math.isfinite(true_scale) and true_scale > 0.0):
+        raise ValueError(f"true_scale must be finite and positive, got {true_scale}")
+    if not (math.isfinite(noise_rms) and noise_rms >= 0.0):
+        raise ValueError(f"noise_rms must be finite and non-negative, got {noise_rms}")
     dataset = ExperimentDataset(
         label, times_fs, np.zeros(np.shape(times_fs)), params.n_molecules,
         pulse.amplitude ** 2 / params.n_molecules, response_ps=pulse.response_ps,

@@ -261,7 +261,7 @@ class TestExitCodes:
             ("fit", SYNTHETIC_FIT_CFG + "fit.g_bounds_neV = 5, 10, 20\n",
              "bad value for fit.g_bounds_neV: '5, 10, 20' (expected two numbers, got 3)"),
             ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 1\nfit.t0_range_fs = 400, -400\n",
-             "t0 range must have positive width"),
+             "fit.t0_range_fs must have positive width, got 400, -400"),
             ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 2.5"),
              "exact propagation needs a positive integer molecule count, got 2.5"),
             ("oracle-check", A1_CFG.replace("model.N = 16.20e10", "model.N = 3") + "oracle.n_max = 20\n",
@@ -304,13 +304,19 @@ class TestExitCodes:
             ("fit.lifetime_fs = 0", "fit.lifetime_fs must be finite and positive, got 0"),
             ("fit.datasets = missing.csv\nfit.grid_points = 0", "fit.grid_points must be at least 1, got 0"),
             ("fit.g_bounds_neV = 5, 1", "fit.g_bounds_neV must be finite, positive and increasing, got 5, 1"),
+            ("fit.synthetic = true\nfit.true_scale = 0", "fit.true_scale must be finite and positive, got 0"),
+            ("fit.synthetic = true\nfit.true_scale = -1", "fit.true_scale must be finite and positive, got -1"),
+            ("fit.synthetic = true\nfit.noise_rms = -1", "fit.noise_rms must be finite and non-negative, got -1"),
+            ("fit.datasets = missing.csv\nfit.t0_range_fs = 400, -400",
+             "fit.t0_range_fs must have positive width, got 400, -400"),
             ("oracle.n_max = 0", "oracle.n_max must be at least 1, got 0"),
             ("oracle.top_level_tol = 0", "oracle.top_level_tol must be positive, got 0"),
         ],
         ids=["negative-response", "nan-response", "negative-sigma", "negative-output-step", "negative-coupling",
              "negative-lifetime", "nan-lifetime", "negative-wavelength", "infinite-wavelength",
              "negative-fit-lifetime", "negative-synthetic-fit-lifetime", "zero-fit-lifetime", "zero-grid-points",
-             "inverted-g-bounds", "zero-n-max", "zero-top-level-tol"],
+             "inverted-g-bounds", "zero-true-scale", "negative-true-scale", "negative-noise-rms",
+             "inverted-t0-range", "zero-n-max", "zero-top-level-tol"],
     )
     def test_a_bad_value_is_reported_under_its_key_as_written(self, tmp_path, capsys, line, message):
         cfg = write_cfg(tmp_path, line + "\n")
@@ -695,7 +701,7 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         np.savetxt(path, np.column_stack([times, signal]), delimiter=",")
         cfg = read_config_file(write_cfg(tmp_path, f"fit.datasets = {path}\nfit.lifetime_fs = 185\n{line}\n"))
         sections = parse_config(cfg, "fit")
-        (dataset,) = cli._fit_datasets(sections, *cli._build_common(cfg, sections), seed=0)
+        (dataset,) = cli._fit_datasets(cfg, sections, *cli._build_common(cfg, sections), seed=0)
         assert dataset.response_ps == response_ps
         grid = fit.FitGrid(np.array([10.6]), np.array([1.68]), np.array([0.0141]))
         ((_, pulse, solver),) = fit._member_tasks([dataset], grid, 185.0, 0.020, 8.08e10, None, (-400.0, 400.0))

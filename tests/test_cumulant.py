@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import pickle
 import subprocess
@@ -49,7 +50,26 @@ SMALL_N = ModelParams(
 )
 
 
-GROUND = cumulant._initial_array("cumulant")
+GROUND = cumulant._initial_array()
+
+
+def _full_rhs(params, pulse, closure, ax_bracket="consistent"):
+    """``_batch_system``'s right-hand side on the batch's full states, whose held slots sit at GROUND.
+
+    The live slots are stepped; a held slot's derivative is 0 on that
+    subspace (``test_held_slots_have_no_derivative_on_the_live_subspace``).
+    """
+    rhs, _, live = cumulant._batch_system(params, pulse, closure, ax_bracket)
+    held = np.setdiff1d(np.arange(STATE_SIZE), live)
+
+    def full(t, y):
+        y = y.reshape(len(params), STATE_SIZE)
+        assert np.array_equal(y[:, held], np.tile(GROUND[held], (len(params), 1)))
+        dy = np.zeros_like(y)
+        dy[:, live] = rhs(t, y[:, live].ravel()).reshape(len(params), live.size)
+        return dy.ravel()
+
+    return full
 
 
 def test_layout_tiles_the_state_vector_once():
@@ -84,14 +104,15 @@ def test_layout_tiles_the_state_vector_once():
 def test_ground_state_is_stationary_without_drive():
     pulse = PulseParams(amplitude=0.0)
     for closure in CLOSURES:
-        dy = cumulant._batch_system([SMALL_N], pulse, closure)[0](0.0, GROUND)
+        rhs, _, live = cumulant._batch_system([SMALL_N], pulse, closure)
+        dy = rhs(0.0, GROUND[live])
         assert np.all(dy == 0.0), closure
 
 
 def test_drive_enters_through_the_field_moments_only():
     pulse = PulseParams(amplitude=1.0, center_ps=0.0, sigma_ps=0.020)
     eta = pulse.amplitude / (pulse.sigma_ps * math.sqrt(2.0 * math.pi))
-    dy = cumulant._batch_system([SMALL_N], pulse, "cumulant")[0](0.0, GROUND)
+    dy = _full_rhs([SMALL_N], pulse, "cumulant")(0.0, GROUND)
     # eta pumps <a> directly and <a sz> through the factorised <sz> = -1
     assert moment(dy, "c_a") == pytest.approx(eta, rel=1e-12)
     assert moment(dy, "c_az") == pytest.approx(-eta, rel=1e-12)
@@ -102,7 +123,7 @@ def test_drive_enters_through_the_field_moments_only():
 
 def test_variant_pair_bracket_breaks_dark_state_stationarity():
     pulse = PulseParams(amplitude=0.0)
-    dy = cumulant._batch_system([SMALL_N], pulse, "cumulant", ax_bracket="variant")[0](0.0, GROUND)
+    dy = _full_rhs([SMALL_N], pulse, "cumulant", ax_bracket="variant")(0.0, GROUND)
     # the N c_xx reading drops the identity part of <sx sx>, leaving a
     # spurious g/(2 hbar) source in the field-spin correlation
     expected = SMALL_N.g_mev / (2.0 * HBAR_MEV_PS)
@@ -213,14 +234,14 @@ def test_stiff_dephasing_corner_is_cheap_and_accurate(monkeypatch):
     batch_system = cumulant._batch_system
 
     def counting_batch_system(*args, **kwargs):
-        rhs, jac = batch_system(*args, **kwargs)
+        rhs, jac, live = batch_system(*args, **kwargs)
 
         def counted(t, y):
             nonlocal calls
             calls += 1
             return rhs(t, y)
 
-        return counted, jac
+        return counted, jac, live
 
     monkeypatch.setattr(cumulant, "_batch_system", counting_batch_system)
     energy = simulate_energy(params, pulse, config).energy_mev
@@ -228,15 +249,10 @@ def test_stiff_dephasing_corner_is_cheap_and_accurate(monkeypatch):
     monkeypatch.undo()
 
     times = output_grid(config)
-    reference = MomentTrace(times, cumulant._segmented_solve(
-        cumulant._batch_system([params], pulse, "cumulant")[0],
-        cumulant._initial_array("cumulant"),
-        times,
-        pulse,
-        1e-10,
-        config.abs_tol,
-        RK45,
-    )[0])
+    rhs, _, live = cumulant._batch_system([params], pulse, "cumulant")
+    states = np.tile(GROUND, (times.size, 1))
+    states[:, live] = cumulant._segmented_solve(rhs, GROUND[live], times, pulse, 1e-10, config.abs_tol, RK45)[0]
+    reference = MomentTrace(times, states)
     ref_energy = 0.5 * params.omega_a_mev * (reference.c_z + 1.0)
     assert np.max(np.abs(energy - ref_energy)) <= 1e-6 * np.max(ref_energy)
 
@@ -340,13 +356,13 @@ def test_absolute_tolerance_is_in_units_of_the_injected_amplitude():
         pulse = PulseParams(amplitude=amplitude, center_ps=0.0, sigma_ps=0.020)
         config = SolverConfig(t_start_ps=-0.2, t_end_ps=1.0)
         assert np.all(cumulant._abs_tols(config.abs_tol, pulse) == config.abs_tol)
-        rhs, jac = cumulant._batch_system([SMALL_N], pulse, "cumulant")
-        band = STATE_SIZE - 1
+        rhs, jac, live = cumulant._batch_system([SMALL_N], pulse, "cumulant")
+        band = live.size - 1
         scalar, _ = cumulant._segmented_solve(
-            rhs, GROUND, output_grid(config), pulse, config.rel_tol, config.abs_tol, LSODA,
+            rhs, GROUND[live], output_grid(config), pulse, config.rel_tol, config.abs_tol, LSODA,
             jac=jac, lband=band, uband=band,
         )
-        np.testing.assert_array_equal(integrate(SMALL_N, pulse, config).data, scalar)
+        np.testing.assert_array_equal(integrate(SMALL_N, pulse, config).data[:, live], scalar)
 
 
 def _b2_members(closure="cumulant"):
@@ -391,33 +407,35 @@ def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
     params = params[::7]
     size = len(params)
     rng = np.random.default_rng(3)
-    # near a driven state: a large field amplitude and small correlations
+    # near a driven state: a large field amplitude and small correlations, on the live slots
+    # of these resonant members
     states = np.tile(GROUND, (size, 1)) + rng.normal(size=(size, STATE_SIZE)) * 1e-3
     states[:, :2] *= 1e7
     states[:, 5] = 1e9
-    rhs, jac = cumulant._batch_system(params, pulse, "cumulant")
+    rhs, jac, live = cumulant._batch_system(params, pulse, "cumulant")
+    states = states[:, live]
     np.testing.assert_allclose(
-        rhs(0.01, states.ravel()).reshape(size, STATE_SIZE),
+        rhs(0.01, states.ravel()).reshape(size, live.size),
         [cumulant._batch_system([p], pulse, "cumulant")[0](0.01, y) for p, y in zip(params, states)],
         rtol=1e-12, atol=0.0,
     )
     packed = jac(0.01, states.ravel())
-    band = STATE_SIZE - 1
-    assert packed.shape == (2 * band + 1, size * STATE_SIZE)
-    full = np.zeros((size * STATE_SIZE, size * STATE_SIZE))
+    band = live.size - 1
+    assert packed.shape == (2 * band + 1, size * live.size)
+    full = np.zeros((size * live.size, size * live.size))
     for r in range(full.shape[0]):
         for q in range(max(0, r - band), min(full.shape[1], r + band + 1)):
             full[r, q] = packed[band + r - q, q]
     for m, (p, y) in enumerate(zip(params, states)):
         scalar = cumulant._batch_system([p], pulse, "cumulant")[0]
-        dense = np.empty((STATE_SIZE, STATE_SIZE))
-        for c in range(STATE_SIZE):
+        dense = np.empty((live.size, live.size))
+        for c in range(live.size):
             h = 1e-2 * max(abs(y[c]), 1.0)
             up, down = y.copy(), y.copy()
             up[c] += h
             down[c] -= h
             dense[:, c] = (scalar(0.01, up) - scalar(0.01, down)) / (2.0 * h)
-        block = slice(m * STATE_SIZE, (m + 1) * STATE_SIZE)
+        block = slice(m * live.size, (m + 1) * live.size)
         assert np.max(np.abs(full[block, block] - dense)) <= 1e-6 * np.max(np.abs(dense)), m
         off = full[block].copy()
         off[:, block] = 0.0
@@ -429,34 +447,41 @@ def test_band_jacobian_is_the_block_diagonal_of_the_scalar_jacobian():
 @pytest.mark.parametrize("closure", CLOSURES)
 def test_polynomial_matches_the_equations_on_floats(closure, ax_bracket, amplitude):
     # a detuned pair, whose terms are all of order one, stacked with a B2
-    # member; at random states, inside the pulse (5 fs) and past it (0.3 ps)
+    # member, which keeps all 20 slots live; then the B2 member alone, on its
+    # live slots with the held ones at GROUND.  At random states, inside the
+    # pulse (5 fs) and past it (0.3 ps)
     params = [replace(SMALL_N, delta_a_mev=0.3, delta_c_mev=-0.2), _b2_members()[0][9]]
     pulse = PulseParams(amplitude=amplitude, center_ps=0.0, sigma_ps=0.020)
     peak, t0, inv_sig = pulse_shape(pulse)
-    rhs, jac = cumulant._batch_system(params, pulse, closure, ax_bracket)
-    bodies = [cumulant._moment_equations([p], closure, ax_bracket) for p in params]
-    rows, columns = np.indices((STATE_SIZE, STATE_SIZE))
     rng = np.random.default_rng(11)
-    for t in (0.005, 0.3):
-        eta = peak * math.exp(-0.5 * ((t - t0) * inv_sig) ** 2)
-        for _ in range(4):
-            y = rng.uniform(-1.0, 1.0, size=len(params) * STATE_SIZE)
-            dy = rhs(t, y).reshape(len(params), STATE_SIZE)
-            packed = jac(t, y)
-            # no term is cubic in one component, so central differences are
-            # exact up to rounding, and a unit step keeps that small
-            steps = np.eye(y.size)
-            diffs = np.array([(rhs(t, y + h) - rhs(t, y - h)) / 2.0 for h in steps]).T
-            for m, body in enumerate(bodies):
-                want = np.zeros(STATE_SIZE)
-                derivatives = body(eta, cumulant._named(y[m * STATE_SIZE:(m + 1) * STATE_SIZE]))
-                for slot, value in cumulant._stored(derivatives):
-                    want[slot] = value.item()
-                assert np.max(np.abs(dy[m] - want)) <= 1e-14 * np.max(np.abs(want)), (m, t)
-                block = slice(m * STATE_SIZE, (m + 1) * STATE_SIZE)
-                exact = packed[STATE_SIZE - 1 + rows - columns, m * STATE_SIZE + columns]
-                central = diffs[block, block]
-                assert np.max(np.abs(exact - central)) <= 1e-10 * np.max(np.abs(central)), (m, t)
+    for batch in (params, params[1:]):
+        rhs, jac, live = cumulant._batch_system(batch, pulse, closure, ax_bracket)
+        held = np.setdiff1d(np.arange(STATE_SIZE), live)
+        bodies = [cumulant._moment_equations([p], closure, ax_bracket) for p in batch]
+        rows, columns = np.indices((live.size, live.size))
+        for t in (0.005, 0.3):
+            eta = peak * math.exp(-0.5 * ((t - t0) * inv_sig) ** 2)
+            for _ in range(4):
+                states = rng.uniform(-1.0, 1.0, size=(len(batch), STATE_SIZE))
+                states[:, held] = GROUND[held]
+                y = states[:, live].ravel()
+                dy = rhs(t, y).reshape(len(batch), live.size)
+                packed = jac(t, y)
+                # no term is cubic in one component, so central differences are
+                # exact up to rounding, and a unit step keeps that small
+                steps = np.eye(y.size)
+                diffs = np.array([(rhs(t, y + h) - rhs(t, y - h)) / 2.0 for h in steps]).T
+                for m, body in enumerate(bodies):
+                    want = np.zeros(STATE_SIZE)
+                    derivatives = body(eta, cumulant._named(states[m]))
+                    for slot, value in cumulant._stored(derivatives):
+                        want[slot] = value.item()
+                    want = want[live]
+                    assert np.max(np.abs(dy[m] - want)) <= 1e-14 * np.max(np.abs(want)), (m, t)
+                    block = slice(m * live.size, (m + 1) * live.size)
+                    exact = packed[live.size - 1 + rows - columns, m * live.size + columns]
+                    central = diffs[block, block]
+                    assert np.max(np.abs(exact - central)) <= 1e-10 * np.max(np.abs(central)), (m, t)
 
 
 def _factorised_meanfield(params: ModelParams, eta: float, m: dict) -> dict:
@@ -484,7 +509,8 @@ def test_meanfield_is_the_closure_at_factorised_second_moments():
     params = [SMALL_N, replace(SMALL_N, delta_a_mev=0.3, delta_c_mev=-0.2)]
     pulse = PulseParams(amplitude=1.0, center_ps=0.0, sigma_ps=0.020)
     peak, t0, inv_sig = pulse_shape(pulse)
-    rhs, _ = cumulant._batch_system(params, pulse, "meanfield")
+    rhs, _, live = cumulant._batch_system(params, pulse, "meanfield")
+    assert live.size == STATE_SIZE  # mean field is not cut
     rng = np.random.default_rng(7)
     for t in (0.005, 0.3):
         eta = peak * math.exp(-0.5 * ((t - t0) * inv_sig) ** 2)
@@ -499,6 +525,68 @@ def test_meanfield_is_the_closure_at_factorised_second_moments():
                 assert np.max(np.abs(dy[m] - want)) <= 1e-14 * np.max(np.abs(want)), (m, t)
 
 
+def _resonant_held_slots() -> list[int]:
+    """Im<a>, <sx>, Im<aa>, Re<a sx>, Im<a sy>, Im<a sz>, <sx sy> and <sx sz>: 0 for all time at resonance."""
+    index = np.arange(STATE_SIZE, dtype=float)
+    held = [
+        moment(index, "c_a").imag, moment(index, "c_x"), moment(index, "c_aa").imag,
+        moment(index, "c_ax").real, moment(index, "c_ay").imag, moment(index, "c_az").imag,
+        moment(index, "c_xy"), moment(index, "c_xz"),
+    ]
+    return [int(slot) for slot in held]
+
+
+def test_a_resonant_cumulant_member_steps_twelve_slots():
+    # a detuned member keeps all 20 slots, and so does a batch stacking it with
+    # a resonant one: a batch holds only the slots every member leaves at 0
+    resonant, detuned = SMALL_N, replace(SMALL_N, delta_a_mev=0.3, delta_c_mev=-0.2)
+    pulse = PulseParams(amplitude=1.0, center_ps=0.0, sigma_ps=0.020)
+
+    def live(batch, closure="cumulant", ax_bracket="consistent"):
+        return cumulant._batch_system(batch, pulse, closure, ax_bracket)[2].tolist()
+
+    every = list(range(STATE_SIZE))
+    twelve = [0, 3, 4, 5, 6, 9, 10, 12, 14, 15, 16, 19]
+    assert sorted(set(every) - set(_resonant_held_slots())) == twelve
+    assert live([resonant]) == twelve
+    assert live([resonant, detuned]) == live([detuned]) == every
+    assert live([resonant], ax_bracket="variant") == live(_b2_members()[0]) == twelve
+    assert live([replace(SMALL_N, delta_a_mev=0.3)]) == live([replace(SMALL_N, delta_c_mev=-0.2)]) == every
+    # mean field is not cut
+    assert live([resonant], "meanfield") == every
+
+
+def test_held_slots_have_no_derivative_on_the_live_subspace():
+    # the float equations of resonant members at random states whose held
+    # slots are 0, inside the pulse (5 fs) and past it (0.3 ps)
+    held = _resonant_held_slots()
+    pulse = PulseParams(amplitude=1.0, center_ps=0.0, sigma_ps=0.020)
+    peak, t0, inv_sig = pulse_shape(pulse)
+    rng = np.random.default_rng(13)
+    for p in (SMALL_N, *_b2_members()[0][::7]):
+        for ax_bracket in ("consistent", "variant"):
+            body = cumulant._moment_equations([p], "cumulant", ax_bracket)
+            for t in (0.005, 0.3):
+                eta = peak * math.exp(-0.5 * ((t - t0) * inv_sig) ** 2)
+                for _ in range(4):
+                    y = rng.uniform(-1.0, 1.0, size=STATE_SIZE)
+                    y[held] = 0.0
+                    dy = np.full(STATE_SIZE, np.nan)
+                    for slot, value in cumulant._stored(body(eta, cumulant._named(y))):
+                        dy[slot] = value.item()
+                    assert np.all(dy[held] == 0.0), (p, ax_bracket, t, dy[held])
+
+
+def test_integrate_keeps_the_held_slots_at_their_initial_values():
+    params, pulse, config = _b2_members()
+    trace = integrate(params[9], pulse, config)
+    held = _resonant_held_slots()
+    assert np.all(trace.data[:, held] == GROUND[held])
+    assert np.all(GROUND[held] == 0.0)
+    # while the live slots move
+    assert np.ptp(trace.c_z) > 0.0 and np.ptp(trace.c_n) > 0.0
+
+
 def test_import_does_not_load_sympy():
     # the equations are traced by the package's own polynomial type; sympy
     # is not a dependency, and importing it would slow every start-up
@@ -506,6 +594,43 @@ def test_import_does_not_load_sympy():
     code = f"import sys; sys.path.insert(0, {src!r}); import dickesim; print('sympy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _numpy_and_scipy_imports() -> list[str]:
+    """The numpy and scipy modules the package's sources import, and each name they import from one."""
+    names = set()
+    for path in Path(cumulant.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return sorted(name for name in names if name.partition(".")[0] in ("numpy", "scipy"))
+
+
+def test_import_loads_no_package_beyond_the_standard_library_numpy_and_scipy():
+    # a stray import would slow every start-up.  The interpreter's start-up
+    # hooks and the numpy and scipy modules the sources name load packages of
+    # their own (a Cython runtime, an encoding detector), so those are loaded
+    # first; importing dickesim may then add only standard-library modules
+    src = str(Path(cumulant.__file__).parents[1])
+    code = f"""
+import importlib, sys
+sys.path.insert(0, {src!r})
+for name in {_numpy_and_scipy_imports()!r}:
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        pass  # a name imported from a module, not a module
+loaded = {{name.partition(".")[0] for name in sys.modules}}
+import dickesim
+added = {{name.partition(".")[0] for name in sys.modules}} - loaded
+# __mp_main__ is the standard library's multiprocessing naming __main__ once more
+print(sorted(added - set(sys.stdlib_module_names) - {{"numpy", "scipy", "dickesim", "__mp_main__"}}))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
