@@ -22,11 +22,13 @@ per subcommand), and ``CONFIG_KEYS`` is the one table of them: each key
 sets one field of one section, through one parser.  ``parse_config``
 rejects a key outside the subcommand's namespaces or outside the table,
 and two keys that set the same field; then it parses every value, a
-failure reported as ``<key> must ..., got <value as written>`` when a unit
-conversion names its bound and as ``bad value for <key>`` otherwise.
+failure reported as ``<key> must ..., got <value as written>`` when a parser
+or unit conversion names its bound and as ``bad value for <key>`` otherwise.
 ``ModelParams``, ``PulseParams``, ``SolverConfig`` and ``OracleConfig`` are
 built straight from their sections; only ``pulse.photon_ratio`` waits for
-N to become an amplitude.
+N to become an amplitude.  The ``fit.``, ``sweep.`` and ``spectrum.``
+sections stay dicts: a rule on one value is its key's parser's, and a rule
+across values is the library call's that owns it, run through ``_checked``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 data
 error.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 import warnings
@@ -53,6 +56,7 @@ from .fit import (
     FitGrid,
     check_t0_range,
     estimate_noise,
+    geometric_axis,
     global_fit,
     load_dataset,
     make_synthetic_dataset,
@@ -111,11 +115,21 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _requiring(parse, rule: str, ok):
+    """A parser: ``parse(raw)``, refused as ``must <rule>, got <raw>`` unless ``ok`` holds of it."""
+    def parser(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"value must {rule}, got {raw}")
+        return value
+    return parser
+
+
 def _parse_floats(raw: str) -> tuple[float, ...]:
     parts = [p for p in raw.replace(",", " ").split() if p]
     if not parts:
         raise ValueError("expected at least one number")
-    return tuple(float(p) for p in parts)
+    return tuple(_finite(p) for p in parts)
 
 
 def _parse_pair(raw: str) -> tuple[float, float]:
@@ -123,6 +137,14 @@ def _parse_pair(raw: str) -> tuple[float, float]:
     if len(pair) != 2:
         raise ValueError(f"expected two numbers, got {len(pair)}")
     return pair
+
+
+_finite = _requiring(float, "be finite", math.isfinite)
+_positive = _requiring(float, "be finite and positive", lambda v: 0 < v < math.inf)
+_sample_times = _requiring(
+    _parse_floats, "be start, stop, step with stop > start and step > 0",
+    lambda t: len(t) == 3 and t[0] < t[1] and t[2] > 0,
+)
 
 
 def _parse_strings(raw: str) -> tuple[str, ...]:
@@ -172,10 +194,10 @@ CONFIG_KEYS = {
     "solver.abs_tol": ("solver", "abs_tol", float),
     "sweep.axis": ("sweep", "axis", str),
     "sweep.grid": ("sweep", "grid", _parse_floats),
-    "sweep.start": ("sweep", "start", float),
-    "sweep.stop": ("sweep", "stop", float),
+    "sweep.start": ("sweep", "start", _finite),
+    "sweep.stop": ("sweep", "stop", _finite),
     "sweep.points": ("sweep", "points", int),
-    "sweep.photon_ratio": ("sweep", "photon_ratio", float),
+    "sweep.photon_ratio": ("sweep", "photon_ratio", _finite),
     "sweep.lower_polariton": ("sweep", "lower_polariton", _parse_bool),
     "fit.datasets": ("fit", "datasets", _parse_strings),
     "fit.labels": ("fit", "labels", _parse_strings),
@@ -190,12 +212,12 @@ CONFIG_KEYS = {
     "fit.t0_range_fs": ("fit", "t0_range_fs", _parse_pair),
     "fit.refine": ("fit", "refine", _parse_bool),
     "fit.synthetic": ("fit", "synthetic", _parse_bool),
-    "fit.times_fs": ("fit", "times_fs", _parse_floats),
+    "fit.times_fs": ("fit", "times_fs", _sample_times),
     "fit.noise_rms": ("fit", "noise_rms", float),
     "fit.true_scale": ("fit", "true_scale", float),
-    "fit.true_shift_fs": ("fit", "true_shift_fs", float),
-    "spectrum.span_meV": ("spectrum", "span_meV", float),
-    "spectrum.points": ("spectrum", "points", int),
+    "fit.true_shift_fs": ("fit", "true_shift_fs", _finite),
+    "spectrum.span_meV": ("spectrum", "span_meV", _positive),
+    "spectrum.points": ("spectrum", "points", _requiring(int, "be at least 3", lambda n: n >= 3)),
     "oracle.n_max": ("oracle", "n_max", int),
     "oracle.top_level_tol": ("oracle", "top_level_tol", float),
 }
@@ -379,12 +401,8 @@ def cmd_sweep(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, 
     axis = _require(sections, "sweep.axis")
     grid = section.get("grid")
     if grid is None:
-        start = _require(sections, "sweep.start")
-        stop = _require(sections, "sweep.stop")
-        points = _require(sections, "sweep.points")
-        if points < 1 or start <= 0 or stop <= start:
-            raise ConfigError("sweep bounds need 0 < start < stop and points >= 1")
-        grid = np.geomspace(start, stop, points)
+        bounds = [_require(sections, key) for key in ("sweep.start", "sweep.stop", "sweep.points")]
+        grid = _checked(geometric_axis, *bounds, ("start", "stop"), cfg=cfg)
     elif {"start", "stop", "points"} & set(section):
         raise ConfigError("sweep.grid and sweep.start/stop/points are mutually exclusive")
     photon_ratio = section.get("photon_ratio")
@@ -393,13 +411,10 @@ def cmd_sweep(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, 
         "axis": axis, "grid": [float(v) for v in grid],
         "photon_ratio": photon_ratio, "lower_polariton": lower,
     })
-    try:
-        points_out = sweep(
-            params, axis, grid, pulse, solver,
-            photon_ratio=photon_ratio, lower_polariton=lower, workers=args.threads,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    points_out = _checked(
+        sweep, params, axis, grid, pulse, solver, cfg=cfg,
+        photon_ratio=photon_ratio, lower_polariton=lower, workers=args.threads,
+    )
     _write_table(
         out_dir / "sweep.csv", f"axis={axis}",
         "axis_value,tau_ps,Emax_meV,Pmax_meV_per_ps,regime,N_kappa,N_gammaz,N_sigma",
@@ -417,21 +432,24 @@ def cmd_sweep(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, 
 
 
 def _fit_datasets(cfg: Mapping[str, str], sections: dict[str, dict], params, pulse, solver, seed: int):
-    """The datasets ``fit`` configures, synthetic or read from files, before their noise estimates."""
+    """The datasets ``fit`` configures, synthetic or read from files, before their noise estimates.
+
+    Also returns what ``resolved_config.txt`` echoes of them: the values read, defaults filled in.
+    """
     section = sections["fit"]
     if section.get("synthetic", False):
-        times_spec = section.get("times_fs", (-500.0, 1500.0, 4.0))
-        if len(times_spec) != 3 or times_spec[2] <= 0 or times_spec[1] <= times_spec[0]:
-            raise ConfigError("fit.times_fs must be start, stop, step with stop > start")
-        times = np.arange(times_spec[0], times_spec[1] + 0.5 * times_spec[2], times_spec[2])
+        read = {
+            "synthetic": True, "times_fs": section.get("times_fs", (-500.0, 1500.0, 4.0)),
+            "true_scale": section.get("true_scale", 1.0), "true_shift_fs": section.get("true_shift_fs", 0.0),
+            "noise_rms": section.get("noise_rms", 0.0),
+        }
+        start, stop, step = read["times_fs"]
         return [_checked(
-            make_synthetic_dataset, params, pulse, times, cfg=cfg,
-            true_scale=section.get("true_scale", 1.0),
-            true_shift_fs=section.get("true_shift_fs", 0.0),
-            noise_rms=section.get("noise_rms", 0.0),
+            make_synthetic_dataset, params, pulse, np.arange(start, stop + 0.5 * step, step), cfg=cfg,
+            true_scale=read["true_scale"], true_shift_fs=read["true_shift_fs"], noise_rms=read["noise_rms"],
             rng=np.random.default_rng(seed),
             solver=solver,
-        )]
+        )], read
 
     paths = _require(sections, "fit.datasets")
     labels = section.get("labels")
@@ -445,10 +463,14 @@ def _fit_datasets(cfg: Mapping[str, str], sections: dict[str, dict], params, pul
         raise ConfigError("fit.n_dye and fit.photon_ratio must match fit.datasets in length")
     # without pulse.response_fs a dataset's response is the table's lifetime
     response_ps = sections["pulse"].get("response_ps")
-    return [
+    datasets = [
         load_dataset(path, label, n_dye=n_dye, photon_ratio=ratio, response_ps=response_ps)
         for path, label, n_dye, ratio in zip(paths, labels, n_dyes, ratios)
     ]
+    return datasets, {
+        "synthetic": False, "files": list(paths),
+        "n_dye": [ds.n_dye for ds in datasets], "photon_ratio": [ds.photon_ratio for ds in datasets],
+    }
 
 
 def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, args) -> int:
@@ -472,11 +494,11 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
     axes = ("g_bounds_nev", "gamma0z_bounds_mev", "gamma_minus_bounds_mev", "points")
     grid = _checked(FitGrid.logspace, cfg=cfg, **{name: section[name] for name in axes if name in section})
     t0_pair = section.get("t0_range_fs", DEFAULT_T0_RANGE_FS)
-    _checked(check_t0_range, t0_pair, cfg=cfg)
+    _checked(check_t0_range, t0_pair, solver.output_dt_ps, cfg=cfg)
 
     # each stage logs its wall time at INFO; no timing enters an output file
     start = time.perf_counter()
-    datasets = _fit_datasets(cfg, sections, params, pulse, solver, args.seed)
+    datasets, read = _fit_datasets(cfg, sections, params, pulse, solver, args.seed)
     logger.info("load: %d datasets, %.3f s", len(datasets), time.perf_counter() - start)
     start = time.perf_counter()
     datasets = [estimate_noise(ds) for ds in datasets]
@@ -492,7 +514,7 @@ def cmd_fit(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Path, ar
         "g_bounds_neV": (float(grid.g_nev[0]), float(grid.g_nev[-1])),
         "gamma0z_bounds_meV": (float(grid.gamma0z_mev[0]), float(grid.gamma0z_mev[-1])),
         "gammaminus_bounds_meV": (float(grid.gamma_minus_mev[0]), float(grid.gamma_minus_mev[-1])),
-        "t0_range_fs": t0_pair, "refine": refine, "seed": args.seed,
+        "t0_range_fs": t0_pair, "refine": refine, "seed": args.seed, **read,
     })
 
     result = _checked(
@@ -556,8 +578,6 @@ def cmd_spectrum(cfg: Mapping[str, str], sections: dict[str, dict], out_dir: Pat
         scale = max(params.g_mev * np.sqrt(params.n_molecules), params.kappa_mev)
         span = 4.0 * scale
     points = sections["spectrum"].get("points", 2001)
-    if span <= 0 or points < 3:
-        raise ConfigError("spectrum needs span_meV > 0 and points >= 3")
     _echo_config(out_dir, "spectrum", params, {"span_meV": span, "points": points})
     detunings = np.linspace(-span, span, points)
     result = absorption_spectrum(params, detunings)

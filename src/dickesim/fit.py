@@ -388,22 +388,22 @@ def _piecewise_argmax(de, ee, en, phases, first, lo, hi) -> np.ndarray:
     return x.reshape(first.size, -1)[np.arange(first.size), score.reshape(first.size, -1).argmax(axis=1)]
 
 
-def check_t0_range(t0_range_fs: tuple) -> None:
-    """Refuse a shift range (lo, hi) in fs unless hi > lo."""
+def check_t0_range(t0_range_fs: tuple, dt_ps: float) -> tuple[int, int]:
+    """Whole steps k_lo..k_hi of ``dt_ps`` in the shift range (lo, hi) in fs; refused if hi <= lo or there is none."""
     lo_fs, hi_fs = t0_range_fs
     if not hi_fs > lo_fs:
         raise ValueError(f"t0_range_fs must have positive width, got {lo_fs:g}, {hi_fs:g}")
+    k_lo, k_hi = math.ceil(lo_fs * 1e-3 / dt_ps - 1e-9), math.floor(hi_fs * 1e-3 / dt_ps + 1e-9)
+    if k_hi < k_lo:
+        raise ValueError(f"t0_range_fs must hold a whole model step of {dt_ps * 1e3:g} fs, got {lo_fs:g}, {hi_fs:g}")
+    return k_lo, k_hi
 
 
 def _shift_steps(dataset: ExperimentDataset, t0_range_fs: tuple, dt_ps: float) -> tuple[int, int]:
     """Whole steps k_lo..k_hi of ``dt_ps`` in the shift range, after the checks that need no trace."""
     if dataset.sigma is None:
         raise DataError(f"dataset {dataset.label!r} has no noise estimate; run estimate_noise")
-    check_t0_range(t0_range_fs)
-    lo_fs, hi_fs = t0_range_fs
-    k_lo, k_hi = math.ceil(lo_fs * 1e-3 / dt_ps - 1e-9), math.floor(hi_fs * 1e-3 / dt_ps + 1e-9)
-    if k_hi < k_lo:
-        raise ValueError(f"t0 range holds no whole model step of {dt_ps * 1e3:g} fs")
+    k_lo, k_hi = check_t0_range(t0_range_fs, dt_ps)
     if float(dataset.signal ** 2 @ (1.0 / dataset.sigma ** 2)) <= 0.0:
         raise DataError(f"dataset {dataset.label!r} has no signal to scale")
     return k_lo, k_hi
@@ -522,6 +522,16 @@ def inner_fit(
     return fit
 
 
+def geometric_axis(lo: float, hi: float, points: int, names: tuple[str, str]) -> np.ndarray:
+    """``points`` >= 1 geometric nodes from 0 < lo < hi < inf; a bad bound's error opens with its name in ``names``."""
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
+    for name, ok in zip(names, (0 < lo < math.inf, lo < hi < math.inf)):
+        if not ok:
+            raise ValueError(f"{name} must be finite, positive and increasing, got {lo:g}, {hi:g}")
+    return np.geomspace(lo, hi, points)
+
+
 @dataclass(frozen=True)
 class FitGrid:
     """Logarithmic search grid over the three shared rates; each axis 1-D, finite, positive and rising."""
@@ -551,19 +561,10 @@ class FitGrid:
         gamma_minus_bounds_mev: tuple[float, float] = (0.001, 1.0),
         points: int = DEFAULT_GRID_POINTS,
     ) -> "FitGrid":
-        if points < 1:
-            raise ValueError(f"points must be at least 1, got {points}")
-
-        def axis(name, bounds):
-            lo, hi = bounds
-            if not (0 < lo < hi < math.inf):
-                raise ValueError(f"{name} must be finite, positive and increasing, got {bounds}")
-            return np.geomspace(lo, hi, points)
-
         return cls(
-            g_nev=axis("g_bounds_nev", g_bounds_nev),
-            gamma0z_mev=axis("gamma0z_bounds_mev", gamma0z_bounds_mev),
-            gamma_minus_mev=axis("gamma_minus_bounds_mev", gamma_minus_bounds_mev),
+            g_nev=geometric_axis(*g_bounds_nev, points, ("g_bounds_nev",) * 2),
+            gamma0z_mev=geometric_axis(*gamma0z_bounds_mev, points, ("gamma0z_bounds_mev",) * 2),
+            gamma_minus_mev=geometric_axis(*gamma_minus_bounds_mev, points, ("gamma_minus_bounds_mev",) * 2),
         )
 
     def __eq__(self, other) -> bool:

@@ -270,10 +270,10 @@ def sweep(
         if photon_ratio is None:
             raise ValueError('axis="N" sweeps need photon_ratio to size the pulse')
         if any(v <= 0 for v in grid):
-            raise ValueError("molecule numbers must be positive")
+            raise ValueError(f"grid must hold positive molecule numbers, got {grid}")
     else:
         if any(v < 0 for v in grid):
-            raise ValueError("photon ratios must be non-negative")
+            raise ValueError(f"grid must hold non-negative photon ratios, got {grid}")
 
     tasks = []
     for value in grid:

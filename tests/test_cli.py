@@ -257,7 +257,7 @@ class TestExitCodes:
             ("oracle-check", A1_CFG + "oracle.n_max = 0\n", "oracle.n_max must be at least 1, got 0"),
             ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 0\n", "fit.grid_points must be at least 1, got 0"),
             ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 1\nfit.t0_range_fs = 0.5, 1.5\n",
-             "t0 range holds no whole model step"),
+             "fit.t0_range_fs must hold a whole model step of 2 fs, got 0.5, 1.5"),
             ("fit", SYNTHETIC_FIT_CFG + "fit.g_bounds_neV = 5, 10, 20\n",
              "bad value for fit.g_bounds_neV: '5, 10, 20' (expected two numbers, got 3)"),
             ("fit", SYNTHETIC_FIT_CFG + "fit.grid_points = 1\nfit.t0_range_fs = 400, -400\n",
@@ -309,18 +309,49 @@ class TestExitCodes:
             ("fit.synthetic = true\nfit.noise_rms = -1", "fit.noise_rms must be finite and non-negative, got -1"),
             ("fit.datasets = missing.csv\nfit.t0_range_fs = 400, -400",
              "fit.t0_range_fs must have positive width, got 400, -400"),
+            ("fit.datasets = missing.csv\nfit.t0_range_fs = 0.5, 1.5",
+             "fit.t0_range_fs must hold a whole model step of 2 fs, got 0.5, 1.5"),
+            ("fit.synthetic = true\nfit.times_fs = -500, 1500, nan",
+             "fit.times_fs must be finite, got -500, 1500, nan"),
+            ("fit.synthetic = true\nfit.times_fs = -500, inf, 8", "fit.times_fs must be finite, got -500, inf, 8"),
+            ("fit.synthetic = true\nfit.times_fs = 1500, -500, 4",
+             "fit.times_fs must be start, stop, step with stop > start and step > 0, got 1500, -500, 4"),
+            ("fit.synthetic = true\nfit.true_shift_fs = nan", "fit.true_shift_fs must be finite, got nan"),
             ("oracle.n_max = 0", "oracle.n_max must be at least 1, got 0"),
             ("oracle.top_level_tol = 0", "oracle.top_level_tol must be positive, got 0"),
+            ("spectrum.span_meV = nan", "spectrum.span_meV must be finite and positive, got nan"),
+            ("spectrum.span_meV = inf", "spectrum.span_meV must be finite and positive, got inf"),
+            ("spectrum.span_meV = -1", "spectrum.span_meV must be finite and positive, got -1"),
+            ("spectrum.points = 2", "spectrum.points must be at least 3, got 2"),
+            ("sweep.axis = x\nsweep.grid = 1e10", "sweep.axis must be one of ('N', 'r'), got x"),
+            ("sweep.axis = N\nsweep.start = -1\nsweep.stop = 1e11\nsweep.points = 3",
+             "sweep.start must be finite, positive and increasing, got -1"),
+            ("sweep.axis = N\nsweep.start = 1e11\nsweep.stop = 1e10\nsweep.points = 3",
+             "sweep.stop must be finite, positive and increasing, got 1e10"),
+            ("sweep.axis = N\nsweep.start = 1e10\nsweep.stop = 1e11\nsweep.points = 0",
+             "sweep.points must be at least 1, got 0"),
+            ("sweep.axis = N\nsweep.start = 1e10\nsweep.stop = inf\nsweep.points = 3",
+             "sweep.stop must be finite, got inf"),
+            ("sweep.axis = N\nsweep.photon_ratio = 0.1\nsweep.grid = 1e10, nan",
+             "sweep.grid must be finite, got 1e10, nan"),
+            ("sweep.axis = N\nsweep.photon_ratio = 0.1\nsweep.grid = 1e10, -1",
+             "sweep.grid must hold positive molecule numbers, got 1e10, -1"),
         ],
         ids=["negative-response", "nan-response", "negative-sigma", "negative-output-step", "negative-coupling",
              "negative-lifetime", "nan-lifetime", "negative-wavelength", "infinite-wavelength",
              "negative-fit-lifetime", "negative-synthetic-fit-lifetime", "zero-fit-lifetime", "zero-grid-points",
              "inverted-g-bounds", "zero-true-scale", "negative-true-scale", "negative-noise-rms",
-             "inverted-t0-range", "zero-n-max", "zero-top-level-tol"],
+             "inverted-t0-range", "t0-range-without-a-step", "nan-sample-time", "infinite-sample-time",
+             "inverted-sample-times", "nan-true-shift", "zero-n-max", "zero-top-level-tol", "nan-span",
+             "infinite-span", "negative-span", "two-spectrum-points", "unknown-sweep-axis", "negative-sweep-start",
+             "inverted-sweep-bounds", "zero-sweep-points", "infinite-sweep-stop", "nan-sweep-grid",
+             "negative-sweep-molecules"],
     )
     def test_a_bad_value_is_reported_under_its_key_as_written(self, tmp_path, capsys, line, message):
         cfg = write_cfg(tmp_path, line + "\n")
-        command = "oracle-check" if line.startswith("oracle.") else "fit"
+        # the model., pulse. and solver. lines are read by fit
+        namespace = line.partition(".")[0]
+        command = {"oracle": "oracle-check", "sweep": "sweep", "spectrum": "spectrum"}.get(namespace, "fit")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -420,7 +451,8 @@ fit.labels = A2
         "signal, extra, code, message",
         [
             (0.0, "", EXIT_DATA, "dataset 'A2' has no signal to scale"),
-            (1.0, "fit.t0_range_fs = 0.5, 1.5\n", EXIT_CONFIG, "t0 range holds no whole model step"),
+            (1.0, "fit.t0_range_fs = 0.5, 1.5\n", EXIT_CONFIG,
+             "fit.t0_range_fs must hold a whole model step of 2 fs, got 0.5, 1.5"),
         ],
         ids=["zero-signal", "t0-range-without-a-step"],
     )
@@ -701,12 +733,24 @@ fit.gammaminus_bounds_meV = 0.0141, 0.02
         np.savetxt(path, np.column_stack([times, signal]), delimiter=",")
         cfg = read_config_file(write_cfg(tmp_path, f"fit.datasets = {path}\nfit.lifetime_fs = 185\n{line}\n"))
         sections = parse_config(cfg, "fit")
-        (dataset,) = cli._fit_datasets(cfg, sections, *cli._build_common(cfg, sections), seed=0)
+        (dataset,), _ = cli._fit_datasets(cfg, sections, *cli._build_common(cfg, sections), seed=0)
         assert dataset.response_ps == response_ps
         grid = fit.FitGrid(np.array([10.6]), np.array([1.68]), np.array([0.0141]))
         ((_, pulse, solver),) = fit._member_tasks([dataset], grid, 185.0, 0.020, 8.08e10, None, (-400.0, 400.0))
         assert pulse.response_ps == pytest.approx(response_ps or 0.185)
         assert solver.t_end_ps == pytest.approx(times[-1] * 1e-3 + 0.4 + 5.0 * (response_ps or 0.185) + 0.05)
+
+    def test_measured_data_echo_their_files_and_each_n_and_r(self, tmp_path, capsys):
+        # a dataset's N and r are not [model]'s
+        cfg = _a2_fit_config(tmp_path, 1.0, "fit.n_dye = 9e10\nfit.photon_ratio = 0.15\n")
+        with pytest.warns(UserWarning, match="boundary"):
+            assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        capsys.readouterr()
+        echoed = (tmp_path / "out" / "resolved_config.txt").read_text().partition("[fit]\n")[2].splitlines()
+        assert f"files = [{str(tmp_path / 'A2.csv')!r}]" in echoed
+        assert "n_dye = [90000000000.0]" in echoed
+        assert "photon_ratio = [0.15]" in echoed
+        assert "synthetic = False" in echoed
 
     def test_map_csv_round_trips_the_chi2_map(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, SYNTHETIC_FIT_CFG + """\

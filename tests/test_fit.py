@@ -1027,7 +1027,7 @@ class TestGlobalFit:
         (alone,), _, _ = inner_fits(table[(0, 0, 0, 0)], ds, t0_range_fs)
         assert result.inner["A2"] == alone
         assert 0.5 <= alone.t0_fs <= 1.5
-        with pytest.raises(ValueError, match="no whole model step of 2 fs"):
+        with pytest.raises(ValueError, match="must hold a whole model step of 2 fs"):
             global_fit([ds], point, 120.0, t0_range_fs=t0_range_fs)
 
 
